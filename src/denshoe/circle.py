@@ -11,7 +11,6 @@ their mass (the error budget) is reported.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction

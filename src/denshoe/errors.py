@@ -61,57 +61,3 @@ class TailNotSettled(DenshoeError):
 
 class NotSaddle(DenshoeError):
     """The periodic orbit is not a positive-eigenvalue saddle."""
-
-
-# --- horseshoe builder ---
-
-class SeedTooLarge(DenshoeError):
-    """The linear manifold seed fails the tangency tolerance."""
-
-
-class NoTransverseIntersection(DenshoeError):
-    """No manifold crossing above the transversality threshold."""
-
-
-class OrderingInconsistent(DenshoeError):
-    """Heteroclinic points cannot be ordered consistently along both
-    invariant manifolds (wrong branch choice)."""
-
-
-class RectangleDegenerate(DenshoeError):
-    """A rectangle boundary curve fails the cone-tangency check."""
-
-
-class BudgetExceeded(DenshoeError):
-    """Iterate tuning exceeded the configured cap."""
-
-
-class TemplateMissing(DenshoeError):
-    """A mandatory transition of the heteroclinic-cycle template failed
-    verification; the partition must be re-tuned."""
-
-
-class NotAdmissible(DenshoeError):
-    """The itinerary word is not admissible for the transition matrix."""
-
-
-class EmptyClip(DenshoeError):
-    """Nested clipping became empty (numerical failure)."""
-
-    def __init__(self, message, depth=None):
-        super().__init__(message)
-        self.depth = depth
-
-
-class NoDisjointLoops(DenshoeError):
-    """The transition graph is a single cycle; no free pair of loops."""
-
-
-# --- CLI / reporting ---
-
-class DigestMismatch(DenshoeError):
-    """An artifact's content digest does not match its manifest entry."""
-
-
-class ConfigError(DenshoeError):
-    """Invalid or incomplete run configuration."""

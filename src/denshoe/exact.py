@@ -1,11 +1,12 @@
 """Exact arithmetic for rotation angles.
 
 Angles are carried as exact elements a + b*sqrt(d) of a real quadratic
-field (b = 0 gives plain rationals).  This covers the golden-type
-constants the CLI catalog exposes and makes every coding decision
-(is {theta + k*alpha} inside [0, alpha)?) exact, with no guard band.
-Float inputs are handled by the callers with a guard band and mpmath
-escalation instead; see denshoe.symbolic.
+field (b = 0 gives plain rationals).  Comparisons are exact, also
+between different fields.  The coding kernel in denshoe.symbolic decides
+most symbols from float values and settles the rest in this arithmetic;
+`QuadReal.float_enclosure` gives the float value of an angle together
+with the certified bound 8u(|a| + |b|sqrt(d)), u = 2^-53, on its error
+that makes those float decisions safe.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import math
 import re
 from fractions import Fraction
 from numbers import Rational
+
+#: unit roundoff of float64
+_UNIT = 2.0 ** -53
 
 
 def _square_free(d: int) -> tuple[int, int]:
@@ -139,7 +143,18 @@ class QuadReal:
         return 1 if rhs > lhs else -1
 
     def _cmp(self, other) -> int:
-        return (self - self._coerce(other)).sign()
+        o = self._coerce(other)
+        if not (self.d and o.d and self.d != o.d):
+            return (self - o).sign()
+        # different fields: sign of p + q with p = (a - c) + b sqrt(d) and
+        # q = -e sqrt(f).  When the signs differ, the larger square wins, and
+        # p^2 - q^2 lies in the field of p; it is never 0 because 1, sqrt(d)
+        # and sqrt(f) are linearly independent over Q.
+        p = QuadReal(self.a - o.a, self.b, self.d)
+        sp, sq = p.sign(), (-o.b > 0) - (-o.b < 0)
+        if sp in (0, sq):
+            return sq
+        return sp if (p * p - o.b * o.b * o.d).sign() > 0 else sq
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -176,6 +191,21 @@ class QuadReal:
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
+
+    def float_enclosure(self) -> tuple[float, float]:
+        """float(self) and a bound on its distance from self.
+
+        float() rounds a, b and sqrt(d), then one product and one sum, so
+        it is off by at most 4u(|a| + |b|sqrt(d)), u = 2^-53.  The bound is
+        taken from |a| + |b|sqrt(d), not from |self|, because the two terms
+        can cancel: 20*sqrt(11) - 66 is 0.33 but carries the rounding of 66.
+        It is doubled to cover the rounding of its own evaluation.  Values
+        beyond the float range come back with an infinite bound."""
+        try:
+            return float(self), 8 * _UNIT * (abs(float(self.a))
+                                             + abs(float(self.b)) * math.sqrt(self.d))
+        except OverflowError:
+            return 0.0, math.inf
 
     def floor(self) -> int:
         if self.b == 0:

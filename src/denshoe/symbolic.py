@@ -4,20 +4,37 @@ The coding convention throughout: symbol 0 at time k iff the rotated
 point {theta + k*alpha} lies in the half-open arc [0, alpha); symbol 1
 on the complementary arc.  Endpoint hits are resolved by the half-open
 rule, so exact angles always produce a well-defined symbol.
+
+Every coding symbol comes from `coding_block`, a filtered predicate
+(Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
+geometric predicates", 1997).  One float64 pass computes each point and
+its margin to the arc ends 0, alpha and 1.  For exact angles the error
+of that float value is at most e(k) = e_theta + |k| e_alpha plus the
+rounding of the product, the sum and the wrap, with e_alpha and e_theta
+from `QuadReal.float_enclosure`; the float decides every entry whose
+margin exceeds four times that bound, and exact arithmetic settles the
+rest.  For float angles the margin is compared with GUARD_BAND, and
+entries inside it are escalated to mpmath.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+
+import numpy as np
 
 from .errors import BoundaryUndecidable, NotSturmian, WindowTooShort
-from .exact import QuadReal, as_real, is_exact
+from .exact import _UNIT, QuadReal, as_real, is_exact
 
 GUARD_BAND = 1e-12
 ESCALATED_DPS = 60
 ESCALATED_GUARD = 1e-40
+#: factor by which the float pass's error bound is widened for exact angles
+_FILTER_SAFETY = 4.0
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +183,10 @@ def _symbol_exact(alpha: QuadReal, theta: QuadReal, k: int) -> int:
     return 0 if t < alpha else 1
 
 
-def _symbol_float(alpha: float, theta: float, k: int) -> int:
-    t = (theta + k * alpha) % 1.0
-    margin = min(t, 1.0 - t, abs(t - alpha))
-    if margin > GUARD_BAND:
-        return 0 if t < alpha else 1
-    # Escalate to extended precision.  Floats are exact binary rationals,
-    # so the escalated value is exact; a margin of exactly zero is a true
-    # endpoint hit and the half-open rule [0, alpha) resolves it.
+def _symbol_escalated(alpha: float, theta: float, k: int) -> int:
+    """Symbol of float angles decided at ESCALATED_DPS digits.  Floats are
+    exact binary rationals, so the escalated value is exact; a margin of
+    exactly zero is a true endpoint hit, resolved by the half-open rule."""
     import mpmath
 
     with mpmath.workdps(ESCALATED_DPS):
@@ -190,55 +203,84 @@ def _symbol_float(alpha: float, theta: float, k: int) -> int:
         f"point {{theta + {k}*alpha}} is indistinguishable from an arc endpoint")
 
 
+def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
+    """Symbols of the rotation coding at k = lo..hi, in one float64 pass.
+
+    An entry's margin is its distance to the arc ends 0, alpha and 1.
+    Float angles: entries with margin at most GUARD_BAND are escalated to
+    mpmath.  Exact angles: entries with margin at most the certified error
+    bound of the float pass, among them every exact hit of an arc end,
+    are settled in exact arithmetic, so every symbol is exact."""
+    exact = is_exact(alpha) and is_exact(theta)
+    if exact:
+        a, th = as_real(alpha), as_real(theta).frac()
+        af, err_a = a.float_enclosure()
+        tf, err_t = th.float_enclosure()
+    else:
+        af, tf = float(alpha), float(theta)
+    ks = (np.arange(lo, hi + 1, dtype=np.float64) if max(abs(lo), abs(hi)) <= 2 ** 53
+          else np.array([float(k) for k in range(lo, hi + 1)]))
+    # the same operations, in the same order, as (theta + k*alpha) % 1.0
+    t = np.mod(tf + ks * af, 1.0)
+    margin = np.minimum(np.minimum(t, 1.0 - t), np.abs(t - af))
+    if exact:
+        # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of
+        # k, of the product, the sum and the wrap into [0, 1); alpha itself
+        # is off by err_a.  A margin above the bound fixes the symbol.
+        bound = _FILTER_SAFETY * (err_t + 2 * err_a + _UNIT * (abs(tf) + 2)
+                                  + np.abs(ks) * (err_a + 3 * _UNIT * abs(af)))
+    else:
+        bound = GUARD_BAND
+    syms = (t >= af).astype(np.int8)
+    flagged = np.flatnonzero(~(margin > bound)).tolist()
+    for i in flagged:
+        syms[i] = _symbol_exact(a, th, lo + i) if exact else _symbol_escalated(af, tf, lo + i)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("coding_block k=%d..%d symbols=%d flagged=%d exact=%d escalated=%d",
+                   lo, hi, len(t), len(flagged), len(flagged) if exact else 0,
+                   0 if exact else len(flagged))
+    return tuple(syms.tolist())
+
+
 def sturmian_symbol(alpha, theta, k: int) -> int:
     """Symbol of the rotation coding at time k: 0 iff {theta+k*alpha} in [0, alpha)."""
-    if is_exact(alpha) and is_exact(theta):
-        return _symbol_exact(as_real(alpha), as_real(theta), k)
-    return _symbol_float(float(alpha), float(theta), k)
+    return coding_block(alpha, theta, k, k)[0]
 
 
 def sturmian_window(alpha, theta, radius: int) -> CentralWindow:
     """Central coding window of radius N for the rotation by alpha, offset theta."""
-    if is_exact(alpha) and is_exact(theta):
-        a = as_real(alpha)
-        t = (as_real(theta) + (-radius) * a).frac()
-        one = QuadReal(1)
-        syms = []
-        for _ in range(2 * radius + 1):
-            syms.append(0 if t < a else 1)
-            t = t + a
-            if t >= one:
-                t = t - 1
-        return CentralWindow(radius, tuple(syms))
-    af, tf = float(alpha), float(theta)
-    syms = tuple(_symbol_float(af, tf, k) for k in range(-radius, radius + 1))
-    return CentralWindow(radius, syms)
+    return CentralWindow(radius, coding_block(alpha, theta, -radius, radius))
 
 
 # ---------------------------------------------------------------------------
 # the shift metric
 # ---------------------------------------------------------------------------
 
-def shift_distance(u: CentralWindow, v: CentralWindow) -> ShiftDistance:
-    """Exact max_k |u_k - v_k|/(|k|+1) over the common radius.
-
-    The first disagreement at minimal |k| dominates, so the scan runs
-    outward from k = 0 and stops at the first difference."""
-    r = min(u.radius, v.radius)
-    truncated = u.radius != v.radius
+def _first_disagreement(u, cu: int, v, cv: int, r: int) -> int:
+    """Least k in 0..r with u[cu+k] != v[cv+k] or u[cu-k] != v[cv-k], or
+    r+1 when there is none.  u and v are strings or tuples indexed from
+    their centres cu and cv."""
     for k in range(r + 1):
-        if u[k] != v[k] or u[-k] != v[-k]:
-            return ShiftDistance(Fraction(1, k + 1), truncated)
-    return ShiftDistance(Fraction(0), truncated)
+        if u[cu + k] != v[cv + k] or u[cu - k] != v[cv - k]:
+            return k
+    return r + 1
 
 
 def agreement_radius(u: CentralWindow, v: CentralWindow) -> int | None:
     """Smallest |k| where u and v disagree; None if equal on the common radius."""
     r = min(u.radius, v.radius)
-    for k in range(r + 1):
-        if u[k] != v[k] or u[-k] != v[-k]:
-            return k
-    return None
+    k = _first_disagreement(u.symbols, u.radius, v.symbols, v.radius, r)
+    return k if k <= r else None
+
+
+def shift_distance(u: CentralWindow, v: CentralWindow) -> ShiftDistance:
+    """Exact max_k |u_k - v_k|/(|k|+1) over the common radius.
+
+    The first disagreement at minimal |k| dominates, so the scan runs
+    outward from k = 0 and stops at the first difference."""
+    k = agreement_radius(u, v)
+    return ShiftDistance(Fraction(0) if k is None else Fraction(1, k + 1),
+                         u.radius != v.radius)
 
 
 # ---------------------------------------------------------------------------

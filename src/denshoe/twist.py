@@ -367,7 +367,9 @@ def heteroclinic_minimizer(
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
     x = best[1]
-    edge = max(abs(x[1] - x[0]), abs(x[-1] - x[-2]))
+    # the first and last q+1 sites must sit on the orbits they connect
+    m = left.q + 1
+    edge = max(np.max(np.abs(x[:m] - base_l[:m])), np.max(np.abs(x[-m:] - base_r[-m:])))
     if edge > tail_tol:
         raise TailNotSettled(f"window edge residual {edge:.2e} exceeds {tail_tol:.0e}")
     return Configuration(x, "segment", right.p - left.p, left.q)

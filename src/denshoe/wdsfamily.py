@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .exact import QuadReal, as_real
 from .symbolic import (
     CentralWindow,
     FactorSet,
+    _first_disagreement,
     estimate_rotation_interval,
     factor_family,
     sturmian_window,
@@ -175,18 +175,6 @@ def reversed_wds(w: WdsSymbolic) -> WdsSymbolic:
 # cylinder order
 # ---------------------------------------------------------------------------
 
-def _coding_word(alpha: QuadReal, theta: QuadReal, n: int) -> str:
-    chars = []
-    t = (theta + (-n) * alpha).frac()
-    one = QuadReal(1)
-    for _ in range(2 * n + 1):
-        chars.append("0" if t < alpha else "1")
-        t = t + alpha
-        if t >= one:
-            t = t - 1
-    return "".join(chars)
-
-
 def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
     """Order the admissible central words by the left endpoints of their
     coding arcs.  The arcs are cut by the exact points {j*alpha} for
@@ -199,7 +187,7 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
     for p, q in zip(pts, pts[1:]):
         if not (p < q):
             raise DegenerateArc("coinciding arc boundaries (rational angle?)")
-    words = tuple(_coding_word(alpha, p, n) for p in pts)
+    words = tuple(sturmian_window(alpha, p, n).word() for p in pts)
     if len(set(words)) != len(words):
         raise DegenerateArc("two arcs realize the same central word")
     if set(words) != set(w.factors(2 * n + 1).words):
@@ -213,15 +201,6 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
 # ---------------------------------------------------------------------------
 # Hausdorff distance between order graphs
 # ---------------------------------------------------------------------------
-
-def _agreement(u: str, v: str, n: int) -> int:
-    """Min |k| of disagreement between central words; n+1 when equal."""
-    c = n  # index of k = 0
-    for k in range(n + 1):
-        if u[c + k] != v[c + k] or u[c - k] != v[c - k]:
-            return k
-    return n + 1
-
 
 def _directed_value(agr: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> int:
     """max over t1 of min over t2 of the triple distance, in agreement units
@@ -243,7 +222,7 @@ def graph_hausdorff(g1: CircularOrderGraph, g2: CircularOrderGraph) -> Fraction:
     agr = np.empty((len(g1), len(g2)), dtype=np.int64)
     for i, u in enumerate(g1.cylinders):
         for j, v in enumerate(g2.cylinders):
-            agr[i, j] = _agreement(u, v, n)
+            agr[i, j] = _first_disagreement(u, n, v, n, n)
     t1 = g1.index_triples()
     t2 = g2.index_triples()
     best = Fraction(1)
@@ -397,11 +376,7 @@ def continuity_probe(alpha0, radius: int, perturbations, depth: int = 6) -> Cont
     for ap in perturbations:
         a1 = as_real(ap)
         win1 = sturmian_window(a1, 0, radius)
-        agree = radius
-        for k in range(radius + 1):
-            if win0[k] != win1[k] or win0[-k] != win1[-k]:
-                agree = k - 1
-                break
+        agree = _first_disagreement(win0.symbols, radius, win1.symbols, radius, radius) - 1
         if a1 == a0:
             bound, cls1 = Fraction(0), cls0
         else:

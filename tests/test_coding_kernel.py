@@ -1,0 +1,156 @@
+"""Property tests for the filtered coding kernel `symbolic.coding_block`.
+
+The oracles are the two per-symbol paths the kernel replaced, copied
+here unchanged: the incremental QuadReal loop for exact angles and the
+per-symbol float evaluation with mpmath escalation for float angles.
+"""
+
+import logging
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from denshoe import symbolic as sy
+from denshoe.errors import BoundaryUndecidable
+from denshoe.exact import ALPHA_STAR, QuadReal, as_real
+
+FIELDS = (2, 3, 5, 7, 11, 13)
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+def incremental_window(alpha: QuadReal, theta: QuadReal, radius: int) -> tuple[int, ...]:
+    """The exact window as an incremental QuadReal walk over k = -N..N."""
+    t = (as_real(theta) + (-radius) * alpha).frac()
+    one = QuadReal(1)
+    syms = []
+    for _ in range(2 * radius + 1):
+        syms.append(0 if t < alpha else 1)
+        t = t + alpha
+        if t >= one:
+            t = t - 1
+    return tuple(syms)
+
+
+def per_symbol_float(alpha: float, theta: float, k: int) -> tuple[int, bool]:
+    """The float symbol evaluated alone, and whether it was escalated."""
+    t = (theta + k * alpha) % 1.0
+    margin = min(t, 1.0 - t, abs(t - alpha))
+    if margin > sy.GUARD_BAND:
+        return (0 if t < alpha else 1), False
+    with mpmath.workdps(sy.ESCALATED_DPS):
+        a = mpmath.mpf(alpha)
+        tt = mpmath.frac(mpmath.mpf(theta) + k * a)
+        if tt == 0:
+            return 0, True
+        if tt == a:
+            return 1, True
+        margin = min(tt, 1 - tt, abs(tt - a))
+        if margin > sy.ESCALATED_GUARD:
+            return (0 if tt < a else 1), True
+    raise BoundaryUndecidable(f"k={k}")
+
+
+@st.composite
+def quadratic_angles(draw):
+    """{b sqrt(d)} or its complement, so a can be large against the
+    angle's size (cancellation), or a rational p/q in (0, 1)."""
+    if draw(st.booleans()):
+        q = draw(st.integers(2, 60))
+        return QuadReal(Fraction(draw(st.integers(1, q - 1)), q))
+    d = draw(st.sampled_from(FIELDS))
+    b = draw(st.integers(1, 100)) * draw(st.sampled_from((1, -1)))
+    return QuadReal(0, b, d).frac()
+
+
+@st.composite
+def offsets(draw, alpha: QuadReal, radius: int):
+    """Rationals, elements of alpha's field, and points {j alpha} of the
+    orbit, which put two entries of the window exactly on arc ends."""
+    kind = draw(st.sampled_from(("rational", "field", "orbit")))
+    if kind == "rational":
+        return Fraction(draw(st.integers(-500, 500)), draw(st.integers(1, 499)))
+    if kind == "field":
+        return QuadReal(Fraction(draw(st.integers(-50, 50)), 7),
+                        Fraction(draw(st.integers(-50, 50)), 3), alpha.d)
+    return (draw(st.integers(-radius - 2, radius + 2)) * alpha).frac()
+
+
+radii = st.one_of(st.integers(0, 200), st.sampled_from((1800, 5000)))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_exact_kernel_matches_incremental_loop(data):
+    alpha = data.draw(quadratic_angles())
+    radius = data.draw(radii)
+    theta = data.draw(offsets(alpha, radius))
+    got = sy.sturmian_window(alpha, theta, radius).symbols
+    assert got == incremental_window(alpha, theta, radius)
+
+
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_float_kernel_matches_per_symbol_path(data, caplog):
+    alpha = float(data.draw(quadratic_angles()))
+    radius = data.draw(radii)
+    if data.draw(st.booleans()):
+        theta = (data.draw(st.integers(-radius, radius)) * alpha) % 1.0
+    else:
+        theta = data.draw(st.floats(-3, 3, allow_nan=False))
+    try:
+        want = [per_symbol_float(alpha, theta, k) for k in range(-radius, radius + 1)]
+    except BoundaryUndecidable:
+        with pytest.raises(BoundaryUndecidable):
+            sy.sturmian_window(alpha, theta, radius)
+        return
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
+        got = sy.sturmian_window(alpha, theta, radius).symbols
+    assert got == tuple(s for s, _ in want)
+    escalated = sum(e for _, e in want)
+    assert caplog.records[-1].getMessage().endswith(f"exact=0 escalated={escalated}")
+
+
+def test_orbit_offset_settles_exactly_two_entries(caplog):
+    theta = (-7 * ALPHA_STAR).frac()   # {theta + 7 alpha} = 0, {theta + 8 alpha} = alpha
+    with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
+        block = sy.coding_block(ALPHA_STAR, theta, -300, 300)
+    assert block == incremental_window(ALPHA_STAR, theta, 300)
+    assert block[307] == 0 and block[308] == 1
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "coding_block k=-300..300 symbols=601 flagged=2 exact=2 escalated=0")
+
+
+def test_no_record_when_debug_is_off(caplog):
+    with caplog.at_level(logging.INFO, logger="denshoe.symbolic"):
+        sy.coding_block(ALPHA_STAR, 0, -50, 50)
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("b", [20, 997, 123457])
+def test_cancellation_angles_are_exact(b):
+    # {b sqrt(d)} = a + b sqrt(d) with |a| near b sqrt(d), so float(alpha)
+    # carries the rounding of b sqrt(d); offsets on the orbit put the
+    # window's two arc-end hits at |k| near the radius
+    for d in FIELDS:
+        alpha = QuadReal(0, b, d).frac()
+        for j in (-299, 299):
+            theta = (j * alpha).frac()
+            assert sy.sturmian_window(alpha, theta, 300).symbols == \
+                incremental_window(alpha, theta, 300)
+
+
+def test_indices_beyond_float_precision():
+    k = 10 ** 20
+    assert sy.sturmian_symbol(ALPHA_STAR, 0, k) == sy._symbol_exact(ALPHA_STAR, QuadReal(0), k)
+    af = float(ALPHA_STAR)
+    assert sy.sturmian_symbol(af, 0.25, k) == per_symbol_float(af, 0.25, k)[0]
+
+
+def test_empty_and_single_blocks():
+    assert sy.coding_block(ALPHA_STAR, 0, 3, 2) == ()
+    assert sy.coding_block(ALPHA_STAR, 0, 1, 1) == (1,)

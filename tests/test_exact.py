@@ -3,7 +3,10 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from denshoe.exact import (
     ALPHA_STAR,
@@ -50,6 +53,51 @@ def test_floor_near_integer():
 def test_incompatible_fields_rejected():
     with pytest.raises(ValueError):
         QuadReal(0, 1, 2) + QuadReal(0, 1, 3)
+
+
+def test_cross_field_comparisons():
+    s2, s5 = QuadReal(-1, 1, 2), ALPHA_STAR   # 0.414 and 0.382
+    assert s2 != s5 and not (s2 == s5)
+    assert s5 < s2 and s5 <= s2 and s2 > s5 and s2 >= s5
+    assert QuadReal(0, 1, 2) < QuadReal(0, 1, 3)
+
+
+field_elements = st.builds(
+    QuadReal,
+    st.fractions(min_value=-100, max_value=100, max_denominator=50),
+    st.fractions(min_value=-100, max_value=100, max_denominator=50).filter(bool),
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+)
+
+
+def mp_value(z: QuadReal):
+    return (mpmath.mpf(z.a.numerator) / z.a.denominator
+            + mpmath.mpf(z.b.numerator) / z.b.denominator * mpmath.sqrt(z.d))
+
+
+def assert_order_matches_mpmath(x: QuadReal, y: QuadReal):
+    with mpmath.workdps(60):
+        diff = mp_value(x) - mp_value(y)
+    assert x != y and abs(diff) > mpmath.mpf(10) ** -45
+    assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff < 0, diff > 0, diff > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements, field_elements)
+def test_cross_field_order_matches_mpmath(x, y):
+    assume(x.d != y.d)
+    assert_order_matches_mpmath(x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements, field_elements)
+def test_cross_field_near_ties(x, z):
+    # y = r + e sqrt(f) with r rounded so that y - x is about 1e-30
+    assume(x.d != z.d)
+    with mpmath.workdps(30):
+        r = mp_value(x) - mp_value(QuadReal(0, z.b, z.d))
+    y = QuadReal(Fraction(r.man) * Fraction(2) ** r.exp, z.b, z.d)
+    assert_order_matches_mpmath(x, y)
 
 
 def test_parse_angle_forms():

@@ -123,6 +123,21 @@ class TestShiftDistance:
                 assert (d <= Fraction(1, n + 2)) == agree
 
 
+    def test_agreement_radius_unequal_radii_bruteforce(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            ru, rv = rng.randint(0, 12), rng.randint(0, 12)
+            u = sy.CentralWindow(ru, tuple(rng.randint(0, 1) for _ in range(2 * ru + 1)))
+            sv = [u[k] if abs(k) <= ru else rng.randint(0, 1) for k in range(-rv, rv + 1)]
+            if rng.random() < 0.8:
+                sv[rng.randrange(2 * rv + 1)] ^= 1
+            v = sy.CentralWindow(rv, tuple(sv))
+            r = min(ru, rv)
+            want = next((k for k in range(r + 1) if u[k] != v[k] or u[-k] != v[-k]), None)
+            assert sy.agreement_radius(u, v) == sy.agreement_radius(v, u) == want
+            assert sy.shift_distance(u, v).value == (0 if want is None else Fraction(1, want + 1))
+
+
 class TestFactors:
     def test_length1(self):
         w = sy.sturmian_window(ALPHA_STAR, 0, 400)

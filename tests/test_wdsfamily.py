@@ -218,6 +218,14 @@ class TestContinuity:
         rep = wf.continuity_probe(ALPHA_STAR, n, [pert], depth=4)
         assert rep.rows[0].agreement_radius == n
 
+    def test_perturbation_in_another_field(self):
+        other = QuadReal(-1, 1, 2)   # sqrt(2) - 1, field of ALPHA_STAR is sqrt(5)
+        rep = wf.continuity_probe(ALPHA_STAR, 50, [other], depth=4)
+        (row,) = rep.rows
+        assert row.alpha_prime == other and 0 < row.hausdorff_bound < 1
+        assert row.agreement_radius == sy.agreement_radius(
+            sy.sturmian_window(ALPHA_STAR, 0, 50), sy.sturmian_window(other, 0, 50)) - 1
+
     def test_classes_overlap_for_close_angles(self):
         pert = ALPHA_STAR + Fraction(1, 10 ** 9)
         rep = wf.continuity_probe(ALPHA_STAR, 400, [pert], depth=4)
