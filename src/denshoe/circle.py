@@ -96,7 +96,9 @@ class DenjoyMap:
         return None
 
     def angle_of_position(self, x: float) -> float:
-        """Semi-conjugacy to the rotation: collapse each gap to its anchor."""
+        """Semi-conjugacy k to the rotation: the monotone degree-one map
+        with k(h(x)) = k(x) + alpha and k(b_0) = 0, which collapses each gap
+        to its anchor."""
         j = self.locate_gap(x)
         if j is not None:
             return float(self._pos[j])
@@ -148,28 +150,6 @@ def rotation_estimate(h: DenjoyMap, x: float, iterations: int) -> float:
         total += (y2 - y) % 1.0
         y = y2
     return total / iterations
-
-
-# ---------------------------------------------------------------------------
-# semi-conjugacy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SemiConjugacy:
-    """Monotone degree-one map k with k(h(x)) = k(x) + alpha, k(b_0) = 0."""
-
-    denjoy: DenjoyMap
-
-    @property
-    def cutoff(self) -> int:
-        return self.denjoy.cutoff
-
-    def __call__(self, x: float) -> float:
-        return self.denjoy.angle_of_position(x)
-
-
-def semi_conjugacy(h: DenjoyMap) -> SemiConjugacy:
-    return SemiConjugacy(h)
 
 
 # ---------------------------------------------------------------------------

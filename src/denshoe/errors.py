@@ -55,7 +55,7 @@ class NoConvergence(DenshoeError):
 
 
 class TailNotSettled(DenshoeError):
-    """Heteroclinic segment endpooints have not converged to the periodic
+    """Heteroclinic segment endpoints have not converged to the periodic
     orbits within tolerance at the window edges."""
 
 

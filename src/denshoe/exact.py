@@ -210,13 +210,15 @@ class QuadReal:
     def floor(self) -> int:
         if self.b == 0:
             return math.floor(self.a)
-        n = math.floor(float(self))
-        # float estimate is correct to ~1 ulp; fix up exactly
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        # over a common denominator self = (na + nb sqrt(d)) / den; nb sqrt(d)
+        # is irrational, so its floor is isqrt(nb^2 d) when nb > 0 and one
+        # below -isqrt(nb^2 d) when nb < 0, and floor(x / den) equals
+        # floor(floor(x) / den) for an integer den > 0
+        den = math.lcm(self.a.denominator, self.b.denominator)
+        na = self.a.numerator * (den // self.a.denominator)
+        nb = self.b.numerator * (den // self.b.denominator)
+        root = math.isqrt(nb * nb * self.d)
+        return (na + (root if nb > 0 else -root - 1)) // den
 
     def frac(self) -> "QuadReal":
         """Fractional part in [0, 1)."""

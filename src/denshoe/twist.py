@@ -8,8 +8,13 @@ with the momentum convention y = -d1 h(x, x'), y' = d2 h(x, x').  Its
 annulus map has fixed points at (0, 0) (elliptic for 0 < K < 4) and
 (1/2, 0) (a positive-eigenvalue saddle for every K > 0), so the
 rotation-number-zero scenarios need no parameter hunting.  Orbits are
-critical configurations of the action sum; minimizers are found by
-damped Newton with multi-start and a gradient fallback.
+critical configurations of the action sum.  Their Hessians are
+tridiagonal (cyclic for periodic configurations), since the action
+couples only neighbouring sites; one LDL^T elimination solves them,
+tests them for positive definiteness and runs the discrete Jacobi test.
+Minimizers are found by damped Newton descent on the action, with
+multi-start for periodic orbits and several kink centerings for
+heteroclinic segments.
 """
 
 from __future__ import annotations
@@ -152,19 +157,17 @@ def _periodic_gradient(gf, x, p):
 
 
 def _periodic_hessian(gf, x, p):
-    q = len(x)
+    """(diag, off) of the cyclic tridiagonal Hessian of the periodic action;
+    off[i] couples site i with site i + 1 mod q."""
+    xm = np.concatenate([[x[-1] - p], x[:-1]])
     xp = np.concatenate([x[1:], [x[0] + p]])
-    H = np.zeros((q, q))
-    d11 = gf.d11(x, xp)
-    d22 = gf.d22(x, xp)
-    d12 = gf.d12(x, xp)
-    for i in range(q):
-        j = (i + 1) % q
-        H[i, i] += d11[i]
-        H[j, j] += d22[i]
-        H[i, j] += d12[i]
-        H[j, i] += d12[i]
-    return H
+    return gf.d22(xm, x) + gf.d11(x, xp), gf.d12(x, xp)
+
+
+def _segment_hessian(gf, x):
+    """(diag, off) of the tridiagonal Hessian of a clamped segment's action
+    in its interior sites x[1:-1]."""
+    return gf.d22(x[:-2], x[1:-1]) + gf.d11(x[1:-1], x[2:]), gf.d12(x[1:-2], x[2:-1])
 
 
 def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
@@ -194,67 +197,89 @@ def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
     return True
 
 
-def _newton_minimize(grad, hess, x0, tol, max_iter=400):
-    """Levenberg-damped Newton on the criticality system; behaves like a
-    gradient step when the Hessian is indefinite and like full Newton near
-    a solution.  Returns (x, residual); polishes below tol when possible."""
+def _ldl_pivots(diag, off) -> list[float]:
+    """Pivots of the LDL^T factorization of the symmetric tridiagonal
+    matrix with diagonal `diag` and off-diagonal `off`, up to and including
+    the first nonpositive one.  By Sylvester's law of inertia the matrix is
+    positive definite iff all len(diag) pivots come out positive."""
+    piv = []
+    for i, a in enumerate(diag):
+        piv.append(a - off[i - 1] * off[i - 1] / piv[-1] if i else a)
+        if piv[-1] <= 0.0:
+            break
+    return piv
+
+
+def _substitute(piv, off, rhs) -> list[float]:
+    """Solve L D L^T y = rhs, given the pivots D from _ldl_pivots."""
+    y = list(rhs)
+    for i in range(1, len(y)):
+        y[i] -= off[i - 1] / piv[i - 1] * y[i - 1]
+    y = [a / d for a, d in zip(y, piv)]
+    for i in range(len(y) - 2, -1, -1):
+        y[i] -= off[i] / piv[i] * y[i + 1]
+    return y
+
+
+def _positive_solve(diag, off, rhs, cyclic: bool):
+    """Solution of H y = rhs for the symmetric tridiagonal H given by the
+    arrays (diag, off), or None when H is not positive definite.  With
+    cyclic, off[-1] couples the last site with the first.  The last site is
+    then bordered off, H = [[T, u], [u^T, c]], and H is positive definite
+    iff T is and the Schur complement c - u^T T^-1 u is positive; for q = 1
+    and 2 the wrap-around bonds fall on c and on u."""
+    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
+    if cyclic:
+        n = len(diag)
+        c, r = diag.pop(), rhs.pop()
+        u = [0.0] * (n - 1)
+        if n == 1:
+            c += 2.0 * off[0]
+        else:
+            u[0] += off[-1]
+            u[-1] += off[-2]
+    piv = _ldl_pivots(diag, off)
+    if piv and piv[-1] <= 0.0:
+        return None
+    y = _substitute(piv, off, rhs)
+    if not cyclic:
+        return np.array(y)
+    z = _substitute(piv, off, u)
+    schur = c - sum(a * b for a, b in zip(u, z))
+    if schur <= 0.0:
+        return None
+    t = (r - sum(a * b for a, b in zip(u, y))) / schur
+    return np.array([a - b * t for a, b in zip(y, z)] + [t])
+
+
+def _newton_minimize(fun, grad, hess, x0, tol, max_iter, cyclic):
+    """Damped Newton descent on the action `fun`.  Each step solves
+    (H + tau I) s = -g, raising tau until H + tau I is positive definite
+    and the step lowers the action (or, leaving it equal, lowers |g|^2);
+    tau shrinks after each accepted step, so the iteration turns into
+    full Newton near a minimizer.  Once the residual max|g| is within tol,
+    each iteration tries one step only and the descent stops at the first
+    one refused; this takes the residual to round-off, which keeps
+    exponentially small heteroclinic tails clean.  Returns (x, residual)."""
     x = np.array(x0, dtype=float)
-    n = len(x)
+    f, g = fun(x), grad(x)
     tau = 0.0
-    eye = np.eye(n)
-    g = grad(x)
     for _ in range(max_iter):
-        res = float(np.max(np.abs(g)))
-        if res <= tol:
-            break
-        base = float(np.dot(g, g))
-        H = hess(x)
-        accepted = False
-        for _ in range(40):
-            try:
-                step = np.linalg.solve(H + tau * eye, -g)
-            except np.linalg.LinAlgError:
-                tau = max(10.0 * tau, 1e-6)
-                continue
-            g_new = grad(x + step)
-            if float(np.dot(g_new, g_new)) < base:
-                x = x + step
-                g = g_new
-                tau *= 0.25
-                accepted = True
-                break
+        diag, off = hess(x)
+        gg = float(np.dot(g, g))
+        for _ in range(1 if np.max(np.abs(g)) <= tol else 40):
+            step = _positive_solve(diag + tau, off, -g, cyclic)
+            if step is not None:
+                x_new = x + step
+                f_new, g_new = fun(x_new), grad(x_new)
+                if f_new < f or (f_new == f and float(np.dot(g_new, g_new)) < gg):
+                    break
             tau = max(10.0 * tau, 1e-8)
-        if not accepted:
-            return x, float(np.max(np.abs(g)))
-    # polish: a few undamped Newton steps push the residual to round-off,
-    # which keeps exponentially small heteroclinic tails clean
-    for _ in range(3):
-        res = float(np.max(np.abs(g)))
-        if res < 1e-14:
+        else:
             break
-        try:
-            step = np.linalg.solve(hess(x), -g)
-        except np.linalg.LinAlgError:
-            break
-        g_new = grad(x + step)
-        if float(np.dot(g_new, g_new)) >= float(np.dot(g, g)):
-            break
-        x = x + step
-        g = g_new
+        x, f, g = x_new, f_new, g_new
+        tau *= 0.25
     return x, float(np.max(np.abs(g)))
-
-
-def _descend_then_newton(fun, grad, hess, x0, tol, max_iter=500):
-    """Quasi-Newton descent on the action followed by a Newton polish of
-    the criticality system; robust for long near-degenerate chains."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    x0 = np.asarray(x0, dtype=float)
-    if max_iter <= 0:
-        return x0, float(np.max(np.abs(grad(x0))))
-    out = scipy_minimize(fun, x0, jac=grad, method="L-BFGS-B",
-                         options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 1e-9})
-    return _newton_minimize(grad, hess, out.x, tol, max_iter=min(60, max_iter))
 
 
 def minimize_periodic(
@@ -287,7 +312,7 @@ def minimize_periodic(
     best_res = math.inf
     confirmations = 0
     for x0 in candidates:
-        x, res = _descend_then_newton(fun, grad, hess, x0, tol, max_iter)
+        x, res = _newton_minimize(fun, grad, hess, x0, tol, max_iter, cyclic=True)
         best_res = min(best_res, res)
         if res > tol:
             continue
@@ -330,22 +355,19 @@ def heteroclinic_minimizer(
     base_r = np.array([right.extended(i) for i in idx], dtype=float)
     lo_clamp, hi_clamp = base_l[0], base_r[-1]
 
+    def clamped(xi):
+        return np.concatenate([[lo_clamp], xi, [hi_clamp]])
+
+    def fun(xi):
+        x = clamped(xi)
+        return float(np.sum(gf.h(x[:-1], x[1:])))
+
     def grad(xi):
-        x = np.concatenate([[lo_clamp], xi, [hi_clamp]])
+        x = clamped(xi)
         return gf.d2(x[:-2], x[1:-1]) + gf.d1(x[1:-1], x[2:])
 
     def hess(xi):
-        x = np.concatenate([[lo_clamp], xi, [hi_clamp]])
-        n = len(xi)
-        H = np.zeros((n, n))
-        d = gf.d22(x[:-2], x[1:-1]) + gf.d11(x[1:-1], x[2:])
-        off = gf.d12(x[1:-1], x[2:])
-        for i in range(n):
-            H[i, i] = d[i]
-            if i + 1 < n:
-                H[i, i + 1] = off[i]
-                H[i + 1, i] = off[i]
-        return H
+        return _segment_hessian(gf, clamped(xi))
 
     # Both kink centerings are critical (site-centered is the
     # Peierls-Nabarro saddle); keep the one with the smaller action.
@@ -353,16 +375,15 @@ def heteroclinic_minimizer(
     for offset in (0.5, 0.0, 0.25):
         blend = 1.0 / (1.0 + np.exp(-steepness * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
-        xi, res = _newton_minimize(grad, hess, x0[1:-1], tol)
+        xi, res = _newton_minimize(fun, grad, hess, x0[1:-1], tol, 400, cyclic=False)
         if res > tol:
             continue
-        x = np.concatenate([[lo_clamp], xi, [hi_clamp]])
-        w = float(np.sum(gf.h(x[:-1], x[1:])))
-        hm = hess(xi)
-        if np.linalg.eigvalsh(hm)[0] < -1e-10:
-            continue  # saddle of the clamped action, not a minimizer
+        w = fun(xi)
+        diag, off = hess(xi)
+        if _ldl_pivots((diag + 1e-10).tolist(), off.tolist())[-1] <= 0.0:
+            continue  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
         if best is None or w < best[0] - 1e-14:
-            best = (w, x, res)
+            best = (w, clamped(xi), res)
     if best is None:
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
@@ -494,39 +515,32 @@ def hyperbolicity_report(
                     w = A @ np.array([t, 1.0])
                     worst_ratio = max(worst_ratio, abs(w[0]) / abs(w[1]))
     invariance_ok = worst_ratio < 1.0
-    cone_mu_inv = 1.0 / worst_ratio if worst_ratio > 0 else math.inf
 
-    # (2)/(3) growth of cone vectors under Df^m and of dual vectors under Df^-m
-    def growth(m: int, forward: bool) -> float:
-        worst = math.inf
-        for j in range(q):
-            for dx in offsets:
-                for dy in offsets:
-                    p = orbit[j] + (dx, dy)
-                    A = np.eye(2)
-                    pt = p.copy()
-                    for _ in range(m):
-                        x, y = pt
-                        if forward:
-                            A = tm.jacobian(x, y) @ A
-                            pt = tm(pt)
-                        else:
-                            pt = tm.inverse(pt)
-                            x, y = pt
-                            A = np.linalg.inv(tm.jacobian(x, y)) @ A
-                    for t in ts:
-                        if forward:
-                            v = frames[j] @ np.array([t, 1.0])   # unstable cone
-                        else:
-                            v = frames[j] @ np.array([1.0, t])   # dual (stable) cone
-                        worst = min(worst, np.linalg.norm(A @ v) / np.linalg.norm(v))
-        return worst
-
+    # (2)/(3) growth of cone vectors under Df^m and of dual vectors under
+    # Df^-m; each sample carries its point and Jacobian product from m - 1
+    # to m in both directions
+    cones = [[(frames[j] @ np.array([t, 1.0]),     # unstable cone
+               frames[j] @ np.array([1.0, t]))     # dual (stable) cone
+              for t in ts] for j in range(q)]
+    samples = [[j, p, np.eye(2), p, np.eye(2)]
+               for j in range(q) for dx in offsets for dy in offsets
+               for p in [orbit[j] + (dx, dy)]]
     cone_m = 0
     g_fwd = g_bwd = 0.0
     for m in range(1, m_cap + 1):
-        g_fwd = growth(m, True)
-        g_bwd = growth(m, False)
+        g_fwd = g_bwd = math.inf
+        for s in samples:
+            j, pf, Af, pb, Ab = s
+            x, y = pf
+            Af = tm.jacobian(x, y) @ Af
+            pf = tm(pf)
+            pb = tm.inverse(pb)
+            x, y = pb
+            Ab = np.linalg.inv(tm.jacobian(x, y)) @ Ab
+            s[1:] = pf, Af, pb, Ab
+            for vu, vs in cones[j]:
+                g_fwd = min(g_fwd, np.linalg.norm(Af @ vu) / np.linalg.norm(vu))
+                g_bwd = min(g_bwd, np.linalg.norm(Ab @ vs) / np.linalg.norm(vs))
         if min(g_fwd, g_bwd) > 1.0:
             cone_m = m
             break
@@ -552,15 +566,13 @@ def no_conjugate_points_check(gf: GeneratingFunction, xs) -> tuple[bool, int | N
     x = np.asarray(xs, dtype=float)
     if len(x) < 3:
         raise ValueError("segment must have length >= 3")
-    xi_prev, xi = 0.0, 1.0
-    for i in range(1, len(x) - 1):
-        diag = float(gf.d22(x[i - 1], x[i]) + gf.d11(x[i], x[i + 1]))
-        b_prev = float(gf.d12(x[i - 1], x[i]))
-        b_next = float(gf.d12(x[i], x[i + 1]))
-        xi_next = -(diag * xi + b_prev * xi_prev) / b_next
-        if xi_next <= 0.0:
-            return False, i + 1
-        xi_prev, xi = xi, xi_next
+    # xi_{i+1} has the sign of the i-th leading minor of the Hessian (the
+    # bonds have d12 < 0), so xi first fails to be positive where the
+    # LDL^T factorization meets its first nonpositive pivot
+    diag, off = _segment_hessian(gf, x)
+    piv = _ldl_pivots(diag.tolist(), off.tolist())
+    if piv[-1] <= 0.0:
+        return False, len(piv) + 1
     return True, None
 
 

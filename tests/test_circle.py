@@ -68,17 +68,17 @@ class TestEval:
 
 class TestSemiConjugacy:
     def test_normalization(self, denjoy):
-        k = ci.semi_conjugacy(denjoy)
+        k = denjoy.angle_of_position
         _, b0 = denjoy.gap_zero
         assert k(b0) == 0.0
 
     def test_equivariance_at_gap(self, denjoy):
-        k = ci.semi_conjugacy(denjoy)
+        k = denjoy.angle_of_position
         _, b0 = denjoy.gap_zero
         assert k(denjoy(b0)) == pytest.approx(denjoy.alpha_float, abs=1e-12)
 
     def test_identity_on_minimal_samples(self, denjoy):
-        k = ci.semi_conjugacy(denjoy)
+        k = denjoy.angle_of_position
         a = denjoy.alpha_float
         worst = 0.0
         for t in np.linspace(0.05, 0.95, 1000):
@@ -88,13 +88,13 @@ class TestSemiConjugacy:
         assert worst <= 1e-9
 
     def test_monotone(self, denjoy):
-        k = ci.semi_conjugacy(denjoy)
+        k = denjoy.angle_of_position
         xs = np.linspace(0.0, 0.99, 1000)
         vals = [k(x) for x in xs]
         assert all(v1 <= v2 + 1e-12 for v1, v2 in zip(vals, vals[1:]))
 
     def test_collapses_gap(self, denjoy):
-        k = ci.semi_conjugacy(denjoy)
+        k = denjoy.angle_of_position
         a, b = denjoy.gap_endpoints(2)
         assert k(a) == k(b) == k((a + b) / 2)
 

@@ -151,6 +151,12 @@ def test_indices_beyond_float_precision():
     assert sy.sturmian_symbol(af, 0.25, k) == per_symbol_float(af, 0.25, k)[0]
 
 
+def test_offset_beyond_float_range():
+    theta = QuadReal(0, 10 ** 400, 5)
+    assert sy.sturmian_window(ALPHA_STAR, theta, 3).symbols == \
+        incremental_window(ALPHA_STAR, theta, 3)
+
+
 def test_empty_and_single_blocks():
     assert sy.coding_block(ALPHA_STAR, 0, 3, 2) == ()
     assert sy.coding_block(ALPHA_STAR, 0, 1, 1) == (1,)

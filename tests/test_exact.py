@@ -50,6 +50,19 @@ def test_floor_near_integer():
     assert (QuadReal(5) - eps).floor() == 4
 
 
+@pytest.mark.parametrize("a, b, d", [
+    (0, 10 ** 400, 5),            # beyond the float range
+    (-10 ** 24, 10 ** 24, 2),     # float(self) is about 1e8 off
+    (10 ** 30, -10 ** 30, 3),
+    (7, -3, 11),
+])
+def test_floor_of_huge_coefficients(a, b, d):
+    # integer a, b: floor(b sqrt d) is isqrt(b^2 d), less one when b < 0
+    root = math.isqrt(b * b * d)
+    expected = a + (root if b > 0 else -root - 1)
+    assert QuadReal(a, b, d).floor() == expected
+
+
 def test_incompatible_fields_rejected():
     with pytest.raises(ValueError):
         QuadReal(0, 1, 2) + QuadReal(0, 1, 3)
@@ -80,6 +93,13 @@ def assert_order_matches_mpmath(x: QuadReal, y: QuadReal):
         diff = mp_value(x) - mp_value(y)
     assert x != y and abs(diff) > mpmath.mpf(10) ** -45
     assert (x < y, x <= y, x > y, x >= y) == (diff < 0, diff < 0, diff > 0, diff > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements)
+def test_floor_matches_mpmath(x):
+    with mpmath.workdps(60):
+        assert x.floor() == int(mpmath.floor(mp_value(x)))
 
 
 @settings(max_examples=150, deadline=None)

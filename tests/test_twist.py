@@ -250,18 +250,19 @@ class TestAubryMather:
             x, y = am.points[i]
             assert tm.forward_xy(x, y)[0] <= x + 1e-9
 
-    @pytest.mark.parametrize("p, q", [(1, 2), (1, 3)])
+    @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (2, 5)])
     def test_assembly_above_period_one(self, p, q):
         # the tail check compares the end sites with the periodic orbits,
         # not with each other, so a q >= 2 orbit's own step passes
-        gf, tm = tw.standard_family(2.0)
-        am = tw.assemble_am_set(gf, p, q)
-        assert am.rotation == Fraction(p, q)
-        assert am.roles.count("periodic") == q and len(am.roles) > q
-        per = am.points[:q]
-        fx, fy = tm.forward_xy(per[:, 0], per[:, 1])
-        x, y = per[(np.arange(q) + 1) % q].T
-        assert np.allclose(fx % 1.0, x, atol=1e-8) and np.allclose(fy, y, atol=1e-8)
+        for K in (1.0, 2.0):
+            gf, tm = tw.standard_family(K)
+            am = tw.assemble_am_set(gf, p, q)
+            assert am.rotation == Fraction(p, q)
+            assert am.roles.count("periodic") == q and len(am.roles) > q
+            per = am.points[:q]
+            fx, fy = tm.forward_xy(per[:, 0], per[:, 1])
+            x, y = per[(np.arange(q) + 1) % q].T
+            assert np.allclose(fx % 1.0, x, atol=1e-8) and np.allclose(fy, y, atol=1e-8)
 
     def test_irrational_convergents(self, family):
         gf, _ = family

@@ -1,0 +1,166 @@
+"""Property tests for the tridiagonal LDL^T kernel of `twist`.
+
+The oracles are the code the kernel replaced, copied here: the dense
+Hessian assembly loops, dense `np.linalg.solve` and `eigvalsh`, the
+xi recursion of the discrete Jacobi test, and the growth loop of
+`hyperbolicity_report` that rebuilt Df^m from scratch for every m.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from denshoe import twist as tw
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+
+def dense(diag, off, cyclic):
+    """The dense matrix, filled bond by bond like the old assembly loops."""
+    n = len(diag)
+    H = np.diag(np.asarray(diag, dtype=float))
+    for i in range(n if cyclic else n - 1):
+        j = (i + 1) % n
+        H[i, j] += off[i]
+        H[j, i] += off[i]
+    return H
+
+
+def dense_periodic_hessian(gf, x, p):
+    q = len(x)
+    xp = np.concatenate([x[1:], [x[0] + p]])
+    H = np.zeros((q, q))
+    d11, d22, d12 = gf.d11(x, xp), gf.d22(x, xp), gf.d12(x, xp)
+    for i in range(q):
+        j = (i + 1) % q
+        H[i, i] += d11[i]
+        H[j, j] += d22[i]
+        H[i, j] += d12[i]
+        H[j, i] += d12[i]
+    return H
+
+
+def dense_segment_hessian(gf, x):
+    n = len(x) - 2
+    H = np.zeros((n, n))
+    d = gf.d22(x[:-2], x[1:-1]) + gf.d11(x[1:-1], x[2:])
+    off = gf.d12(x[1:-1], x[2:])
+    for i in range(n):
+        H[i, i] = d[i]
+        if i + 1 < n:
+            H[i, i + 1] = off[i]
+            H[i + 1, i] = off[i]
+    return H
+
+
+def xi_recursion(gf, x):
+    """The Jacobi field with xi_0 = 0, xi_1 = 1; (ok, first index where it
+    fails to be positive)."""
+    xi_prev, xi = 0.0, 1.0
+    for i in range(1, len(x) - 1):
+        diag = float(gf.d22(x[i - 1], x[i]) + gf.d11(x[i], x[i + 1]))
+        b_prev = float(gf.d12(x[i - 1], x[i]))
+        b_next = float(gf.d12(x[i], x[i + 1]))
+        xi_next = -(diag * xi + b_prev * xi_prev) / b_next
+        if xi_next <= 0.0:
+            return False, i + 1
+        xi_prev, xi = xi, xi_next
+    return True, None
+
+
+@st.composite
+def tridiagonals(draw):
+    n = draw(st.integers(1, 80))
+    entries = st.floats(-2.0, 2.0, allow_nan=False)
+    diag = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    off = np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    return diag + draw(st.floats(-2.0, 6.0)), off
+
+
+@PROPERTY
+@given(tridiagonals(), st.booleans())
+def test_positive_solve_matches_dense_solve(matrix, cyclic):
+    diag, off = matrix
+    if not cyclic:
+        off = off[:-1]
+    H = dense(diag, off, cyclic)
+    rhs = np.cos(np.arange(len(diag)))
+    got = tw._positive_solve(diag, off, rhs, cyclic)
+    lam = np.linalg.eigvalsh(H)
+    if lam[0] > 1e-8:
+        ref = np.linalg.solve(H, rhs)
+        cond = max(abs(lam[0]), abs(lam[-1])) / lam[0]
+        assert got is not None
+        assert np.max(np.abs(got - ref)) <= 1e-12 * cond * np.max(np.abs(ref))
+    elif lam[0] < -1e-8:
+        assert got is None
+
+
+@PROPERTY
+@given(st.floats(0.0, 4.0),
+       st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=80))
+def test_jacobi_check_matches_xi_recursion(K, xs):
+    gf, _ = tw.standard_family(K)
+    assert tw.no_conjugate_points_check(gf, xs) == xi_recursion(gf, np.array(xs))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 8])
+def test_hessians_match_dense_assembly(q):
+    gf, _ = tw.standard_family(1.3)
+    x = np.random.default_rng(q).uniform(-1.0, 2.0, q + 2)
+    diag, off = tw._periodic_hessian(gf, x[:q], 1)
+    assert np.array_equal(dense(diag, off, cyclic=True), dense_periodic_hessian(gf, x[:q], 1))
+    diag, off = tw._segment_hessian(gf, x)
+    assert np.array_equal(dense(diag, off, cyclic=False), dense_segment_hessian(gf, x))
+
+
+def reference_growth(tm, orbit, frames, radius, grid=5, rays=9, m_cap=20):
+    """(cone_m, growth_forward, growth_backward), rebuilding Df^m for each m."""
+    q = len(orbit)
+    offsets = np.linspace(-radius, radius, grid)
+    ts = np.linspace(-1.0, 1.0, rays)
+
+    def growth(m, forward):
+        worst = math.inf
+        for j in range(q):
+            for dx in offsets:
+                for dy in offsets:
+                    p = orbit[j] + (dx, dy)
+                    A = np.eye(2)
+                    pt = p.copy()
+                    for _ in range(m):
+                        x, y = pt
+                        if forward:
+                            A = tm.jacobian(x, y) @ A
+                            pt = tm(pt)
+                        else:
+                            pt = tm.inverse(pt)
+                            x, y = pt
+                            A = np.linalg.inv(tm.jacobian(x, y)) @ A
+                    for t in ts:
+                        v = frames[j] @ np.array([t, 1.0] if forward else [1.0, t])
+                        worst = min(worst, np.linalg.norm(A @ v) / np.linalg.norm(v))
+        return worst
+
+    g_fwd = g_bwd = 0.0
+    for m in range(1, m_cap + 1):
+        g_fwd, g_bwd = growth(m, True), growth(m, False)
+        if min(g_fwd, g_bwd) > 1.0:
+            return m, g_fwd, g_bwd
+    return 0, g_fwd, g_bwd
+
+
+@pytest.mark.parametrize("K", [0.95, 2.0])
+@pytest.mark.parametrize("p, q", [(0, 1), (1, 2), (1, 3)])
+def test_hyperbolicity_growth_matches_rebuilt_products(K, p, q):
+    gf, tm = tw.standard_family(K)
+    orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, p, q))
+    rep = tw.hyperbolicity_report(tm, orbit)
+    cone_m, g_fwd, g_bwd = reference_growth(tm, orbit, rep.frames, rep.radius)
+    assert rep.cone_m == cone_m
+    assert rep.passed[1:] == (cone_m > 0 and g_fwd > 1.0, cone_m > 0 and g_bwd > 1.0)
+    assert abs(rep.margins["growth_forward"] - g_fwd) <= 1e-12
+    assert abs(rep.margins["growth_backward"] - g_bwd) <= 1e-12
