@@ -6,7 +6,10 @@ the total gap mass is 1/2 and the minimal Cantor set keeps measure 1/2.
 On each gap the map is the affine bijection onto the next gap; on the
 minimal set it is conjugate to the rotation through the measure
 coordinate.  Gaps beyond the index cutoff M are kept as points and
-their mass (the error budget) is reported.
+their mass (the error budget) is reported.  The Cantor part is weighted
+by 1 - G, where G is the mass of the included gaps, so that with any
+cutoff the gaps and the Cantor part fill [0, 1) exactly and h is a
+homeomorphism of R/Z.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ class DenjoyMap:
     _len: np.ndarray = field(init=False, repr=False)      # gap lengths per slot
     _cum: np.ndarray = field(init=False, repr=False)      # exclusive mass prefix
     _a: np.ndarray = field(init=False, repr=False)        # gap left endpoints
+    _weight: float = field(init=False, repr=False)        # 1 - included gap mass
     _slot_of_n: np.ndarray = field(init=False, repr=False)
     error_budget: float = field(init=False)
 
@@ -59,7 +63,8 @@ class DenjoyMap:
         self._len = lens[order]
         cum = np.cumsum(self._len)
         self._cum = np.concatenate([[0.0], cum[:-1]])
-        self._a = 0.5 * self._pos + self._cum
+        self._weight = 1.0 - float(cum[-1])
+        self._a = self._weight * self._pos + self._cum
         slot = np.empty(2 * m + 1, dtype=np.int64)
         slot[self._idx + m] = np.arange(2 * m + 1)
         self._slot_of_n = slot
@@ -86,7 +91,7 @@ class DenjoyMap:
         if j >= 0 and self._pos[j] == theta:
             return float(self._a[j])
         mass = self._cum[j] + self._len[j] if j >= 0 else 0.0
-        return 0.5 * theta + float(mass)
+        return self._weight * theta + float(mass)
 
     def locate_gap(self, x: float) -> int | None:
         """Sorted slot of the gap whose closure contains x, else None."""
@@ -104,7 +109,7 @@ class DenjoyMap:
             return float(self._pos[j])
         k = bisect_right(self._a, x) - 1
         mass = self._cum[k] + self._len[k] if k >= 0 else 0.0
-        return 2.0 * (x - float(mass))
+        return (x - float(mass)) / self._weight
 
     # --- the map ---------------------------------------------------------
 

@@ -186,14 +186,13 @@ def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
     idx = np.arange(2 * q)
     ext = cfg.x[idx % q] + (idx // q) * p
     base = ext[:q]
+    bs = np.arange(-abs(p) - b_extra, abs(p) + b_extra + 1)[:, None]
     for a in range(q):
-        shifted = ext[a:a + q]
-        for b in range(-abs(p) - b_extra, abs(p) + b_extra + 1):
-            if a == 0 and b == 0:
-                continue
-            d = shifted + b - base
-            if np.any(d > 1e-12) and np.any(d < -1e-12):
-                return False
+        # One row per b.  The row of a = b = 0 is the configuration itself:
+        # it is exactly 0, so it never crosses.
+        d = ext[a:a + q] + bs - base
+        if np.any(np.any(d > 1e-12, axis=1) & np.any(d < -1e-12, axis=1)):
+            return False
     return True
 
 

@@ -10,6 +10,7 @@ offsets whose coding realizes the word, and the circle orders the arcs.
 from __future__ import annotations
 
 import enum
+import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -30,6 +31,8 @@ from .symbolic import (
     factor_family,
     sturmian_window,
 )
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -78,14 +81,12 @@ class CircularOrderGraph:
         return (j - i) % m <= (k - i) % m
 
     def index_triples(self) -> np.ndarray:
-        """All ordered triples of distinct cylinder indices in circular order."""
+        """All ordered triples of distinct cylinder indices in circular order,
+        as rows (i, i + b, i + c) mod m with 0 < b < c < m, i outermost."""
         m = len(self.cylinders)
-        out = []
-        for i in range(m):
-            for db in range(1, m):
-                for dc in range(db + 1, m):
-                    out.append((i, (i + db) % m, (i + dc) % m))
-        return np.array(out, dtype=np.int64)
+        b, c = np.triu_indices(m - 1, k=1)
+        i = np.repeat(np.arange(m), len(b))
+        return np.stack([i, i + np.tile(b + 1, m), i + np.tile(c + 1, m)], axis=1) % m
 
 
 @dataclass(frozen=True)
@@ -202,36 +203,57 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
 # Hausdorff distance between order graphs
 # ---------------------------------------------------------------------------
 
-def _directed_value(agr: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> int:
-    """max over t1 of min over t2 of the triple distance, in agreement units
-    (larger agreement = smaller distance), returned as min-max agreement."""
-    a = np.minimum.reduce([
-        agr[np.ix_(t1[:, 0], t2[:, 0])],
-        agr[np.ix_(t1[:, 1], t2[:, 1])],
-        agr[np.ix_(t1[:, 2], t2[:, 2])],
-    ])
-    return int(a.max(axis=1).min())
-
-
 def graph_hausdorff(g1: CircularOrderGraph, g2: CircularOrderGraph) -> Fraction:
     """Hausdorff distance between the triple sets under the product shift
-    metric, minimized over g2 and its order reversal."""
+    metric, minimized over g2 and its order reversal.
+
+    Two central words agree to level h (their first disagreement lies at
+    |k| >= h) exactly when their central (2h-1)-blocks are equal, so at
+    each level agreement is an equivalence relation.  Every triple of g1
+    then has a triple of g2 agreeing to level h in all three places, and
+    the reverse, exactly when the two sets of block-class triples are
+    equal.  Matching is monotone in h, so the largest matched level, which
+    gives the distance 1/(h+1) (0 from n+1 on), is found by bisecting h
+    over 0..n+1 for each orientation of g2.  With T triples per graph and
+    depth n this takes O(T log n) time and O(T) memory: no pair of triples
+    is ever compared."""
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths {g1.depth} != {g2.depth}")
     n = g1.depth
-    agr = np.empty((len(g1), len(g2)), dtype=np.int64)
-    for i, u in enumerate(g1.cylinders):
-        for j, v in enumerate(g2.cylinders):
-            agr[i, j] = _first_disagreement(u, n, v, n, n)
+    words = g1.cylinders + g2.cylinders
     t1 = g1.index_triples()
     t2 = g2.index_triples()
-    best = Fraction(1)
-    for t2_variant in (t2, t2[:, ::-1]):
-        h = min(_directed_value(agr, t1, t2_variant),
-                _directed_value(agr.T, t2_variant, t1))
-        dist = Fraction(0) if h >= n + 1 else Fraction(1, h + 1)
-        best = min(best, dist)
-    return best
+
+    def classes(triples, labels, size):
+        return np.unique((labels[triples[:, 0]] * size + labels[triples[:, 1]]) * size
+                         + labels[triples[:, 2]])
+
+    def matched(t2v, h):
+        # one label per distinct central (2h-1)-block, shared by both graphs
+        blocks: dict[str, int] = {}
+        labels = np.array([blocks.setdefault(w[n - h + 1:n + h], len(blocks)) for w in words],
+                          dtype=np.int64)
+        size = len(blocks)
+        return np.array_equal(classes(t1, labels[:len(g1)], size),
+                              classes(t2v, labels[len(g1):], size))
+
+    levels = []
+    for t2v in (t2, t2[:, ::-1]):
+        lo, hi, probed = 0, n + 1, []       # level 0 always matches
+        while lo < hi:
+            h = (lo + hi + 1) // 2
+            probed.append(h)
+            if matched(t2v, h):
+                lo = h
+            else:
+                hi = h - 1
+        levels.append((probed, lo))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("graph_hausdorff depth=%d triples=%d/%d direct probed=%s matched=%d "
+                   "reversed probed=%s matched=%d", n, len(t1), len(t2),
+                   *levels[0], *levels[1])
+    h = max(lo for _, lo in levels)
+    return Fraction(0) if h >= n + 1 else Fraction(1, h + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,18 @@ class TestEval:
         for x in (0.03, 0.2, 0.55, 0.9):
             assert denjoy.inverse(denjoy(x)) == pytest.approx(x, abs=1e-10)
 
+    @pytest.mark.parametrize("cutoff", [1000, 10 ** 4])
+    def test_inverse_round_trip_up_to_circle_end(self, cutoff):
+        # the included gaps and the Cantor part fill [0, 1) exactly
+        h = ci.denjoy_build(ALPHA_STAR, cutoff)
+        rng = np.random.default_rng(cutoff)
+        xs = np.concatenate([rng.uniform(0.0, 1.0, 19000), rng.uniform(0.9993, 1.0, 1000)])
+        worst = max(abs(h.inverse(h(x)) - x) for x in xs.tolist())
+        assert worst <= 1e-10
+
+    def test_inverse_near_circle_end(self, denjoy):
+        assert denjoy.inverse(denjoy(0.99995)) == pytest.approx(0.99995, abs=1e-10)
+
     def test_rotation_number(self, denjoy):
         rho = ci.rotation_estimate(denjoy, 0.37, 10 ** 4)
         assert abs(rho - denjoy.alpha_float) <= 2 / 10 ** 4

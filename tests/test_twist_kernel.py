@@ -2,8 +2,9 @@
 
 The oracles are the code the kernel replaced, copied here: the dense
 Hessian assembly loops, dense `np.linalg.solve` and `eigvalsh`, the
-xi recursion of the discrete Jacobi test, and the growth loop of
-`hyperbolicity_report` that rebuilt Df^m from scratch for every m.
+xi recursion of the discrete Jacobi test, the growth loop of
+`hyperbolicity_report` that rebuilt Df^m from scratch for every m, and
+the translate-by-translate loop of `check_well_ordered`.
 """
 
 import math
@@ -105,6 +106,33 @@ def test_positive_solve_matches_dense_solve(matrix, cyclic):
 def test_jacobi_check_matches_xi_recursion(K, xs):
     gf, _ = tw.standard_family(K)
     assert tw.no_conjugate_points_check(gf, xs) == xi_recursion(gf, np.array(xs))
+
+
+def loop_well_ordered(cfg, b_extra=2):
+    """Every translate (a, b) tested on its own."""
+    q, p = cfg.q, cfg.p
+    idx = np.arange(2 * q)
+    ext = cfg.x[idx % q] + (idx // q) * p
+    base = ext[:q]
+    for a in range(q):
+        shifted = ext[a:a + q]
+        for b in range(-abs(p) - b_extra, abs(p) + b_extra + 1):
+            if a == 0 and b == 0:
+                continue
+            d = shifted + b - base
+            if np.any(d > 1e-12) and np.any(d < -1e-12):
+                return False
+    return True
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(-40, 40), st.integers(0, 3),
+       st.sampled_from((0.0, 1e-13, 1e-6, 1e-3, 0.1, 1.0)), st.integers(0, 2 ** 32))
+def test_well_ordered_matches_translate_loop(q, p, b_extra, noise, seed):
+    rng = np.random.default_rng(seed)
+    x = np.arange(q) * (p / q) + rng.uniform(0, 1) + noise * rng.normal(size=q)
+    cfg = tw.Configuration(x, "periodic", p, q)
+    assert tw.check_well_ordered(cfg, b_extra) == loop_well_ordered(cfg, b_extra)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 8])
