@@ -20,7 +20,8 @@ entries inside it are escalated to mpmath.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,9 @@ ESCALATED_DPS = 60
 ESCALATED_GUARD = 1e-40
 #: factor by which the float pass's error bound is widened for exact angles
 _FILTER_SAFETY = 4.0
+
+#: byte table taking symbols 0/1 to the characters '0'/'1'
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 _log = logging.getLogger(__name__)
 
@@ -47,6 +51,8 @@ class CentralWindow:
 
     radius: int
     symbols: tuple[int, ...]
+    # the symbols as a '0'/'1' string, built once; not part of the value
+    _word: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius < 0:
@@ -55,6 +61,7 @@ class CentralWindow:
             raise ValueError("need exactly 2N+1 symbols")
         if any(s not in (0, 1) for s in self.symbols):
             raise ValueError("symbols must be 0 or 1")
+        object.__setattr__(self, "_word", bytes(self.symbols).translate(_DIGITS).decode())
 
     def __getitem__(self, k: int) -> int:
         if abs(k) > self.radius:
@@ -65,7 +72,7 @@ class CentralWindow:
         return 2 * self.radius + 1
 
     def word(self) -> str:
-        return "".join("01"[s] for s in self.symbols)
+        return self._word
 
     def segment(self, lo: int, hi: int) -> str:
         """Symbols at indices lo..hi inclusive, as a string."""
@@ -286,30 +293,73 @@ def shift_distance(u: CentralWindow, v: CentralWindow) -> ShiftDistance:
 # ---------------------------------------------------------------------------
 # factors, complexity, balance
 # ---------------------------------------------------------------------------
+#
+# One pass serves every factor length.  With lab[i] the rank, among the
+# distinct length-n factors in lexicographic order, of the factor that
+# starts at i, the length-(n+1) factor at i is the pair (lab[i], s[i+n]);
+# the key 2*lab[i] + s[i+n] orders those pairs lexicographically, so the
+# ranks of the keys that occur are the next level's labels.  The keys
+# are below twice the number of labels, so ranking them is a presence
+# table and a cumulative sum, O(L) per length.  A prefix sum of the
+# symbols gives each factor's one-count.
 
-def factor_set(w: CentralWindow, n: int) -> FactorSet:
-    """The set of distinct length-n blocks of the window."""
+def _symbol_array(w: CentralWindow) -> np.ndarray:
+    return np.frombuffer(w.word().encode("ascii"), dtype=np.uint8).astype(np.int64) - 48
+
+
+def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray, int]]:
+    """(n, starts, defect) for n = 1..top: one start of each distinct
+    length-n factor, in lexicographic order of the factors, and the
+    balance defect, max - min of the factors' one-counts."""
+    if top > len(w):
+        raise WindowTooShort(f"window length {len(w)} < factor length {len(w) + 1}")
+    s = _symbol_array(w)
+    ones = np.concatenate(([0], np.cumsum(s)))
+    lab = np.zeros(len(s) + 1, dtype=np.int64)     # the empty factor, at 0..L
+    size = 1
+    for n in range(1, top + 1):
+        key = 2 * lab[:-1] + s[n - 1:]
+        seen = np.zeros(2 * size, dtype=bool)
+        seen[key] = True
+        rank = np.cumsum(seen) - 1
+        lab = rank[key]
+        size = int(rank[-1]) + 1
+        starts = np.empty(size, dtype=np.int64)
+        starts[lab] = np.arange(len(lab))
+        counts = ones[starts + n] - ones[starts]
+        yield n, starts, int(counts.max() - counts.min())
+
+
+def _factor_set(word: str, n: int, starts: np.ndarray) -> FactorSet:
+    return FactorSet(n, frozenset(word[i:i + n] for i in starts.tolist()))
+
+
+def _level(w: CentralWindow, n: int) -> tuple[int, np.ndarray, int]:
     if n < 1:
         raise ValueError("factor length must be >= 1")
     if len(w) < n:
         raise WindowTooShort(f"window length {len(w)} < factor length {n}")
-    word = w.word()
-    return FactorSet(n, frozenset(word[i:i + n] for i in range(len(word) - n + 1)))
+    *_, last = _factor_levels(w, n)
+    return last
+
+
+def factor_set(w: CentralWindow, n: int) -> FactorSet:
+    """The set of distinct length-n blocks of the window."""
+    return _factor_set(w.word(), n, _level(w, n)[1])
 
 
 def complexity(w: CentralWindow, n: int) -> int:
-    return len(factor_set(w, n))
+    return len(_level(w, n)[1])
 
 
 def balance_defect(w: CentralWindow, n: int) -> int:
     """Max difference of 1-counts over pairs of length-n factors (<=1 iff balanced)."""
-    counts = {u.count("1") for u in factor_set(w, n).words}
-    return max(counts) - min(counts)
+    return _level(w, n)[2]
 
 
 def factor_family(w: CentralWindow, max_length: int) -> dict[int, FactorSet]:
     """Factor sets of every length 1..max_length."""
-    return {n: factor_set(w, n) for n in range(1, max_length + 1)}
+    return {n: _factor_set(w.word(), n, starts) for n, starts, _ in _factor_levels(w, max_length)}
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +371,20 @@ def factor_family(w: CentralWindow, max_length: int) -> dict[int, FactorSet]:
 # not exceed q.  Both one-sided languages are computed exactly with
 # first-order numbers v + s*eps (eps an infinitesimal): values live on
 # the grid Z/2q, slopes are integers, comparisons are lexicographic.
+#
+# The rotation walk needs only the difference of the two languages at
+# length q, and that is known in closed form (Lothaire, "Algebraic
+# Combinatorics on Words", ch. 2; Berstel, Lauve, Reutenauer & Saliola,
+# "Combinatorics on Words: Christoffel Words and Repetitions in Words",
+# CRM 2008): just above p/q the length-q language has one word with
+# p+1 zeros, which just below is missing; just below it has one word with
+# p-1 zeros instead.  The zero count alone is a sound test on its own:
+# a length-q factor of a coding of slope beta has floor(q*beta) or
+# ceil(q*beta) zeros, so a factor with p+1 or more zeros rules out every
+# beta <= p/q, and one with p-1 or fewer every beta >= p/q.  The walk
+# therefore reads the min and max of the sliding zero counts of length q
+# from one prefix sum, and `rational_limit_language` is kept for callers
+# that want the languages themselves.
 
 def _jet_frac(v: int, s: int, twoq: int) -> tuple[int, int]:
     v %= twoq
@@ -378,11 +442,22 @@ def _smallest_period(word: str) -> int:
 
 
 def _validate_sturmian(w: CentralWindow, max_check: int) -> None:
-    for n in range(1, min(max_check, len(w)) + 1):
-        if complexity(w, n) > n + 1:
+    for n, starts, defect in _factor_levels(w, min(max_check, len(w))):
+        if len(starts) > n + 1:
             raise NotSturmian(f"complexity exceeds n+1 at n={n}")
-        if balance_defect(w, n) > 1:
+        if defect > 1:
             raise NotSturmian(f"balance defect exceeds 1 at n={n}")
+
+
+def _count_side(zeros: np.ndarray, p: int, q: int) -> int:
+    """+1 if some length-q factor has more than p zeros (the slope is above
+    p/q), -1 if some factor has fewer (below), 0 if neither; `zeros` is the
+    prefix sum of the window's zero symbols."""
+    counts = zeros[q:] - zeros[:-q]
+    above, below = counts.max() > p, counts.min() < p
+    if above and below:
+        raise NotSturmian(f"factors on both sides of {p}/{q}: window is not a rotation coding")
+    return 1 if above else -1 if below else 0
 
 
 def estimate_rotation_interval(
@@ -396,12 +471,22 @@ def estimate_rotation_interval(
     """Farey interval guaranteed to contain every slope whose Sturmian
     language includes all observed factors.
 
-    Stern-Brocot refinement: each mediant is accepted on the side proven
-    by either the symbol-0 frequency bound or an observed factor that is
-    admissible on only one side of the mediant.  The walk stops at the
-    target width, at the denominator cap, or when the window no longer
-    decides; every stop is sound (the interval only ever shrinks around
-    the compatible-slope set)."""
+    Stern-Brocot refinement: each mediant p/q is accepted on the side
+    proven either by the symbol-0 frequency bound or by the zero counts of
+    the window's length-q factors.  A length-q factor of a coding of slope
+    beta has floor(q*beta) or ceil(q*beta) zeros, so a factor with more
+    than p zeros proves beta > p/q and one with fewer proves beta < p/q;
+    seeing both means no slope fits and raises NotSturmian.  On a true
+    coding this is the one-word difference of the two one-sided limit
+    languages of p/q (Lothaire, "Algebraic Combinatorics on Words", ch. 2;
+    Berstel, Lauve, Reutenauer & Saliola, "Combinatorics on Words", CRM
+    2008), read from one prefix sum instead of built.  The walk stops at
+    the target width, at the denominator cap, at the language cap
+    (q > min(len(w), language_cap)), or when the counts do not decide;
+    every stop is sound (the interval only ever shrinks around the
+    compatible-slope set).  A DEBUG record on this module's logger gives
+    the mediants tried, how each was decided, the stop reason and the
+    final interval."""
     L = len(w)
     word = w.word()
 
@@ -417,43 +502,41 @@ def estimate_rotation_interval(
     c0 = word.count("0")
     freq_lo = max(Fraction(0), Fraction(c0 - 1, L))
     freq_hi = min(Fraction(1), Fraction(c0 + 1, L))
-
-    def decide(mp: int, mq: int) -> int:
-        m = Fraction(mp, mq)
-        if m < freq_lo:
-            return 1
-        if m > freq_hi:
-            return -1
-        if mq > min(L, language_cap):
-            return 0
-        above = rational_limit_language(mp, mq, +1, mq)
-        below = rational_limit_language(mp, mq, -1, mq)
-        seen_above = any(word.find(u) >= 0 for u in above - below)
-        seen_below = any(word.find(u) >= 0 for u in below - above)
-        if seen_above and seen_below:
-            raise NotSturmian(
-                f"factors on both sides of {mp}/{mq}: window is not a rotation coding")
-        if seen_above:
-            return 1
-        if seen_below:
-            return -1
-        return 0
+    zeros = np.concatenate(([0], np.cumsum(_symbol_array(w) == 0)))
+    cap = min(L, language_cap)
 
     lo_p, lo_q = 0, 1
     hi_p, hi_q = 1, 1
+    tried = by_frequency = by_counts = 0
+    stop = "target_width"
     while Fraction(1, lo_q * hi_q) > target_width:
         mp, mq = lo_p + hi_p, lo_q + hi_q
         if mq > max_denominator:
+            stop = "max_denominator"
             break
-        s = decide(mp, mq)
+        tried += 1
+        m = Fraction(mp, mq)
+        if m < freq_lo or m > freq_hi:
+            s = 1 if m < freq_lo else -1
+            by_frequency += 1
+        elif mq > cap:
+            stop = "language_cap"
+            break
+        else:
+            s = _count_side(zeros, mp, mq)
+            if s == 0:
+                stop = "undecided"
+                break
+            by_counts += 1
         if s > 0:
             lo_p, lo_q = mp, mq
-        elif s < 0:
-            hi_p, hi_q = mp, mq
         else:
-            break
+            hi_p, hi_q = mp, mq
 
     lo, hi = Fraction(lo_p, lo_q), Fraction(hi_p, hi_q)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("estimate_rotation_interval length=%d mediants=%d frequency=%d counts=%d "
+                   "stop=%s lo=%s hi=%s", L, tried, by_frequency, by_counts, stop, lo, hi)
     if hi < freq_lo or lo > freq_hi:
         raise NotSturmian("frequency bound and factor refinement are inconsistent")
     return FareyInterval(lo, hi, periodic=periodic)

@@ -94,16 +94,6 @@ class TwistMapF:
         gp = self.K * np.cos(TWO_PI * x)
         return np.array([[1.0 - gp, 1.0], [-gp, 1.0]])
 
-    def iterate(self, p, n: int):
-        p = np.asarray(p, dtype=float)
-        if n >= 0:
-            for _ in range(n):
-                p = self(p)
-        else:
-            for _ in range(-n):
-                p = self.inverse(p)
-        return p
-
 
 def standard_family(K: float) -> tuple[GeneratingFunction, TwistMapF]:
     if K < 0:

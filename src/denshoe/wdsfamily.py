@@ -26,9 +26,10 @@ from .exact import QuadReal, as_real
 from .symbolic import (
     CentralWindow,
     FactorSet,
+    _factor_levels,
+    _factor_set,
     _first_disagreement,
     estimate_rotation_interval,
-    factor_family,
     sturmian_window,
 )
 
@@ -153,17 +154,17 @@ def build_wds(
     radius = initial_radius or max(8 * top, 128)
     while True:
         w = sturmian_window(a, 0, radius)
-        fam = factor_family(w, top)
-        if all(len(fam[n]) == n + 1 for n in range(1, top + 1)):
+        levels = list(_factor_levels(w, top))
+        if all(len(starts) == n + 1 for n, starts, _ in levels):
             break
         if radius >= max_radius:
             raise NotSaturated(
                 f"factors not saturated at depth {depth} with radius {radius}")
         radius *= 2
-    for n in range(1, top + 1):
-        ones = {u.count("1") for u in fam[n].words}
-        if max(ones) - min(ones) > 1:
+    for n, _, defect in levels:
+        if defect > 1:
             raise NotSaturated(f"balance defect exceeds 1 at length {n}")
+    fam = {n: _factor_set(w.word(), n, starts) for n, starts, _ in levels}
     return WdsSymbolic(a, depth, fam, w, orientation)
 
 

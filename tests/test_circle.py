@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from denshoe import circle as ci
 from denshoe import symbolic as sy
@@ -163,3 +165,21 @@ class TestSerialization:
         ci.write_denjoy(h, path)
         h2 = ci.read_denjoy(path)
         assert h2.alpha_float == pytest.approx(h.alpha_float, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(b=st.integers(1, 100), d=st.sampled_from((2, 3, 5, 7, 11, 13)),
+       cutoff=st.integers(10 ** 3, 5000), data=st.data())
+def test_semiconjugacy_on_random_points(b, d, cutoff, data):
+    """k(h(x)) = k(x) + alpha (mod 1) at uniform points, half of which fall
+    in gaps, and at interior points of gaps up to the cutoff."""
+    h = ci.denjoy_build(QuadReal(0, b, d).frac(), cutoff)
+    k = h.angle_of_position
+    xs = data.draw(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=20))
+    for n, t in data.draw(st.lists(st.tuples(st.integers(-cutoff, cutoff),
+                                             st.floats(0.01, 0.99)), max_size=10)):
+        a, b_n = h.gap_endpoints(n)
+        xs.append(a + t * (b_n - a))
+    for x in xs:
+        err = (k(h(x)) - k(x) - h.alpha_float) % 1.0
+        assert min(err, 1 - err) <= 1e-9, x
