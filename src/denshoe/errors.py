@@ -27,11 +27,6 @@ class RationalAlpha(DenshoeError):
     one is required (the coding would be periodic)."""
 
 
-class NotSaturated(DenshoeError):
-    """Window radius could not be grown far enough to observe every factor
-    at the requested depth."""
-
-
 class DegenerateArc(DenshoeError):
     """A cylinder claimed admissible has an empty coding arc."""
 

@@ -427,18 +427,13 @@ def rational_limit_language(p: int, q: int, side: int, n: int) -> frozenset[str]
 # rotation-number recovery
 # ---------------------------------------------------------------------------
 
-def _smallest_period(word: str) -> int:
-    # classic KMP failure-function period
-    n = len(word)
-    fail = [0] * (n + 1)
-    k = 0
-    for i in range(1, n):
-        while k and word[i] != word[k]:
-            k = fail[k]
-        if word[i] == word[k]:
-            k += 1
-        fail[i + 1] = k
-    return n - fail[n]
+def _is_periodic(word: str) -> bool:
+    """True iff the word has a period p <= len(word) // 2.  Such a period
+    puts the prefix of length L - L//2 at position p; by Fine and Wilf
+    the first position of that prefix is then a period itself."""
+    L = len(word)
+    p = word.find(word[:L - L // 2], 1)
+    return 0 < p <= L // 2 and word[p:] == word[:L - p]
 
 
 def _validate_sturmian(w: CentralWindow, max_check: int) -> None:
@@ -496,8 +491,7 @@ def estimate_rotation_interval(
 
     _validate_sturmian(w, validate_to)
 
-    period = _smallest_period(word)
-    periodic = period <= L // 2
+    periodic = _is_periodic(word)
 
     c0 = word.count("0")
     freq_lo = max(Fraction(0), Fraction(c0 - 1, L))

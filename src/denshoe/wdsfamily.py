@@ -5,6 +5,15 @@ subshift of its rotation angle, together with the circular order of its
 central cylinders.  The order is computed from exact coding arcs, never
 lexicographically: the cylinder of a central (2n+1)-word is the arc of
 offsets whose coding realizes the word, and the circle orders the arcs.
+
+Both are read off one coding window at offset 0 by two standard lemmas
+(Morse & Hedlund, Amer. J. Math. 62, 1940; Lothaire, "Algebraic
+Combinatorics on Words", ch. 2).  The coding depends only on
+theta + k*alpha, so the arc with left end {j*alpha} has the window's
+slice j-n..j+n as its word.  A slope-alpha language has exactly m+1
+factors of length m, so these 2n+2 arc words are all the factors of
+length 2n+1, every shorter factor is a sub-word of one, and a window of
+radius >= 2n+1 holds the whole family up to length 2n+1.
 """
 
 from __future__ import annotations
@@ -19,8 +28,9 @@ import numpy as np
 from .errors import (
     DegenerateArc,
     DepthMismatch,
-    NotSaturated,
+    NotSturmian,
     RationalAlpha,
+    WindowTooShort,
 )
 from .exact import QuadReal, as_real
 from .symbolic import (
@@ -140,30 +150,29 @@ def build_wds(
     depth: int,
     *,
     initial_radius: int | None = None,
-    max_radius: int = 1 << 17,
     orientation: int = 1,
 ) -> WdsSymbolic:
-    """Generate the factor family from a saturated Sturmian window and
-    verify the Sturmian invariants (complexity n+1, balance <= 1)."""
+    """Factor family up to length 2*depth+1 from one coding window at
+    offset 0, checked for complexity n+1 and balance <= 1 (else
+    NotSturmian).  The radius defaults to max(8(2n+1), 128) for
+    `rotation_class`; any radius >= 2n+1 holds the family (see the module
+    docstring), and a shorter one raises WindowTooShort."""
     a = as_real(alpha)
     if a.is_rational:
         raise RationalAlpha(f"{alpha} is rational")
     if not (QuadReal(0) < a < Fraction(1, 2)):
         raise ValueError("alpha must lie in (0, 1/2)")
     top = 2 * depth + 1
-    radius = initial_radius or max(8 * top, 128)
-    while True:
-        w = sturmian_window(a, 0, radius)
-        levels = list(_factor_levels(w, top))
-        if all(len(starts) == n + 1 for n, starts, _ in levels):
-            break
-        if radius >= max_radius:
-            raise NotSaturated(
-                f"factors not saturated at depth {depth} with radius {radius}")
-        radius *= 2
-    for n, _, defect in levels:
+    radius = max(8 * top, 128) if initial_radius is None else initial_radius
+    if radius < top:
+        raise WindowTooShort(f"window radius {radius} < 2*depth+1 = {top}")
+    w = sturmian_window(a, 0, radius)
+    levels = list(_factor_levels(w, top))
+    for n, starts, defect in levels:
+        if len(starts) != n + 1:
+            raise NotSturmian(f"{len(starts)} factors of length {n}, not {n + 1}")
         if defect > 1:
-            raise NotSaturated(f"balance defect exceeds 1 at length {n}")
+            raise NotSturmian(f"balance defect exceeds 1 at length {n}")
     fam = {n: _factor_set(w.word(), n, starts) for n, starts, _ in levels}
     return WdsSymbolic(a, depth, fam, w, orientation)
 
@@ -181,15 +190,15 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
     """Order the admissible central words by the left endpoints of their
     coding arcs.  The arcs are cut by the exact points {j*alpha} for
     j in [-n, n+1]; the coding is right-continuous, so each arc's word is
-    the word of its left endpoint."""
+    the word of its left endpoint: the window's slice j-n..j+n."""
     n = w.depth
     alpha = w.alpha
-    pts = [(j * alpha).frac() for j in range(-n, n + 2)]
-    pts.sort()
+    arcs = sorted((((j * alpha).frac(), j) for j in range(-n, n + 2)), key=lambda a: a[0])
+    pts, js = zip(*arcs)
     for p, q in zip(pts, pts[1:]):
         if not (p < q):
             raise DegenerateArc("coinciding arc boundaries (rational angle?)")
-    words = tuple(sturmian_window(alpha, p, n).word() for p in pts)
+    words = tuple(w.window.segment(j - n, j + n) for j in js)
     if len(set(words)) != len(words):
         raise DegenerateArc("two arcs realize the same central word")
     if set(words) != set(w.factors(2 * n + 1).words):
@@ -197,7 +206,7 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
     if w.orientation < 0:
         words = words[::-1]
         pts = pts[::-1]
-    return CircularOrderGraph(n, words, tuple(pts))
+    return CircularOrderGraph(n, words, pts)
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +299,10 @@ def equivalence_test(w1: WdsSymbolic, w2: WdsSymbolic) -> Equivalence:
     circular order, with the inverse order, or different subshifts."""
     if w1.depth != w2.depth:
         raise DepthMismatch(f"depths {w1.depth} != {w2.depth}")
+    # every shorter factor is a sub-word of a top-length one
     top = 2 * w1.depth + 1
-    for n in range(1, top + 1):
-        if w1.factors(n).words != w2.factors(n).words:
-            return Equivalence.NOT_EQUIVALENT
+    if w1.factors(top).words != w2.factors(top).words:
+        return Equivalence.NOT_EQUIVALENT
     g1 = cylinder_order(w1)
     g2 = cylinder_order(w2)
     if _cyclic_equal(g1.cylinders, g2.cylinders):
@@ -348,11 +357,6 @@ def _pairs_aligned(p1: GapPair, p2: GapPair, radius: int) -> bool:
         if p2.lower[k + c] != p1.lower[k + s + c]:
             return False
     return True
-
-
-def gap_orbit_count(w: WdsSymbolic) -> int:
-    pairs = asymptotic_pairs(w)
-    return count_gap_orbits(pairs, w.depth)
 
 
 def count_gap_orbits(pairs: list[GapPair], radius: int) -> int:

@@ -4,10 +4,13 @@ Stern-Brocot walk that reads sliding zero counts.
 The oracles are the string functions and the language-building walk the
 kernel replaced, copied here unchanged except that they read the
 window's symbols directly and the walk caches its one-sided language
-differences per mediant (they depend on p/q alone).
+differences per mediant (they depend on p/q alone).  The walk's
+periodicity test is the KMP failure-function period that
+`symbolic._is_periodic` replaced.
 """
 
 import dataclasses
+import itertools
 import logging
 from fractions import Fraction
 from functools import cache
@@ -64,6 +67,20 @@ def old_validate_sturmian(w, max_check):
             raise NotSturmian(f"balance defect exceeds 1 at n={n}")
 
 
+def kmp_smallest_period(word):
+    # classic KMP failure-function period
+    n = len(word)
+    fail = [0] * (n + 1)
+    k = 0
+    for i in range(1, n):
+        while k and word[i] != word[k]:
+            k = fail[k]
+        if word[i] == word[k]:
+            k += 1
+        fail[i + 1] = k
+    return n - fail[n]
+
+
 @cache
 def one_sided_words(p, q):
     above = sy.rational_limit_language(p, q, +1, q)
@@ -97,7 +114,7 @@ def old_estimate_rotation_interval(w, *, max_denominator=10 ** 6,
 
     old_validate_sturmian(w, validate_to)
 
-    period = sy._smallest_period(word)
+    period = kmp_smallest_period(word)
     periodic = period <= L // 2
 
     c0 = word.count("0")
@@ -282,6 +299,34 @@ def test_count_side_decides_where_languages_did(w, data):
         assert new == old or (isinstance(new, tuple) and new[0] is NotSturmian)
     elif old != 0:
         assert new == old
+
+
+# ---------------------------------------------------------------------------
+# periodicity against the KMP period
+# ---------------------------------------------------------------------------
+
+def test_periodicity_of_every_short_word():
+    for L in range(1, 15):
+        for bits in itertools.product("01", repeat=L):
+            word = "".join(bits)
+            assert sy._is_periodic(word) == (kmp_smallest_period(word) <= L // 2), word
+
+
+@st.composite
+def near_periodic_words(draw):
+    """A random block repeated to length L, with up to two symbols flipped."""
+    block = draw(st.text("01", min_size=1, max_size=60))
+    L = draw(st.integers(1, 3000))
+    word = list((block * (L // len(block) + 1))[:L])
+    for i in draw(st.lists(st.integers(0, L - 1), max_size=2)):
+        word[i] = "10"[int(word[i])]
+    return "".join(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_periodic_words(), st.text("01", min_size=1, max_size=200)))
+def test_periodicity_matches_kmp(word):
+    assert sy._is_periodic(word) == (kmp_smallest_period(word) <= len(word) // 2)
 
 
 # ---------------------------------------------------------------------------
