@@ -29,8 +29,8 @@ from .symbolic import CentralWindow
 GAP_NORMALIZER = Fraction(1, 3)
 
 
-def gap_length(n: int, c: float = float(GAP_NORMALIZER)) -> float:
-    return c / ((abs(n) + 1) * (abs(n) + 2))
+def gap_length(n: int) -> float:
+    return float(GAP_NORMALIZER) / ((abs(n) + 1) * (abs(n) + 2))
 
 
 @dataclass
@@ -93,38 +93,42 @@ class DenjoyMap:
         mass = self._cum[j] + self._len[j] if j >= 0 else 0.0
         return self._weight * theta + float(mass)
 
+    def _slot(self, x: float) -> tuple[int, bool]:
+        """(j, in_gap): the sorted slot j of the last gap whose left end is
+        <= x (-1 if none), and whether x lies in that gap's closure."""
+        j = bisect_right(self._a, x) - 1
+        return j, j >= 0 and x <= self._a[j] + self._len[j]
+
     def locate_gap(self, x: float) -> int | None:
         """Sorted slot of the gap whose closure contains x, else None."""
-        j = bisect_right(self._a, x) - 1
-        if j >= 0 and x <= self._a[j] + self._len[j]:
-            return j
-        return None
+        j, in_gap = self._slot(x)
+        return j if in_gap else None
 
     def angle_of_position(self, x: float) -> float:
         """Semi-conjugacy k to the rotation: the monotone degree-one map
         with k(h(x)) = k(x) + alpha and k(b_0) = 0, which collapses each gap
         to its anchor."""
-        j = self.locate_gap(x)
-        if j is not None:
+        return self._angle(x, *self._slot(x))
+
+    def _angle(self, x: float, j: int, in_gap: bool) -> float:
+        """angle_of_position(x), given _slot(x)."""
+        if in_gap:
             return float(self._pos[j])
-        k = bisect_right(self._a, x) - 1
-        mass = self._cum[k] + self._len[k] if k >= 0 else 0.0
+        mass = self._cum[j] + self._len[j] if j >= 0 else 0.0
         return (x - float(mass)) / self._weight
 
     # --- the map ---------------------------------------------------------
 
     def _step(self, x: float, direction: int) -> float:
-        j = self.locate_gap(x)
-        if j is not None:
-            n = int(self._idx[j])
-            n2 = n + direction
+        j, in_gap = self._slot(x)
+        if in_gap:
+            n2 = int(self._idx[j]) + direction
             if abs(n2) <= self.cutoff:
                 s2 = self._slot_of_n[n2 + self.cutoff]
                 t = (x - self._a[j]) / self._len[j]
                 return float(self._a[s2] + t * self._len[s2])
-            # beyond the cutoff the gap is a point
-            return self.position_of_angle((self._pos[j] + direction * self.alpha_float) % 1.0)
-        theta = self.angle_of_position(x)
+            # beyond the cutoff the gap is a point, at its anchor angle
+        theta = self._angle(x, j, in_gap)
         return self.position_of_angle((theta + direction * self.alpha_float) % 1.0)
 
     def __call__(self, x: float) -> float:
@@ -186,9 +190,10 @@ def itinerary(
     ci: CodingIntervals,
     x: float,
     radius: int,
-    clearance: float = 1e-9,
 ) -> CentralWindow:
-    """Central itinerary window of x under h with respect to the coding arcs."""
+    """Central itinerary window of x under h with respect to the coding arcs.
+    NotInMinimalSet when x lies inside a gap by more than 1e-9."""
+    clearance = 1e-9
     j = h.locate_gap(x)
     if j is not None:
         a = float(h._a[j])

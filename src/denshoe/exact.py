@@ -184,11 +184,6 @@ class QuadReal:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError("not a rational number")
-        return self.a
-
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 

@@ -15,6 +15,14 @@ tests them for positive definiteness and runs the discrete Jacobi test.
 Minimizers are found by damped Newton descent on the action, with
 multi-start for periodic orbits and several kink centerings for
 heteroclinic segments.
+
+Action, gradient and Hessian all read one bond layout, the padded array:
+the n unknown sites plus one neighbour on each side.  For a periodic
+(p,q)-configuration the neighbours are x_{-1} = x_{q-1} - p and
+x_q = x_0 + p; for a clamped segment they are its two clamped ends, so
+a segment configuration stores its padded array as it is.  The Hessian's
+off[i] couples site i with site i + 1; off[-1] is a periodic
+configuration's wrap-around bond and is never read for a segment.
 """
 
 from __future__ import annotations
@@ -29,6 +37,13 @@ from .errors import NoConvergence, NotSaddle, TailNotSettled
 from .exact import convergents as cf_convergents
 
 TWO_PI = 2.0 * math.pi
+
+TOL = 1e-10              # Newton residual max|grad| that counts as converged
+STARTS, SEED = 20, 0     # periodic multi-start: starts, seed of the random ones
+TAIL_TOL = 1e-6          # largest drift of a segment's ends from its two orbits
+STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
+GRID, RAYS, M_CAP = 5, 9, 20  # cone samples per box side, rays per cone, iterate cap
+Q_CAP = 200              # largest convergent denominator in irrational_am_set
 
 
 # ---------------------------------------------------------------------------
@@ -77,18 +92,10 @@ class TwistMapF:
         gy = y - self._g(x)
         return np.array([x + gy, gy])
 
-    def forward_xy(self, x, y):
-        gy = y - self._g(x)
-        return x + gy, gy
-
     def inverse(self, p):
         xp, yp = p
         x = xp - yp
         return np.array([x, yp + self._g(x)])
-
-    def inverse_xy(self, xp, yp):
-        x = xp - yp
-        return x, yp + self._g(x)
 
     def jacobian(self, x, y=0.0):
         gp = self.K * np.cos(TWO_PI * x)
@@ -118,20 +125,34 @@ class Configuration:
     q: int = 1
     well_ordered: bool | None = None
 
-    def extended(self, i: int) -> float:
-        """x_i for any integer index (periodic kind only)."""
+    def extended(self, i: int | np.ndarray) -> float | np.ndarray:
+        """x_i for an integer index or an array of them (periodic kind only)."""
         if self.kind != "periodic":
             raise ValueError("extension defined for periodic configurations")
-        k, r = divmod(i, self.q)
-        return float(self.x[r]) + k * self.p
+        k, r = np.divmod(i, self.q)
+        return self.x[r] + k * self.p
+
+    def padded(self) -> np.ndarray:
+        """The padded array (see the module docstring)."""
+        if self.kind == "periodic":
+            return _pad(self.x, self.p)
+        return self.x
+
+
+def _pad(x, p):
+    """Padded array of the q sites of a periodic (p,q)-configuration."""
+    return np.concatenate([[x[-1] - p], x, [x[0] + p]])
+
+
+def _bonds(e, cyclic):
+    """(left ends, right ends) of the bonds of the padded array e.  With
+    cyclic, the bond (x_{-1}, x_0) repeats the wrap-around bond
+    (x_{q-1}, x_q) and is left out."""
+    return e[cyclic:-1], e[cyclic + 1:]
 
 
 def action(gf: GeneratingFunction, cfg: Configuration) -> float:
-    x = cfg.x
-    if cfg.kind == "periodic":
-        xp = np.concatenate([x[1:], [x[0] + cfg.p]])
-        return float(np.sum(gf.h(x, xp)))
-    return float(np.sum(gf.h(x[:-1], x[1:])))
+    return float(np.sum(gf.h(*_bonds(cfg.padded(), cfg.kind == "periodic"))))
 
 
 def segment_action_excess(gf: GeneratingFunction, cfg: Configuration, baseline: float) -> float:
@@ -140,41 +161,25 @@ def segment_action_excess(gf: GeneratingFunction, cfg: Configuration, baseline: 
     return float(np.sum(gf.h(cfg.x[:-1], cfg.x[1:]) - baseline))
 
 
-def _periodic_gradient(gf, x, p):
-    xm = np.concatenate([[x[-1] - p], x[:-1]])
-    xp = np.concatenate([x[1:], [x[0] + p]])
-    return gf.d2(xm, x) + gf.d1(x, xp)
+def _gradient(gf, e):
+    """Gradient of the action in the unknown sites of the padded array e."""
+    return gf.d2(e[:-2], e[1:-1]) + gf.d1(e[1:-1], e[2:])
 
 
-def _periodic_hessian(gf, x, p):
-    """(diag, off) of the cyclic tridiagonal Hessian of the periodic action;
-    off[i] couples site i with site i + 1 mod q."""
-    xm = np.concatenate([[x[-1] - p], x[:-1]])
-    xp = np.concatenate([x[1:], [x[0] + p]])
-    return gf.d22(xm, x) + gf.d11(x, xp), gf.d12(x, xp)
-
-
-def _segment_hessian(gf, x):
-    """(diag, off) of the tridiagonal Hessian of a clamped segment's action
-    in its interior sites x[1:-1]."""
-    return gf.d22(x[:-2], x[1:-1]) + gf.d11(x[1:-1], x[2:]), gf.d12(x[1:-2], x[2:-1])
+def _hessian(gf, e):
+    """(diag, off) of the tridiagonal Hessian in the unknown sites of the
+    padded array e; off[i] couples site i with site i + 1."""
+    return gf.d22(e[:-2], e[1:-1]) + gf.d11(e[1:-1], e[2:]), gf.d12(e[1:-1], e[2:])
 
 
 def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
-    if cfg.kind == "periodic":
-        return float(np.max(np.abs(_periodic_gradient(gf, cfg.x, cfg.p))))
-    x = cfg.x
-    if len(x) < 3:
-        return 0.0
-    interior = gf.d2(x[:-2], x[1:-1]) + gf.d1(x[1:-1], x[2:])
-    return float(np.max(np.abs(interior)))
+    return float(np.max(np.abs(_gradient(gf, cfg.padded())), initial=0.0))
 
 
 def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
     """Aubry non-crossing of integer translates of a periodic configuration."""
     q, p = cfg.q, cfg.p
-    idx = np.arange(2 * q)
-    ext = cfg.x[idx % q] + (idx // q) * p
+    ext = cfg.extended(np.arange(2 * q))
     base = ext[:q]
     bs = np.arange(-abs(p) - b_extra, abs(p) + b_extra + 1)[:, None]
     for a in range(q):
@@ -241,34 +246,38 @@ def _positive_solve(diag, off, rhs, cyclic: bool):
     return np.array([a - b * t for a, b in zip(y, z)] + [t])
 
 
-def _newton_minimize(fun, grad, hess, x0, tol, max_iter, cyclic):
-    """Damped Newton descent on the action `fun`.  Each step solves
-    (H + tau I) s = -g, raising tau until H + tau I is positive definite
-    and the step lowers the action (or, leaving it equal, lowers |g|^2);
-    tau shrinks after each accepted step, so the iteration turns into
-    full Newton near a minimizer.  Once the residual max|g| is within tol,
-    each iteration tries one step only and the descent stops at the first
-    one refused; this takes the residual to round-off, which keeps
-    exponentially small heteroclinic tails clean.  Returns (x, residual)."""
-    x = np.array(x0, dtype=float)
-    f, g = fun(x), grad(x)
+def _newton_minimize(gf, pad, x0, max_iter, cyclic):
+    """Damped Newton descent on the action of the padded array pad(x),
+    over the unknown sites x.  Each step solves (H + tau I) s = -g,
+    raising tau until H + tau I is positive definite and the step lowers
+    the action (or, leaving it equal, lowers |g|^2); tau shrinks after each
+    accepted step, so the iteration turns into full Newton near a
+    minimizer.  Once the residual max|g| is within TOL, each iteration
+    tries one step only and the descent stops at the first one refused;
+    this takes the residual to round-off, which keeps exponentially small
+    heteroclinic tails clean.  Returns the padded array of the last
+    accepted point, its action and its residual."""
+    def evaluate(x):
+        e = pad(x)
+        return e, float(np.sum(gf.h(*_bonds(e, cyclic)))), _gradient(gf, e)
+
+    e, f, g = evaluate(np.array(x0, dtype=float))
     tau = 0.0
     for _ in range(max_iter):
-        diag, off = hess(x)
+        diag, off = _hessian(gf, e)
         gg = float(np.dot(g, g))
-        for _ in range(1 if np.max(np.abs(g)) <= tol else 40):
+        for _ in range(1 if np.max(np.abs(g)) <= TOL else 40):
             step = _positive_solve(diag + tau, off, -g, cyclic)
             if step is not None:
-                x_new = x + step
-                f_new, g_new = fun(x_new), grad(x_new)
+                e_new, f_new, g_new = evaluate(e[1:-1] + step)
                 if f_new < f or (f_new == f and float(np.dot(g_new, g_new)) < gg):
                     break
             tau = max(10.0 * tau, 1e-8)
         else:
             break
-        x, f, g = x_new, f_new, g_new
+        e, f, g = e_new, f_new, g_new
         tau *= 0.25
-    return x, float(np.max(np.abs(g)))
+    return e, f, float(np.max(np.abs(g)))
 
 
 def minimize_periodic(
@@ -276,35 +285,32 @@ def minimize_periodic(
     p: int,
     q: int,
     *,
-    starts: int = 20,
-    seed: int = 0,
-    tol: float = 1e-10,
     max_iter: int = 500,
 ) -> Configuration:
-    """Action-minimizing critical (p,q)-configuration, multi-start;
-    NoConvergence past the iteration cap reports the best residual."""
+    """Action-minimizing critical (p,q)-configuration from STARTS starts
+    (half of them shifted ramps, the rest random with seed SEED), each
+    descended until its residual is within TOL; NoConvergence past the
+    iteration cap reports the best residual."""
     if q < 1:
         raise ValueError("q must be >= 1")
     if math.gcd(abs(p), q) != 1:
         raise ValueError("p/q must be in lowest terms")
-    rng = np.random.default_rng(seed)
-    ramps = np.linspace(0.0, 1.0, max(2, starts // 2), endpoint=False)
+    rng = np.random.default_rng(SEED)
+    ramps = np.linspace(0.0, 1.0, max(2, STARTS // 2), endpoint=False)
     base = np.arange(q) * (p / q)
     candidates = [s + base for s in ramps]
-    for _ in range(starts - len(candidates)):
+    for _ in range(STARTS - len(candidates)):
         candidates.append(rng.uniform(0, 1) + base + rng.normal(0, 0.05, size=q))
 
-    fun = lambda x: float(np.sum(gf.h(x, np.concatenate([x[1:], [x[0] + p]]))))
-    grad = lambda x: _periodic_gradient(gf, x, p)
-    hess = lambda x: _periodic_hessian(gf, x, p)
     best = None
     best_res = math.inf
     confirmations = 0
     for x0 in candidates:
-        x, res = _newton_minimize(fun, grad, hess, x0, tol, max_iter, cyclic=True)
+        e, _, res = _newton_minimize(gf, lambda x: _pad(x, p), x0, max_iter, cyclic=True)
         best_res = min(best_res, res)
-        if res > tol:
+        if res > TOL:
             continue
+        x = e[1:-1]
         cfg = Configuration(x - math.floor(x[0]), "periodic", p, q)
         if not check_well_ordered(cfg):
             continue
@@ -329,50 +335,35 @@ def heteroclinic_minimizer(
     left: Configuration,
     right: Configuration,
     window: int,
-    *,
-    tol: float = 1e-10,
-    tail_tol: float = 1e-6,
-    steepness: float = 0.8,
 ) -> Configuration:
     """Clamped-segment action minimizer running from the left periodic
-    orbit to the right one over `window` bonds."""
+    orbit to the right one over `window` bonds.  Each kink centering
+    starts from a sigmoid blend of slope STEEPNESS and must reach a
+    residual within TOL; TailNotSettled when the segment's ends stray
+    more than TAIL_TOL from the orbits they connect."""
     if window < 50 * left.q:
         raise ValueError("window must be at least 50 q")
     L = window
     idx = np.arange(-L // 2, L - L // 2 + 1)
-    base_l = np.array([left.extended(i) for i in idx], dtype=float)
-    base_r = np.array([right.extended(i) for i in idx], dtype=float)
-    lo_clamp, hi_clamp = base_l[0], base_r[-1]
+    base_l, base_r = left.extended(idx), right.extended(idx)
 
     def clamped(xi):
-        return np.concatenate([[lo_clamp], xi, [hi_clamp]])
-
-    def fun(xi):
-        x = clamped(xi)
-        return float(np.sum(gf.h(x[:-1], x[1:])))
-
-    def grad(xi):
-        x = clamped(xi)
-        return gf.d2(x[:-2], x[1:-1]) + gf.d1(x[1:-1], x[2:])
-
-    def hess(xi):
-        return _segment_hessian(gf, clamped(xi))
+        return np.concatenate([[base_l[0]], xi, [base_r[-1]]])
 
     # Both kink centerings are critical (site-centered is the
     # Peierls-Nabarro saddle); keep the one with the smaller action.
     best = None
     for offset in (0.5, 0.0, 0.25):
-        blend = 1.0 / (1.0 + np.exp(-steepness * (idx - idx.mean() - offset)))
+        blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
-        xi, res = _newton_minimize(fun, grad, hess, x0[1:-1], tol, 400, cyclic=False)
-        if res > tol:
+        x, w, res = _newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
+        if res > TOL:
             continue
-        w = fun(xi)
-        diag, off = hess(xi)
+        diag, off = _hessian(gf, x)
         if _ldl_pivots((diag + 1e-10).tolist(), off.tolist())[-1] <= 0.0:
             continue  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
         if best is None or w < best[0] - 1e-14:
-            best = (w, clamped(xi), res)
+            best = (w, x, res)
     if best is None:
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
@@ -380,15 +371,16 @@ def heteroclinic_minimizer(
     # the first and last q+1 sites must sit on the orbits they connect
     m = left.q + 1
     edge = max(np.max(np.abs(x[:m] - base_l[:m])), np.max(np.abs(x[-m:] - base_r[-m:])))
-    if edge > tail_tol:
-        raise TailNotSettled(f"window edge residual {edge:.2e} exceeds {tail_tol:.0e}")
+    if edge > TAIL_TOL:
+        raise TailNotSettled(f"window edge residual {edge:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - left.p, left.q)
 
 
-def is_monotone(cfg: Configuration, tol: float = 1e-9) -> bool:
+def is_monotone(cfg: Configuration) -> bool:
     """Monotonicity of a segment up to clamp artifacts: the hard endpoint
     clamp produces reflected-tail dips below 1e-10 for windows >= 50 q,
     which the tolerance absorbs."""
+    tol = 1e-9
     d = np.diff(cfg.x)
     return bool(np.all(d > -tol)) if d[len(d) // 2] > 0 else bool(np.all(d < tol))
 
@@ -399,17 +391,14 @@ def is_monotone(cfg: Configuration, tol: float = 1e-9) -> bool:
 
 def config_orbit(gf: GeneratingFunction, cfg: Configuration) -> np.ndarray:
     """Cover orbit points (x_i, y_i) with y_i = -d1 h(x_i, x_{i+1})."""
-    if cfg.kind == "periodic":
-        x = cfg.x
-        xp = np.concatenate([x[1:], [x[0] + cfg.p]])
-    else:
-        x, xp = cfg.x[:-1], cfg.x[1:]
-    y = -gf.d1(x, xp)
-    return np.column_stack([x, y])
+    x, xp = _bonds(cfg.padded(), cfg.kind == "periodic")
+    return np.column_stack([x, -gf.d1(x, xp)])
 
 
-def is_orbit(tm: TwistMapF, pts: np.ndarray, tol: float = 1e-8, wrap: int = 0) -> bool:
-    """Do the points form an F-orbit (up to the final wrap by `wrap`)?"""
+def is_orbit(tm: TwistMapF, pts: np.ndarray, wrap: int = 0) -> bool:
+    """Do the points form an F-orbit (up to the final wrap by `wrap`),
+    within 1e-8?"""
+    tol = 1e-8
     for i in range(len(pts) - 1):
         img = tm(pts[i])
         if not np.allclose(img, pts[i + 1], atol=tol):
@@ -465,15 +454,12 @@ def hyperbolicity_report(
     tm: TwistMapF,
     orbit: np.ndarray,
     radius: float = 0.02,
-    *,
-    grid: int = 5,
-    rays: int = 9,
-    m_cap: int = 20,
 ) -> HyperbolicityReport:
     """Saddle eigen-data plus sampled cone-condition checks on a square
-    neighborhood of each orbit point.  The cone field is the eigenframe of
-    the cycled Jacobian, extended constantly near each point; condition
-    margins are the worst values seen on the grid."""
+    neighborhood of each orbit point, a GRID x GRID grid with RAYS rays per
+    cone and cone growth tried up to M_CAP iterates.  The cone field is the
+    eigenframe of the cycled Jacobian, extended constantly near each point;
+    condition margins are the worst values seen on the grid."""
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     q = len(orbit)
     M = np.eye(2)
@@ -488,8 +474,8 @@ def hyperbolicity_report(
 
     frames = _orbit_frames(tm, orbit)
     inv_frames = np.array([np.linalg.inv(f) for f in frames])
-    offsets = np.linspace(-radius, radius, grid)
-    ts = np.linspace(-1.0, 1.0, rays)
+    offsets = np.linspace(-radius, radius, GRID)
+    ts = np.linspace(-1.0, 1.0, RAYS)
 
     # (1) cone invariance with a strict factor
     worst_ratio = 0.0
@@ -516,7 +502,7 @@ def hyperbolicity_report(
                for p in [orbit[j] + (dx, dy)]]
     cone_m = 0
     g_fwd = g_bwd = 0.0
-    for m in range(1, m_cap + 1):
+    for m in range(1, M_CAP + 1):
         g_fwd = g_bwd = math.inf
         for s in samples:
             j, pf, Af, pb, Ab = s
@@ -558,7 +544,7 @@ def no_conjugate_points_check(gf: GeneratingFunction, xs) -> tuple[bool, int | N
     # xi_{i+1} has the sign of the i-th leading minor of the Hessian (the
     # bonds have d12 < 0), so xi first fails to be positive where the
     # LDL^T factorization meets its first nonpositive pivot
-    diag, off = _segment_hessian(gf, x)
+    diag, off = _hessian(gf, x)
     piv = _ldl_pivots(diag.tolist(), off.tolist())
     if piv[-1] <= 0.0:
         return False, len(piv) + 1
@@ -578,13 +564,13 @@ class AubryMatherApprox:
     hetero_count_bound: float
     drift: list = field(default_factory=list)  # Hausdorff drift per refinement
 
-    def verify_partial_graph(self, tol: float = 1e-12) -> bool:
+    def verify_partial_graph(self) -> bool:
         # near-saddle orbit points cluster like mu^(q/2), so the workable
         # tolerance is close to round-off
         xs = self.points[:, 0]
         order = np.argsort(xs)
         gaps = np.diff(xs[order])
-        return bool(np.all(gaps > tol))
+        return bool(np.all(gaps > 1e-12))
 
 
 def _circle_dist(a, b):
@@ -621,7 +607,6 @@ def assemble_am_set(
     branch: str = "plus",
     *,
     window: int | None = None,
-    seed: int = 0,
 ) -> AubryMatherApprox:
     """Maximal Aubry-Mather set at rotation number p/q, desk approximation:
     the minimizing periodic orbit plus a sampled minimizing connection to
@@ -629,7 +614,7 @@ def assemble_am_set(
     if branch not in ("plus", "minus"):
         raise ValueError("branch must be 'plus' or 'minus'")
     tm = TwistMapF(gf.K)
-    per = minimize_periodic(gf, p, q, seed=seed)
+    per = minimize_periodic(gf, p, q)
     orbit = config_orbit(gf, per)
     hyperbolicity_report(tm, orbit)  # raises NotSaddle when inapplicable
 
@@ -671,26 +656,24 @@ def irrational_am_set(
     gf: GeneratingFunction,
     omega,
     depth: int,
-    seed: int = 0,
-    q_cap: int = 200,
 ) -> AubryMatherApprox:
     """Periodic approximation of the maximal Aubry-Mather set at an
     irrational rotation number: minimizing orbits of the continued-fraction
     convergents, with the Hausdorff drift between successive stages.
-    Convergents with denominator above q_cap are dropped (their orbits
+    Convergents with denominator above Q_CAP are dropped (their orbits
     cluster below float resolution near the saddle)."""
     if depth < 3:
         raise ValueError("need at least 3 convergents")
     convs = cf_convergents(omega, depth)
     convs = [(p, q) for p, q in convs
-             if 1 <= q <= q_cap and math.gcd(abs(p), q) == 1]
+             if 1 <= q <= Q_CAP and math.gcd(abs(p), q) == 1]
     if not convs:
         raise NoConvergence("no convergent below the denominator cap")
     prev_pts = None
     drift = []
     result = None
     for p, q in convs:
-        cfg = minimize_periodic(gf, p, q, seed=seed)
+        cfg = minimize_periodic(gf, p, q)
         orbit = config_orbit(gf, cfg)
         pts = np.column_stack([orbit[:, 0] % 1.0, orbit[:, 1]])
         if prev_pts is not None:

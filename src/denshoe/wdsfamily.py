@@ -112,10 +112,6 @@ class RotationClass:
             raise ValueError("class bounds must lie in [0, 1/2]")
 
     @property
-    def representative(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
     def width(self) -> Fraction:
         return self.hi - self.lo
 
@@ -280,8 +276,8 @@ def fold_interval(lo: Fraction, hi: Fraction) -> RotationClass:
     return RotationClass(min(lo, 1 - hi), half)
 
 
-def rotation_class(w: WdsSymbolic, **kwargs) -> RotationClass:
-    iv = estimate_rotation_interval(w.window, **kwargs)
+def rotation_class(w: WdsSymbolic) -> RotationClass:
+    iv = estimate_rotation_interval(w.window)
     return fold_interval(iv.lo, iv.hi)
 
 

@@ -1,6 +1,8 @@
 """The package declares nothing it does not use: every `DenshoeError`
-subclass in `errors.py` is raised somewhere in `src/denshoe`, and every
-entry of `[project].dependencies` is imported there."""
+subclass in `errors.py` is raised somewhere in `src/denshoe`, every
+entry of `[project].dependencies` is imported there, and every public
+function, method and class it defines is referenced by name in the
+package, its tests, the benchmark or the scripts."""
 
 import ast
 import re
@@ -9,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "denshoe"
+USERS = ("src", "tests", "perfbench", "scripts")
 
 
 def trees():
@@ -47,6 +50,43 @@ def imported_modules():
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
     return names
+
+
+def public_definitions():
+    """(file, name) of each public function and class at module level in
+    the package, and of each public method or property of those classes."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if (isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                        and not d.name.startswith("_")):
+                    found.add((path.name, d.name))
+    return found
+
+
+def referenced_names():
+    """Every name read, attribute accessed or name imported in the package,
+    its tests, the benchmark and the scripts."""
+    names = set()
+    for d in USERS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_public_definition_is_referenced():
+    defs = public_definitions()
+    assert defs, "no public definitions found"
+    used = referenced_names()
+    assert sorted(d for d in defs if d[1] not in used) == []
 
 
 def test_every_error_class_is_raised():

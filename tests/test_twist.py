@@ -156,7 +156,7 @@ class TestHeteroclinic:
         pts = tw.config_orbit(gf, seg)
         # pi_1(F(x)) >= pi_1(x) + p with p = 0 along the advancing branch
         for x, y in pts:
-            assert tm.forward_xy(x, y)[0] >= x - 1e-9
+            assert tm((x, y))[0] >= x - 1e-9
 
     def test_window_too_small(self, family):
         gf, _ = family
@@ -248,7 +248,7 @@ class TestAubryMather:
         het = [i for i, r in enumerate(am.roles) if r == "heteroclinic-minus"]
         for i in het[:10]:
             x, y = am.points[i]
-            assert tm.forward_xy(x, y)[0] <= x + 1e-9
+            assert tm((x, y))[0] <= x + 1e-9
 
     @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (2, 5)])
     def test_assembly_above_period_one(self, p, q):
@@ -260,7 +260,7 @@ class TestAubryMather:
             assert am.rotation == Fraction(p, q)
             assert am.roles.count("periodic") == q and len(am.roles) > q
             per = am.points[:q]
-            fx, fy = tm.forward_xy(per[:, 0], per[:, 1])
+            fx, fy = tm((per[:, 0], per[:, 1]))
             x, y = per[(np.arange(q) + 1) % q].T
             assert np.allclose(fx % 1.0, x, atol=1e-8) and np.allclose(fy, y, atol=1e-8)
 

@@ -1,13 +1,16 @@
-"""Property tests for the tridiagonal LDL^T kernel of `twist`.
+"""Property tests for the tridiagonal LDL^T kernel of `twist` and its
+padded bond layout.
 
 The oracles are the code the kernel replaced, copied here: the dense
 Hessian assembly loops, dense `np.linalg.solve` and `eigvalsh`, the
 xi recursion of the discrete Jacobi test, the growth loop of
 `hyperbolicity_report` that rebuilt Df^m from scratch for every m, and
-the translate-by-translate loop of `check_well_ordered`.
+the translate-by-translate loop of `check_well_ordered`.  The gradient
+is checked against central differences of `action`.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,10 +142,54 @@ def test_well_ordered_matches_translate_loop(q, p, b_extra, noise, seed):
 def test_hessians_match_dense_assembly(q):
     gf, _ = tw.standard_family(1.3)
     x = np.random.default_rng(q).uniform(-1.0, 2.0, q + 2)
-    diag, off = tw._periodic_hessian(gf, x[:q], 1)
+    diag, off = tw._hessian(gf, tw.Configuration(x[:q], "periodic", 1, q).padded())
     assert np.array_equal(dense(diag, off, cyclic=True), dense_periodic_hessian(gf, x[:q], 1))
-    diag, off = tw._segment_hessian(gf, x)
+    diag, off = tw._hessian(gf, x)
     assert np.array_equal(dense(diag, off, cyclic=False), dense_segment_hessian(gf, x))
+
+
+def action_differences(gf, cfg, sites, eps=1e-6):
+    """Central differences of `action` in the given sites of cfg.x."""
+    out = []
+    for i in sites:
+        plus, minus = cfg.x.copy(), cfg.x.copy()
+        plus[i] += eps
+        minus[i] -= eps
+        out.append((tw.action(gf, replace(cfg, x=plus))
+                    - tw.action(gf, replace(cfg, x=minus))) / (2 * eps))
+    return np.array(out)
+
+
+@PROPERTY
+@given(st.floats(0.0, 4.0), st.integers(1, 8), st.integers(-8, 8),
+       st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8))
+def test_periodic_gradient_matches_action_differences(K, q, p, noise):
+    # every site is checked, so the wrap-around bond enters at sites 0 and q - 1
+    gf, _ = tw.standard_family(K)
+    cfg = tw.Configuration(np.arange(q) * (p / q) + noise[:q], "periodic", p, q)
+    ref = action_differences(gf, cfg, range(q))
+    got = tw._gradient(gf, cfg.padded())
+    assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, abs(tw.action(gf, cfg)))
+
+
+@PROPERTY
+@given(st.floats(0.0, 4.0), st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=40))
+def test_segment_gradient_matches_action_differences(K, xs):
+    gf, _ = tw.standard_family(K)
+    cfg = tw.Configuration(np.array(xs), "segment")
+    ref = action_differences(gf, cfg, range(1, len(xs) - 1))
+    got = tw._gradient(gf, cfg.padded())
+    assert np.max(np.abs(got - ref)) <= 1e-8 * max(1.0, abs(tw.action(gf, cfg)))
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(-8, 8),
+       st.lists(st.integers(-50, 50), min_size=1, max_size=20))
+def test_extended_index_array_matches_scalar_calls(q, p, idx):
+    cfg = tw.Configuration(np.cos(np.arange(q)), "periodic", p, q)
+    scalar = [cfg.extended(i) for i in idx]
+    assert np.array_equal(cfg.extended(np.array(idx)), scalar)
+    assert scalar == [float(cfg.x[i % q]) + (i // q) * p for i in idx]
 
 
 def reference_growth(tm, orbit, frames, radius, grid=5, rays=9, m_cap=20):
