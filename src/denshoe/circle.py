@@ -10,10 +10,30 @@ their mass (the error budget) is reported.  The Cantor part is weighted
 by 1 - G, where G is the mass of the included gaps, so that with any
 cutoff the gaps and the Cantor part fill [0, 1) exactly and h is a
 homeomorphism of R/Z.
+
+Orbits have a closed form, so ``DenjoyMap.orbit`` evaluates h^j(x) for a
+whole range of j at once instead of stepping.  With k the semi-conjugacy
+and P = ``position_of_angle``:
+
+* off the gap orbit, h^j(x) = P(k(x) + j*alpha);
+* for x in the closure of gap n, at t = (x - a_n)/len_n, h^j(x) =
+  a_{n+j} + t*len_{n+j} while |n + j| <= M, and P((n + j)*alpha) past
+  the cutoff, where gap n + j is a point at its anchor angle.
+
+The products j*alpha are formed from alpha = head + tail, with head the
+fractional part of ``alpha_float`` rounded down to a multiple of 2^-27
+and tail = {alpha_float} - head < 2^-27.  For |j| < 2^26 the product
+j*head is exact and so is its fractional part.  Then |j*tail| < 1/2
+rounds by at most 2^-55, the two additions by 2^-53 and 2^-52, and the
+reduction mod 1 by 2^-54, so each angle lies within 2^-51 (about
+4.4e-16) of k(x) + j*{alpha_float} mod 1, whatever j is.  Stepping one
+map at a time instead rounds at every step, and its error grows with |j|.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,6 +47,11 @@ from .symbolic import CentralWindow
 #: gap-length normalizer: sum over Z of 1/((|n|+1)(|n|+2)) = 3/2, so c = 1/3
 #: makes the total gap mass exactly 1/2.
 GAP_NORMALIZER = Fraction(1, 3)
+
+#: bits of the head of alpha in the split angle products (module docstring)
+HEAD_BITS = 27
+
+_log = logging.getLogger(__name__)
 
 
 def gap_length(n: int) -> float:
@@ -49,6 +74,8 @@ class DenjoyMap:
     _a: np.ndarray = field(init=False, repr=False)        # gap left endpoints
     _weight: float = field(init=False, repr=False)        # 1 - included gap mass
     _slot_of_n: np.ndarray = field(init=False, repr=False)
+    _head: float = field(init=False, repr=False)          # {alpha}, 27-bit head
+    _tail: float = field(init=False, repr=False)          # {alpha} - head
     error_budget: float = field(init=False)
 
     def __post_init__(self):
@@ -68,6 +95,9 @@ class DenjoyMap:
         slot = np.empty(2 * m + 1, dtype=np.int64)
         slot[self._idx + m] = np.arange(2 * m + 1)
         self._slot_of_n = slot
+        frac = self.alpha_float % 1.0
+        self._head = math.ldexp(math.floor(math.ldexp(frac, HEAD_BITS)), -HEAD_BITS)
+        self._tail = frac - self._head
         self.error_budget = 2.0 * float(GAP_NORMALIZER) / (m + 2)
 
     # --- coordinates ---------------------------------------------------
@@ -83,15 +113,17 @@ class DenjoyMap:
     def gap_zero(self) -> tuple[float, float]:
         return self.gap_endpoints(0)
 
-    def position_of_angle(self, theta: float) -> float:
-        """Image of the rotation coordinate theta in the blown-up circle
-        (left limit at orbit points, i.e. the gap's left endpoint)."""
+    def position_of_angle(self, theta):
+        """Image of the rotation coordinate theta (a float or an array) in
+        the blown-up circle (left limit at orbit points, i.e. the gap's left
+        endpoint).  A tiny negative angle, which reduces to 1.0, is taken as
+        the angle 0; since _pos[0] = 0, every reduced angle then has a slot."""
         theta %= 1.0
-        j = bisect_right(self._pos, theta) - 1
-        if j >= 0 and self._pos[j] == theta:
-            return float(self._a[j])
-        mass = self._cum[j] + self._len[j] if j >= 0 else 0.0
-        return self._weight * theta + float(mass)
+        theta = theta * (theta < 1.0)      # 1.0 -> 0.0; scalars stay scalars
+        j = self._pos.searchsorted(theta, "right") - 1
+        pos = np.where(self._pos[j] == theta, self._a[j],
+                       self._weight * theta + (self._cum[j] + self._len[j]))
+        return pos if pos.ndim else float(pos)
 
     def _slot(self, x: float) -> tuple[int, bool]:
         """(j, in_gap): the sorted slot j of the last gap whose left end is
@@ -137,6 +169,38 @@ class DenjoyMap:
     def inverse(self, x: float) -> float:
         return self._step(x, -1)
 
+    def _turns(self, ks: np.ndarray) -> np.ndarray:
+        """k*{alpha_float} up to an integer, in (-1/2, 3/2), for |k| < 2^26."""
+        return np.mod(ks * self._head, 1.0) + ks * self._tail
+
+    def orbit(self, x: float, lo: int, hi: int) -> np.ndarray:
+        """Positions h^j(x) for j = lo..hi, from the closed form of the
+        module docstring."""
+        if max(abs(lo), abs(hi)) + self.cutoff >= 2 ** (53 - HEAD_BITS):
+            raise ValueError(f"orbit range {lo}..{hi} too long for exact angle products")
+        js = np.arange(lo, hi + 1)
+        j, in_gap = self._slot(x)
+        if in_gap:
+            ms = int(self._idx[j]) + js
+            chain = np.abs(ms) <= self.cutoff
+            # index the slot table only where the gap index is inside it
+            slots = self._slot_of_n[ms[chain] + self.cutoff]
+            t = (x - self._a[j]) / self._len[j]
+            out = np.empty(len(js))
+            out[chain] = self._a[slots] + t * self._len[slots]
+            out[~chain] = self.position_of_angle(self._turns(ms[~chain]))
+            on_chain = int(np.count_nonzero(chain))
+            past = len(out) - on_chain
+        else:
+            out = self.position_of_angle(self._angle(x, j, False) + self._turns(js))
+            on_chain = past = 0
+        if _log.isEnabledFor(logging.DEBUG):
+            ci = coding_intervals(self)
+            margin = float(np.min(np.abs(out[:, None] - [ci.mid0, ci.mid1])))
+            _log.debug("orbit points=%d gap_chain=%d past_cutoff=%d margin=%.3e",
+                       len(out), on_chain, past, margin)
+        return out
+
 
 def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
     """Build the Denjoy example for an irrational-representable alpha."""
@@ -152,13 +216,7 @@ def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
 
 def rotation_estimate(h: DenjoyMap, x: float, iterations: int) -> float:
     """Orbit average of the canonical lift: mean of (h(y) - y) mod 1."""
-    y = x
-    total = 0.0
-    for _ in range(iterations):
-        y2 = h(y)
-        total += (y2 - y) % 1.0
-        y = y2
-    return total / iterations
+    return float(np.sum(np.mod(np.diff(h.orbit(x, 0, iterations)), 1.0))) / iterations
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +232,6 @@ class CodingIntervals:
 
     mid0: float
     mid1: float
-
-    def symbol(self, x: float) -> int:
-        return 0 if self.mid0 <= x < self.mid1 else 1
 
 
 def coding_intervals(h: DenjoyMap) -> CodingIntervals:
@@ -200,16 +255,9 @@ def itinerary(
         b = a + float(h._len[j])
         if a + clearance < x < b - clearance:
             raise NotInMinimalSet(f"{x} lies inside the gap ({a}, {b})")
-    symbols = [0] * (2 * radius + 1)
-    y = x
-    for k in range(radius + 1):
-        symbols[k + radius] = ci.symbol(y)
-        y = h(y)
-    y = x
-    for k in range(1, radius + 1):
-        y = h.inverse(y)
-        symbols[radius - k] = ci.symbol(y)
-    return CentralWindow(radius, tuple(symbols))
+    pos = h.orbit(x, -radius, radius)
+    symbols = np.where((ci.mid0 <= pos) & (pos < ci.mid1), 0, 1)
+    return CentralWindow(radius, tuple(symbols.tolist()))
 
 
 # ---------------------------------------------------------------------------
