@@ -203,7 +203,9 @@ class DenjoyMap:
 
 
 def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
-    """Build the Denjoy example for an irrational-representable alpha."""
+    """Build the Denjoy example for an irrational-representable alpha.  A
+    float alpha is taken as irrational when its 2*cutoff+1 orbit angles
+    are distinct in float, so that every gap has its own anchor."""
     if cutoff < 10 ** 3:
         raise ValueError("cutoff must be at least 10^3")
     if is_exact(alpha):
@@ -211,7 +213,11 @@ def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
         if a.is_rational:
             raise RationalAlpha(f"{alpha} is rational: the coding would be periodic")
         return DenjoyMap(a, cutoff)
-    return DenjoyMap(float(alpha), cutoff)
+    h = DenjoyMap(float(alpha), cutoff)
+    if not np.all(h._pos[1:] > h._pos[:-1]):
+        raise RationalAlpha(f"{alpha} is rational to float precision: its orbit angles "
+                            f"collide within cutoff {cutoff}")
+    return h
 
 
 def rotation_estimate(h: DenjoyMap, x: float, iterations: int) -> float:

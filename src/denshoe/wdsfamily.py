@@ -14,6 +14,15 @@ slice j-n..j+n as its word.  A slope-alpha language has exactly m+1
 factors of length m, so these 2n+2 arc words are all the factors of
 length 2n+1, every shorter factor is a sub-word of one, and a window of
 radius >= 2n+1 holds the whole family up to length 2n+1.
+
+The arcs' circular order needs no sort, by the three-distance theorem
+(Sós, Ann. Univ. Sci. Budapest 1, 1958; Świerczkowski, Fund. Math. 46,
+1958; Alessandri & Berthé, Enseign. Math. 44, 1998).  Let N points
+{k*alpha}, k in [0, N), cut the circle, and let a and b be the indices of
+the points nearest to 0 on the right and on the left, at distances da
+and db.  Then the point after {k*alpha} in the direct sense is
+{(k+a)*alpha} if k+a < N, else {(k-b)*alpha} if k-b >= 0, else
+{(k+a-b)*alpha}; the gap between them is da, db or da + db.
 """
 
 from __future__ import annotations
@@ -186,15 +195,45 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
     """Order the admissible central words by the left endpoints of their
     coding arcs.  The arcs are cut by the exact points {j*alpha} for
     j in [-n, n+1]; the coding is right-continuous, so each arc's word is
-    the word of its left endpoint: the window's slice j-n..j+n."""
+    the word of its left endpoint: the window's slice j-n..j+n.
+
+    No point is sorted or reduced mod 1.  With k = j + n the cuts are the
+    points {k*alpha}, k in [0, 2n+2), turned by -n*alpha, and the order
+    starts at k = n, the point 0.  A subtractive Euclidean chain on the
+    gaps (da, db) finds the nearest points a and b to 0 from the right and
+    the left, and the three-distance successor rule of the module
+    docstring walks the circle from there, adding da, db or da + db to
+    the arc's left end.  Equal gaps in the chain mean two cuts coincide."""
     n = w.depth
-    alpha = w.alpha
-    arcs = sorted((((j * alpha).frac(), j) for j in range(-n, n + 2)), key=lambda a: a[0])
-    pts, js = zip(*arcs)
-    for p, q in zip(pts, pts[1:]):
-        if not (p < q):
+    size = 2 * n + 2
+    da = w.alpha.frac()
+    a, b, db = 1, 1, 1 - da
+    steps = 0
+    while a + b < size:
+        if da < db:
+            b += a
+            db -= da
+        elif db < da:
+            a += b
+            da -= db
+        else:
             raise DegenerateArc("coinciding arc boundaries (rational angle?)")
-    words = tuple(w.window.segment(j - n, j + n) for j in js)
+        steps += 1
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("cylinder_order depth=%d a=%d b=%d steps=%d", n, a, b, steps)
+    dab = da + db
+    k, p = n, QuadReal(0)
+    ks, pts = [k], [p]
+    for _ in range(size - 1):
+        if k + a < size:
+            k, p = k + a, p + da
+        elif k - b >= 0:
+            k, p = k - b, p + db
+        else:
+            k, p = k + a - b, p + dab
+        ks.append(k)
+        pts.append(p)
+    words = tuple(w.window.segment(k - 2 * n, k) for k in ks)
     if len(set(words)) != len(words):
         raise DegenerateArc("two arcs realize the same central word")
     if set(words) != set(w.factors(2 * n + 1).words):
@@ -202,7 +241,7 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
     if w.orientation < 0:
         words = words[::-1]
         pts = pts[::-1]
-    return CircularOrderGraph(n, words, pts)
+    return CircularOrderGraph(n, words, tuple(pts))
 
 
 # ---------------------------------------------------------------------------

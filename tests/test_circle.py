@@ -84,6 +84,12 @@ class TestBuild:
         with pytest.raises(RationalAlpha):
             ci.denjoy_build(Fraction(2, 7))
 
+    @pytest.mark.parametrize("alpha", [0.25, 1 / 3, 0.1])
+    def test_float_rational_alpha_rejected(self, alpha):
+        # in float their orbit angles collapse to 4, 24 and 74 values
+        with pytest.raises(RationalAlpha):
+            ci.denjoy_build(alpha, 1000)
+
     def test_error_budget(self, denjoy):
         assert denjoy.error_budget == pytest.approx(2 / 3 / (denjoy.cutoff + 2))
 

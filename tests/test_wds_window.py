@@ -1,14 +1,16 @@
-"""Property tests for the one-window `build_wds` and the slicing
+"""Property tests for the one-window `build_wds` and the three-distance
 `cylinder_order` of `wdsfamily`.
 
 The oracles are the implementations they replaced, copied here unchanged
 except that the saturation loop raises AssertionError where it raised the
 deleted NotSaturated: a window that doubles its radius until every
 factor length n has n+1 factors, and arc words coded as 2n+2 separate
-exact windows.
+exact windows at the 2n+2 arc ends, sorted exactly.
 """
 
 import logging
+import re
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
@@ -91,6 +93,7 @@ def angles(draw):
 
 
 depths = st.integers(1, 20)
+deep_depths = st.integers(21, 40)
 orientations = st.sampled_from((1, -1))
 
 
@@ -144,3 +147,55 @@ def test_short_initial_radius_raises(depth):
             wf.build_wds(ALPHA_STAR, depth, initial_radius=radius)
     assert wf.build_wds(ALPHA_STAR, depth, initial_radius=2 * depth + 1).window.radius \
         == 2 * depth + 1
+
+
+# ---------------------------------------------------------------------------
+# the three-distance walk against the exact sort
+# ---------------------------------------------------------------------------
+
+@settings(PROPERTY, max_examples=40)
+@given(angles(), deep_depths, orientations)
+def test_deep_cylinder_order_matches_exact_sort(alpha, depth, orientation):
+    w = wf.build_wds(alpha, depth, orientation=orientation)
+    g, og = wf.cylinder_order(w), old_cylinder_order(w)
+    assert g.cylinders == og.cylinders and g.arc_lefts == og.arc_lefts
+    assert repr(g.arc_lefts) == repr(og.arc_lefts)
+
+
+@st.composite
+def short_rationals(draw):
+    """(depth, p/q) with 0 < p/q < 1 and q < 2*depth + 2."""
+    depth = draw(st.integers(1, 40))
+    q = draw(st.integers(2, 2 * depth + 1))
+    return depth, Fraction(draw(st.integers(1, q - 1)), q)
+
+
+@PROPERTY
+@given(short_rationals())
+def test_short_rational_raises_like_exact_sort(case):
+    depth, r = case
+    w = replace(wf.build_wds(ALPHA_STAR, depth), alpha=QuadReal(r))
+    with pytest.raises(DegenerateArc) as new:
+        wf.cylinder_order(w)
+    with pytest.raises(DegenerateArc) as old:
+        old_cylinder_order(w)
+    assert str(new.value) == str(old.value) == "coinciding arc boundaries (rational angle?)"
+
+
+CHAIN = re.compile(r"cylinder_order depth=(\d+) a=(\d+) b=(\d+) steps=(\d+)$")
+
+
+@settings(PROPERTY, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(angles(), st.integers(1, 40))
+def test_chain_finds_nearest_points_in_few_steps(caplog, alpha, depth):
+    w = wf.build_wds(alpha, depth)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="denshoe.wdsfamily"):
+        wf.cylinder_order(w)
+    (record,) = [m for r in caplog.records if (m := CHAIN.match(r.getMessage()))]
+    n, a, b, steps = map(int, record.groups())
+    size = 2 * n + 2
+    assert n == depth and 0 < steps < size
+    # a and b index the points nearest to 0 from the right and the left
+    pts = [(k * w.alpha).frac() for k in range(1, size)]
+    assert a == 1 + pts.index(min(pts)) and b == 1 + pts.index(max(pts))
