@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NotInMinimalSet, RationalAlpha
+from .errors import InvalidArgument, NotInMinimalSet, OutOfRange, RationalAlpha
 from .exact import as_real, is_exact
 from .symbolic import CentralWindow
 
@@ -105,7 +105,7 @@ class DenjoyMap:
     def gap_endpoints(self, n: int) -> tuple[float, float]:
         """(a_n, b_n) for the gap at orbit index n."""
         if abs(n) > self.cutoff:
-            raise IndexError(f"gap index {n} beyond cutoff {self.cutoff}")
+            raise OutOfRange(f"gap index {n} beyond cutoff {self.cutoff}")
         s = self._slot_of_n[n + self.cutoff]
         return float(self._a[s]), float(self._a[s] + self._len[s])
 
@@ -177,7 +177,7 @@ class DenjoyMap:
         """Positions h^j(x) for j = lo..hi, from the closed form of the
         module docstring."""
         if max(abs(lo), abs(hi)) + self.cutoff >= 2 ** (53 - HEAD_BITS):
-            raise ValueError(f"orbit range {lo}..{hi} too long for exact angle products")
+            raise InvalidArgument(f"orbit range {lo}..{hi} too long for exact angle products")
         js = np.arange(lo, hi + 1)
         j, in_gap = self._slot(x)
         if in_gap:
@@ -203,17 +203,19 @@ class DenjoyMap:
 
 
 def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
-    """Build the Denjoy example for an irrational-representable alpha.  A
-    float alpha is taken as irrational when its 2*cutoff+1 orbit angles
-    are distinct in float, so that every gap has its own anchor."""
+    """Build the Denjoy example for an irrational-representable alpha.  The
+    map runs on the float value of alpha, which is taken as irrational when
+    its 2*cutoff+1 orbit angles are distinct in float, so that every gap
+    has its own anchor."""
     if cutoff < 10 ** 3:
-        raise ValueError("cutoff must be at least 10^3")
+        raise InvalidArgument("cutoff must be at least 10^3")
     if is_exact(alpha):
         a = as_real(alpha)
         if a.is_rational:
             raise RationalAlpha(f"{alpha} is rational: the coding would be periodic")
-        return DenjoyMap(a, cutoff)
-    h = DenjoyMap(float(alpha), cutoff)
+    else:
+        a = float(alpha)
+    h = DenjoyMap(a, cutoff)
     if not np.all(h._pos[1:] > h._pos[:-1]):
         raise RationalAlpha(f"{alpha} is rational to float precision: its orbit angles "
                             f"collide within cutoff {cutoff}")
@@ -222,6 +224,8 @@ def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
 
 def rotation_estimate(h: DenjoyMap, x: float, iterations: int) -> float:
     """Orbit average of the canonical lift: mean of (h(y) - y) mod 1."""
+    if iterations < 1:
+        raise InvalidArgument("iterations must be >= 1")
     return float(np.sum(np.mod(np.diff(h.orbit(x, 0, iterations)), 1.0))) / iterations
 
 
@@ -264,34 +268,3 @@ def itinerary(
     pos = h.orbit(x, -radius, radius)
     symbols = np.where((ci.mid0 <= pos) & (pos < ci.mid1), 0, 1)
     return CentralWindow(radius, tuple(symbols.tolist()))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def write_denjoy(h: DenjoyMap, path, label: str | None = None) -> None:
-    conv = Fraction(h.alpha_float).limit_denominator(10 ** 6)
-    alpha_field = label if label is not None else f"float:{h.alpha_float!r}"
-    with open(path, "w") as fh:
-        fh.write(f"alpha={alpha_field}\n")
-        fh.write(f"convergent={conv.numerator}/{conv.denominator}\n")
-        fh.write(f"c={GAP_NORMALIZER.numerator}/{GAP_NORMALIZER.denominator}\n")
-        fh.write(f"M={h.cutoff}\n")
-
-
-def read_denjoy(path) -> DenjoyMap:
-    from .exact import parse_angle
-
-    fields = {}
-    with open(path) as fh:
-        for line in fh:
-            if "=" in line:
-                key, val = line.strip().split("=", 1)
-                fields[key] = val
-    spec = fields["alpha"]
-    if spec.startswith("float:"):
-        alpha = float(spec[6:])
-    else:
-        alpha = parse_angle(spec)
-    return denjoy_build(alpha, int(fields["M"]))

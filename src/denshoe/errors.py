@@ -5,6 +5,14 @@ class DenshoeError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(DenshoeError, ValueError):
+    """An argument is outside the domain of the function it was passed to."""
+
+
+class OutOfRange(DenshoeError, IndexError):
+    """An index lies outside the range that an object holds."""
+
+
 # --- symbolic words / rotation recovery ---
 
 class BoundaryUndecidable(DenshoeError):

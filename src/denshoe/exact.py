@@ -12,9 +12,10 @@ that makes those float decisions safe.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from numbers import Rational
+
+from .errors import InvalidArgument
 
 #: unit roundoff of float64
 _UNIT = 2.0 ** -53
@@ -23,7 +24,7 @@ _UNIT = 2.0 ** -53
 def _square_free(d: int) -> tuple[int, int]:
     """Return (s, d') with d = s^2 * d' and d' square-free."""
     if d < 0:
-        raise ValueError("negative discriminant")
+        raise InvalidArgument("negative discriminant")
     s = 1
     f = 2
     while f * f <= d:
@@ -64,26 +65,27 @@ class QuadReal:
     # --- field coercion -------------------------------------------------
 
     @staticmethod
-    def _coerce(x) -> "QuadReal":
+    def _coerce(x) -> "QuadReal | None":
+        """x as a QuadReal, or None when it is not an exact number, so that
+        the operators can return NotImplemented."""
         if isinstance(x, QuadReal):
             return x
         if isinstance(x, Rational):
             return QuadReal(Fraction(x))
-        raise TypeError(f"cannot coerce {type(x).__name__} to QuadReal")
+        return None
 
     def _common_d(self, other: "QuadReal") -> int:
         if self.d == 0:
             return other.d
         if other.d == 0 or other.d == self.d:
             return self.d
-        raise ValueError(f"incompatible quadratic fields sqrt({self.d}) and sqrt({other.d})")
+        raise InvalidArgument(f"incompatible quadratic fields sqrt({self.d}) and sqrt({other.d})")
 
     # --- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         d = self._common_d(o)
         return QuadReal(self.a + o.a, self.b + o.b, d)
@@ -94,19 +96,17 @@ class QuadReal:
         return QuadReal(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        try:
-            o = self._coerce(other)
-        except TypeError:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
         d = self._common_d(o)
         if self.d == 0 or o.d == 0:
@@ -142,8 +142,7 @@ class QuadReal:
             return 1 if lhs > rhs else -1
         return 1 if rhs > lhs else -1
 
-    def _cmp(self, other) -> int:
-        o = self._coerce(other)
+    def _cmp(self, o: "QuadReal") -> int:
         if not (self.d and o.d and self.d != o.d):
             return (self - o).sign()
         # different fields: sign of p + q with p = (a - c) + b sqrt(d) and
@@ -157,21 +156,24 @@ class QuadReal:
         return sp if (p * p - o.b * o.b * o.d).sign() > 0 else sq
 
     def __lt__(self, other):
-        return self._cmp(other) < 0
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._cmp(o) < 0
 
     def __le__(self, other):
-        return self._cmp(other) <= 0
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._cmp(o) <= 0
 
     def __gt__(self, other):
-        return self._cmp(other) > 0
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._cmp(o) > 0
 
     def __ge__(self, other):
-        return self._cmp(other) >= 0
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._cmp(o) >= 0
 
     def __eq__(self, other):
-        if isinstance(other, (QuadReal, Rational)):
-            return self._cmp(other) == 0
-        return NotImplemented
+        o = self._coerce(other)
+        return NotImplemented if o is None else self._cmp(o) == 0
 
     def __hash__(self):
         if self.b == 0:
@@ -185,7 +187,10 @@ class QuadReal:
         return self.b == 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        try:
+            return float(self.a) + float(self.b) * math.sqrt(self.d)
+        except OverflowError:
+            raise InvalidArgument(f"{self!r} has no float value") from None
 
     def float_enclosure(self) -> tuple[float, float]:
         """float(self) and a bound on its distance from self.
@@ -199,7 +204,7 @@ class QuadReal:
         try:
             return float(self), 8 * _UNIT * (abs(float(self.a))
                                              + abs(float(self.b)) * math.sqrt(self.d))
-        except OverflowError:
+        except InvalidArgument:
             return 0.0, math.inf
 
     def floor(self) -> int:
@@ -232,61 +237,15 @@ def as_real(x) -> QuadReal:
         return x
     if isinstance(x, Rational):
         return QuadReal(Fraction(x))
-    raise TypeError(f"expected an exact angle, got {type(x).__name__}")
+    raise InvalidArgument(f"expected an exact angle, got {type(x).__name__}")
 
 
 def is_exact(x) -> bool:
     return isinstance(x, (QuadReal, Rational)) and not isinstance(x, bool)
 
 
-# --- the angle catalog ---------------------------------------------------
-
-_DEC_RE = re.compile(r"^-?\d+\.\d+$")
-_FRAC_RE = re.compile(r"^(-?\d+)/(\d+)$")
-_SQRT_RE = re.compile(r"^sqrt(\d+)$")
-_SQRT_OVER_RE = re.compile(r"^sqrt(\d+)-over-(\d+)$")
-_AFFINE_RE = re.compile(r"^(-?\d+)([+-])sqrt(\d+)(?:-over-(\d+))?$")
-
 #: (3 - sqrt(5)) / 2, the square of the inverse golden ratio
 ALPHA_STAR = QuadReal(Fraction(3, 2), Fraction(-1, 2), 5)
-
-_NAMED = {
-    "golden": QuadReal(Fraction(-1, 2), Fraction(1, 2), 5),   # (sqrt5 - 1)/2
-    "golden-square": ALPHA_STAR,                              # (3 - sqrt5)/2
-    "3-sqrt5-over-2": ALPHA_STAR,
-    "sqrt2-minus-1": QuadReal(-1, 1, 2),
-}
-
-
-def parse_angle(text: str):
-    """Parse an angle spec: 'p/q', a decimal, 'sqrtD', 'sqrtD-over-c',
-    'a+sqrtD-over-c', 'a-sqrtD-over-c', or a named catalog constant.
-    Rationals and decimals come back exact; everything stays a QuadReal."""
-    s = text.strip()
-    if s in _NAMED:
-        return _NAMED[s]
-    m = _FRAC_RE.match(s)
-    if m:
-        return QuadReal(Fraction(int(m.group(1)), int(m.group(2))))
-    if _DEC_RE.match(s):
-        return QuadReal(Fraction(s))
-    m = _SQRT_RE.match(s)
-    if m:
-        return QuadReal(0, 1, int(m.group(1)))
-    m = _SQRT_OVER_RE.match(s)
-    if m:
-        return QuadReal(0, Fraction(1, int(m.group(2))), int(m.group(1)))
-    m = _AFFINE_RE.match(s)
-    if m:
-        a = int(m.group(1))
-        sign = 1 if m.group(2) == "+" else -1
-        d = int(m.group(3))
-        c = int(m.group(4)) if m.group(4) else 1
-        return QuadReal(Fraction(a, c), Fraction(sign, c), d)
-    try:
-        return QuadReal(Fraction(int(s)))
-    except ValueError:
-        raise ValueError(f"unrecognized angle spec: {text!r}") from None
 
 
 def continued_fraction(x, depth: int) -> list[int]:
@@ -321,11 +280,9 @@ def continued_fraction(x, depth: int) -> list[int]:
 
 def convergents(x, depth: int) -> list[tuple[int, int]]:
     """Continued-fraction convergents (p, q) of x, up to `depth` of them."""
-    terms = continued_fraction(x, depth)
     out = []
-    p0, q0, p1, q1 = 1, 0, terms[0], 1
-    out.append((p1, q1))
-    for a in terms[1:]:
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    for a in continued_fraction(x, depth):
         p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
         out.append((p1, q1))
     return out

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoConvergence, NotSaddle, TailNotSettled
+from .errors import InvalidArgument, NoConvergence, NotSaddle, TailNotSettled
 from .exact import convergents as cf_convergents
 
 TWO_PI = 2.0 * math.pi
@@ -108,7 +108,7 @@ class TwistMapF:
 
 def standard_family(K: float) -> tuple[GeneratingFunction, TwistMapF]:
     if K < 0:
-        raise ValueError("coupling K must be >= 0")
+        raise InvalidArgument("coupling K must be >= 0")
     return GeneratingFunction(K), TwistMapF(K)
 
 
@@ -132,7 +132,7 @@ class Configuration:
     def extended(self, i: int | np.ndarray) -> float | np.ndarray:
         """x_i for an integer index or an array of them (periodic kind only)."""
         if self.kind != "periodic":
-            raise ValueError("extension defined for periodic configurations")
+            raise InvalidArgument("extension defined for periodic configurations")
         k, r = np.divmod(i, self.q)
         return self.x[r] + k * self.p
 
@@ -296,9 +296,11 @@ def minimize_periodic(
     descended until its residual is within TOL; NoConvergence past the
     iteration cap reports the best residual."""
     if q < 1:
-        raise ValueError("q must be >= 1")
+        raise InvalidArgument("q must be >= 1")
+    if abs(p) >= 2 ** 53:
+        raise InvalidArgument("|p| must be below 2^53, where floats hold every integer")
     if math.gcd(abs(p), q) != 1:
-        raise ValueError("p/q must be in lowest terms")
+        raise InvalidArgument("p/q must be in lowest terms")
     rng = np.random.default_rng(SEED)
     ramps = np.linspace(0.0, 1.0, max(2, STARTS // 2), endpoint=False)
     base = np.arange(q) * (p / q)
@@ -346,7 +348,7 @@ def heteroclinic_minimizer(
     residual within TOL; TailNotSettled when the segment's ends stray
     more than TAIL_TOL from the orbits they connect."""
     if window < 50 * left.q:
-        raise ValueError("window must be at least 50 q")
+        raise InvalidArgument("window must be at least 50 q")
     L = window
     idx = np.arange(-L // 2, L - L // 2 + 1)
     base_l, base_r = left.extended(idx), right.extended(idx)
@@ -533,7 +535,7 @@ def no_conjugate_points_check(gf: GeneratingFunction, xs) -> tuple[bool, int | N
     vanish (or cross zero) again inside the segment."""
     x = np.asarray(xs, dtype=float)
     if len(x) < 3:
-        raise ValueError("segment must have length >= 3")
+        raise InvalidArgument("segment must have length >= 3")
     # xi_{i+1} has the sign of the i-th leading minor of the Hessian (the
     # bonds have d12 < 0), so xi first fails to be positive where the
     # LDL^T factorization meets its first nonpositive pivot
@@ -605,7 +607,7 @@ def assemble_am_set(
     the minimizing periodic orbit plus a sampled minimizing connection to
     its advanced (plus) or retarded (minus) neighbor translate."""
     if branch not in ("plus", "minus"):
-        raise ValueError("branch must be 'plus' or 'minus'")
+        raise InvalidArgument("branch must be 'plus' or 'minus'")
     tm = TwistMapF(gf.K)
     per = minimize_periodic(gf, p, q)
     orbit = config_orbit(gf, per)
@@ -656,7 +658,7 @@ def irrational_am_set(
     Convergents with denominator above Q_CAP are dropped (their orbits
     cluster below float resolution near the saddle)."""
     if depth < 3:
-        raise ValueError("need at least 3 convergents")
+        raise InvalidArgument("need at least 3 convergents")
     convs = cf_convergents(omega, depth)
     convs = [(p, q) for p, q in convs
              if 1 <= q <= Q_CAP and math.gcd(abs(p), q) == 1]

@@ -37,6 +37,7 @@ import numpy as np
 from .errors import (
     DegenerateArc,
     DepthMismatch,
+    InvalidArgument,
     NotSturmian,
     RationalAlpha,
     WindowTooShort,
@@ -118,7 +119,7 @@ class RotationClass:
 
     def __post_init__(self):
         if not (0 <= self.lo <= self.hi <= Fraction(1, 2)):
-            raise ValueError("class bounds must lie in [0, 1/2]")
+            raise InvalidArgument("class bounds must lie in [0, 1/2]")
 
     @property
     def width(self) -> Fraction:
@@ -166,7 +167,9 @@ def build_wds(
     if a.is_rational:
         raise RationalAlpha(f"{alpha} is rational")
     if not (QuadReal(0) < a < Fraction(1, 2)):
-        raise ValueError("alpha must lie in (0, 1/2)")
+        raise InvalidArgument("alpha must lie in (0, 1/2)")
+    if depth < 0:
+        raise InvalidArgument("depth must be >= 0")
     top = 2 * depth + 1
     radius = max(8 * top, 128) if initial_radius is None else initial_radius
     if radius < top:
@@ -373,7 +376,7 @@ def asymptotic_pairs_in(words, radius: int) -> list[GapPair]:
 
 def asymptotic_pairs(w: WdsSymbolic) -> list[GapPair]:
     if w.depth < 10:
-        raise ValueError("gap detection needs depth >= 10")
+        raise InvalidArgument("gap detection needs depth >= 10")
     return asymptotic_pairs_in(w.factors(2 * w.depth + 1).words, w.depth)
 
 

@@ -329,22 +329,6 @@ def test_itinerary_matches_loop_off_the_gap_orbit(d, m, cutoff, radius, theta):
     assert ci.itinerary(h, cod, x, radius).symbols == loop_itinerary(h, cod, x, radius)
 
 
-class TestSerialization:
-    def test_roundtrip(self, tmp_path, denjoy):
-        path = tmp_path / "map.txt"
-        ci.write_denjoy(denjoy, path, label="3-sqrt5-over-2")
-        h2 = ci.read_denjoy(path)
-        assert h2.alpha_float == denjoy.alpha_float
-        assert h2.cutoff == denjoy.cutoff
-
-    def test_float_label(self, tmp_path):
-        h = ci.denjoy_build(0.3183098861837907, 2000)
-        path = tmp_path / "map.txt"
-        ci.write_denjoy(h, path)
-        h2 = ci.read_denjoy(path)
-        assert h2.alpha_float == pytest.approx(h.alpha_float, abs=1e-15)
-
-
 @settings(max_examples=40, deadline=None)
 @given(b=st.integers(1, 100), d=st.sampled_from((2, 3, 5, 7, 11, 13)),
        cutoff=st.integers(10 ** 3, 5000), data=st.data())

@@ -2,9 +2,12 @@
 subclass in `errors.py` is raised somewhere in `src/denshoe`, every
 entry of `[project].dependencies` is imported there, and every public
 function, method and class it defines is referenced by name in the
-package, its tests, the benchmark or the scripts."""
+package, its tests, the benchmark or the scripts.  It also keeps one
+error contract: the package raises no builtin exception but the
+`AttributeError` of `QuadReal.__setattr__`."""
 
 import ast
+import builtins
 import re
 import tomllib
 from pathlib import Path
@@ -39,6 +42,28 @@ def raised_names():
                 if isinstance(exc, ast.Name):
                     names.add(exc.id)
     return names
+
+
+def builtin_raises():
+    """(file, enclosing function, name) of each raise of a builtin
+    exception in the package."""
+    found = []
+
+    def visit(path, node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(path, child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                cls = getattr(builtins, exc.id, None) if isinstance(exc, ast.Name) else None
+                if isinstance(cls, type) and issubclass(cls, BaseException):
+                    found.append((path.name, fn, exc.id))
+            visit(path, child, fn)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path, ast.parse(path.read_text(), str(path)), None)
+    return found
 
 
 def imported_modules():
@@ -93,6 +118,10 @@ def test_every_error_class_is_raised():
     classes = error_classes()
     assert classes, "no DenshoeError subclasses found"
     assert sorted(classes - raised_names()) == []
+
+
+def test_only_denshoe_errors_are_raised():
+    assert builtin_raises() == [("exact.py", "__setattr__", "AttributeError")]
 
 
 def test_every_dependency_is_imported():

@@ -13,7 +13,6 @@ from denshoe.exact import (
     QuadReal,
     continued_fraction,
     convergents,
-    parse_angle,
 )
 
 
@@ -118,17 +117,6 @@ def test_cross_field_near_ties(x, z):
         r = mp_value(x) - mp_value(QuadReal(0, z.b, z.d))
     y = QuadReal(Fraction(r.man) * Fraction(2) ** r.exp, z.b, z.d)
     assert_order_matches_mpmath(x, y)
-
-
-def test_parse_angle_forms():
-    assert parse_angle("3-sqrt5-over-2") == ALPHA_STAR
-    assert parse_angle("golden-square") == ALPHA_STAR
-    assert parse_angle("2/7") == Fraction(2, 7)
-    assert parse_angle("0.125") == Fraction(1, 8)
-    assert parse_angle("sqrt2-over-4") == QuadReal(0, Fraction(1, 4), 2)
-    assert abs(float(parse_angle("golden")) - 0.6180339887) < 1e-9
-    with pytest.raises(ValueError):
-        parse_angle("bogus")
 
 
 def test_continued_fraction_golden():

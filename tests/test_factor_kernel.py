@@ -3,8 +3,10 @@ Stern-Brocot walk that reads sliding zero counts.
 
 The oracles are the string functions and the language-building walk the
 kernel replaced, copied here unchanged except that they read the
-window's symbols directly and the walk caches its one-sided language
-differences per mediant (they depend on p/q alone).  The walk's
+window's symbols directly, raise InvalidArgument where they raised
+ValueError, and the walk caches its one-sided language differences per
+mediant (they depend on p/q alone) and has lost its constant-window
+shortcut, whose interval [0, 1/(L+1)] could miss the slope.  The walk's
 periodicity test is the KMP failure-function period that
 `symbolic._is_periodic` replaced.
 """
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denshoe import symbolic as sy
-from denshoe.errors import NotSturmian, WindowTooShort
+from denshoe.errors import InvalidArgument, NotSturmian, WindowTooShort
 from denshoe.exact import ALPHA_STAR, QuadReal, convergents
 
 FIELDS = (2, 3, 5, 7, 11, 13)
@@ -39,7 +41,7 @@ def old_word(w):
 
 def old_factor_set(w, n):
     if n < 1:
-        raise ValueError("factor length must be >= 1")
+        raise InvalidArgument("factor length must be >= 1")
     if len(w) < n:
         raise WindowTooShort(f"window length {len(w)} < factor length {n}")
     word = old_word(w)
@@ -108,9 +110,6 @@ def old_estimate_rotation_interval(w, *, max_denominator=10 ** 6,
                                    validate_to=40):
     L = len(w)
     word = old_word(w)
-
-    if word.count(word[0]) == L:
-        return sy.FareyInterval(Fraction(0), Fraction(1, 2 * w.radius + 2), periodic=True)
 
     old_validate_sturmian(w, validate_to)
 
@@ -375,7 +374,7 @@ def test_no_walk_record_when_debug_is_off(caplog):
 # the cached word
 # ---------------------------------------------------------------------------
 
-def test_cached_word_is_not_part_of_the_value(tmp_path):
+def test_cached_word_is_not_part_of_the_value():
     w = sy.sturmian_window(ALPHA_STAR, 0, 12)
     twin = sy.CentralWindow(12, tuple(int(c) for c in old_word(w)))
     assert w.word() == old_word(w) and w.word() is w.word()
@@ -384,8 +383,5 @@ def test_cached_word_is_not_part_of_the_value(tmp_path):
     assert repr(w) == f"CentralWindow(radius=12, symbols={w.symbols!r})"
     assert w != sy.CentralWindow(12, (1 - w.symbols[0],) + w.symbols[1:])
     assert dataclasses.replace(w, radius=12) == w
-    path = tmp_path / "w.txt"
-    w.write(path)
-    assert path.read_text() == "N=12\n" + "".join(f"{k} {w[k]}\n" for k in range(-12, 13))
-    back = sy.CentralWindow.read(path)
+    back = sy.CentralWindow.from_word(w.word())
     assert back == w and back.word() == w.word()

@@ -75,11 +75,16 @@ class TestWindow:
         w = sy.sturmian_window(ALPHA_STAR, 0, 6)
         assert w.segment(0, 6) == "0110110"
 
-    def test_roundtrip_file(self, tmp_path):
-        w = sy.sturmian_window(ALPHA_STAR, 0, 17)
-        path = tmp_path / "w.txt"
-        w.write(path)
-        assert sy.CentralWindow.read(path) == w
+    @pytest.mark.parametrize("rounding", [mpmath.floor, mpmath.ceil], ids=["below", "above"])
+    def test_offset_from_another_field(self, rounding):
+        # theta + 5*alpha is within 1e-40 of 3, below it or above it, so the
+        # filter sends k = 5 to exact arithmetic with sqrt(3) and sqrt(2)
+        with mpmath.workdps(60):
+            a = mpmath.sqrt(2) - 1
+            r = Fraction(int(rounding((3 - mpmath.sqrt(3) - 5 * a) * 10 ** 40)), 10 ** 40)
+            th = mpmath.mpf(r.numerator) / r.denominator + mpmath.sqrt(3)
+            want = tuple(0 if mpmath.frac(th + k * a) < a else 1 for k in range(-10, 11))
+        assert sy.sturmian_window(QuadReal(-1, 1, 2), QuadReal(r, 1, 3), 10).symbols == want
 
 
 class TestShiftDistance:
@@ -156,20 +161,15 @@ class TestFactors:
 
     def test_window_too_short(self):
         w = sy.CentralWindow.from_word("010")
-        with pytest.raises(WindowTooShort):
+        with pytest.raises(WindowTooShort, match="window length 3 < factor length 9$"):
             sy.factor_set(w, 9)
+        with pytest.raises(WindowTooShort, match="window length 3 < factor length 100$"):
+            sy.factor_family(w, 100)
 
     def test_complexity_saturates_to_n_plus_1(self):
         w = sy.sturmian_window(ALPHA_STAR, 0, 2000)
         for n in list(range(1, 26)) + [40, 50]:
             assert sy.complexity(w, n) == n + 1
-
-    def test_factor_file_roundtrip(self, tmp_path):
-        w = sy.sturmian_window(ALPHA_STAR, 0, 60)
-        fs = sy.factor_set(w, 4)
-        path = tmp_path / "f.txt"
-        fs.write(path)
-        assert sy.FactorSet.read(path) == fs
 
 
 class TestBalance:
@@ -226,7 +226,16 @@ class TestRotationRecovery:
     def test_constant_zero(self):
         w = sy.CentralWindow.from_word("0" * 41)
         iv = sy.estimate_rotation_interval(w)
-        assert iv.periodic and iv.lo == 0 and iv.hi == Fraction(1, 42)
+        assert iv.periodic and iv.lo == Fraction(40, 41) and iv.hi == 1
+
+    @pytest.mark.parametrize("alpha, word, lo, hi", [
+        (QuadReal(0, Fraction(1, 30), 2), "1" * 21, Fraction(0), Fraction(1, 21)),
+        (1 - QuadReal(0, Fraction(1, 1000), 2), "0" * 21, Fraction(20, 21), Fraction(1)),
+    ], ids=["ones", "zeros"])
+    def test_constant_window_holds_the_slope(self, alpha, word, lo, hi):
+        w = sy.sturmian_window(alpha, Fraction(13, 25), 10)
+        iv = sy.estimate_rotation_interval(w)
+        assert w.word() == word and (iv.lo, iv.hi) == (lo, hi) and iv.lo <= alpha <= iv.hi
 
     def test_alternating_contains_half(self):
         w = sy.CentralWindow.from_word("01" * 30 + "0")
