@@ -27,6 +27,7 @@ configuration's wrap-around bond and is never read for a segment.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,6 +45,8 @@ TAIL_TOL = 1e-6          # largest drift of a segment's ends from its two orbits
 STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
 GRID, RAYS, M_CAP = 5, 9, 20  # cone samples per box side, rays per cone, iterate cap
 Q_CAP = 200              # largest convergent denominator in irrational_am_set
+
+_log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +263,40 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     tries one step only and the descent stops at the first one refused;
     this takes the residual to round-off, which keeps exponentially small
     heteroclinic tails clean.  Returns the padded array of the last
-    accepted point, its action and its residual."""
+    accepted point, its action and its residual.  A DEBUG record on this
+    module's logger gives the steps accepted, the factorizations refused,
+    the steps rejected as uphill, the largest tau tried and the residual."""
     def evaluate(x):
         e = pad(x)
         return e, float(np.sum(gf.h(*_bonds(e, cyclic)))), _gradient(gf, e)
 
     e, f, g = evaluate(np.array(x0, dtype=float))
-    tau = 0.0
+    tau = max_tau = 0.0
+    steps = refused = uphill = 0
     for _ in range(max_iter):
         diag, off = _hessian(gf, e)
         gg = float(np.dot(g, g))
         for _ in range(1 if np.max(np.abs(g)) <= TOL else 40):
+            max_tau = max(max_tau, tau)
             step = _positive_solve(diag + tau, off, -g, cyclic)
-            if step is not None:
+            if step is None:
+                refused += 1
+            else:
                 e_new, f_new, g_new = evaluate(e[1:-1] + step)
                 if f_new < f or (f_new == f and float(np.dot(g_new, g_new)) < gg):
                     break
+                uphill += 1
             tau = max(10.0 * tau, 1e-8)
         else:
             break
         e, f, g = e_new, f_new, g_new
+        steps += 1
         tau *= 0.25
-    return e, f, float(np.max(np.abs(g)))
+    res = float(np.max(np.abs(g)))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("newton sites=%d cyclic=%d steps=%d refused=%d uphill=%d max_tau=%.3e "
+                   "residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau, res)
+    return e, f, res
 
 
 def minimize_periodic(
@@ -294,7 +309,9 @@ def minimize_periodic(
     """Action-minimizing critical (p,q)-configuration from STARTS starts
     (half of them shifted ramps, the rest random with seed SEED), each
     descended until its residual is within TOL; NoConvergence past the
-    iteration cap reports the best residual."""
+    iteration cap reports the best residual.  A DEBUG record gives the
+    starts tried and how many of them converged, were well ordered and
+    confirmed the final minimum."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
@@ -310,16 +327,19 @@ def minimize_periodic(
 
     best = None
     best_res = math.inf
-    confirmations = 0
+    starts = converged = ordered = confirmations = 0
     for x0 in candidates:
+        starts += 1
         e, _, res = _newton_minimize(gf, lambda x: _pad(x, p), x0, max_iter, cyclic=True)
         best_res = min(best_res, res)
         if res > TOL:
             continue
+        converged += 1
         x = e[1:-1]
         cfg = Configuration(x - math.floor(x[0]), "periodic", p, q)
         if not check_well_ordered(cfg):
             continue
+        ordered += 1
         a = action(gf, cfg)
         if best is None or a < best[0] - 1e-12:
             best = (a, cfg)
@@ -328,6 +348,9 @@ def minimize_periodic(
             confirmations += 1
             if confirmations >= 4:
                 break  # the same minimum keeps reappearing
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("minimize_periodic p=%d q=%d starts=%d converged=%d well_ordered=%d "
+                   "confirmations=%d", p, q, starts, converged, ordered, confirmations)
     if best is None:
         raise NoConvergence(f"no well-ordered critical ({p},{q}) configuration found",
                             residual=best_res)
@@ -346,7 +369,10 @@ def heteroclinic_minimizer(
     orbit to the right one over `window` bonds.  Each kink centering
     starts from a sigmoid blend of slope STEEPNESS and must reach a
     residual within TOL; TailNotSettled when the segment's ends stray
-    more than TAIL_TOL from the orbits they connect."""
+    more than TAIL_TOL from the orbits they connect.  A DEBUG record gives
+    the winning offset, how many centerings converged to a minimizer and
+    to a saddle, the action gap from the winner to the next minimizer
+    (inf when there is none) and the edge residual."""
     if window < 50 * left.q:
         raise InvalidArgument("window must be at least 50 q")
     L = window
@@ -359,6 +385,8 @@ def heteroclinic_minimizer(
     # Both kink centerings are critical (site-centered is the
     # Peierls-Nabarro saddle); keep the one with the smaller action.
     best = None
+    actions = []    # of every converged minimizer, in offset order
+    saddles = 0
     for offset in (0.5, 0.0, 0.25):
         blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
@@ -367,9 +395,11 @@ def heteroclinic_minimizer(
             continue
         diag, off = _hessian(gf, x)
         if _ldl_pivots((diag + 1e-10).tolist(), off.tolist())[-1] <= 0.0:
-            continue  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
+            saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
+            continue
         if best is None or w < best[0] - 1e-14:
-            best = (w, x, res)
+            best = (w, x, offset, len(actions))
+        actions.append(w)
     if best is None:
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
@@ -377,6 +407,11 @@ def heteroclinic_minimizer(
     # the first and last q+1 sites must sit on the orbits they connect
     m = left.q + 1
     edge = max(np.max(np.abs(x[:m] - base_l[:m])), np.max(np.abs(x[-m:] - base_r[-m:])))
+    if _log.isEnabledFor(logging.DEBUG):
+        others = actions[:best[3]] + actions[best[3] + 1:]
+        _log.debug("heteroclinic_minimizer window=%d offset=%s minimizers=%d saddles=%d "
+                   "gap=%.3e edge=%.3e", window, best[2], len(actions), saddles,
+                   min(others, default=math.inf) - best[0], edge)
     if edge > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {edge:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - left.p, left.q)

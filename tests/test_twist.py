@@ -1,5 +1,6 @@
 """Tests for the twist-map variational engine."""
 
+import logging
 import math
 from fractions import Fraction
 
@@ -279,3 +280,60 @@ class TestAubryMather:
         with pytest.raises(NoConvergence) as err:
             tw.minimize_periodic(gf, 2, 25, max_iter=0)
         assert err.value.residual is not None and err.value.residual > 0
+
+
+def fields(message):
+    """(name, {key: value}) of a record's message."""
+    name, *pairs = message.split()
+    return name, dict(pair.split("=") for pair in pairs)
+
+
+class TestRecords:
+    def test_periodic_record_counts_its_newton_runs(self, family, caplog):
+        gf, _ = family
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            tw.minimize_periodic(gf, 2, 5)
+        *runs, (name, summary) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "minimize_periodic" and (summary["p"], summary["q"]) == ("2", "5")
+        assert {n for n, _ in runs} == {"newton"}
+        assert all(f["sites"] == "5" and f["cyclic"] == "1" for _, f in runs)
+        assert int(summary["starts"]) == len(runs)
+        converged = sum(float(f["residual"]) <= tw.TOL for _, f in runs)
+        assert int(summary["converged"]) == converged
+        assert 1 <= int(summary["well_ordered"]) <= converged
+        assert int(summary["confirmations"]) <= int(summary["well_ordered"]) - 1
+
+    def test_start_on_the_potential_maximum_is_refused(self, family, caplog):
+        # the first (0,1) start is x = 0: critical, with H = -K < 0, so its
+        # one factorization is refused and no step is taken
+        gf, _ = family
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            tw.minimize_periodic(gf, 0, 1)
+        assert caplog.records[0].getMessage() == (
+            "newton sites=1 cyclic=1 steps=0 refused=1 uphill=0 max_tau=0.000e+00 "
+            "residual=0.000e+00")
+
+    def test_heteroclinic_record(self, family, caplog):
+        gf, _ = family
+        left = tw.minimize_periodic(gf, 0, 1)
+        right = tw.Configuration(left.x + 1, "periodic", 0, 1)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            seg = tw.heteroclinic_minimizer(gf, left, right, 60)
+        *runs, (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "heteroclinic_minimizer" and f["window"] == "60"
+        assert len(runs) == 3
+        assert all(n == "newton" and g["sites"] == "59" and g["cyclic"] == "0" for n, g in runs)
+        assert float(f["offset"]) in (0.5, 0.0, 0.25)
+        converged = sum(float(g["residual"]) <= tw.TOL for _, g in runs)
+        assert 1 <= int(f["minimizers"]) and int(f["minimizers"]) + int(f["saddles"]) == converged
+        idx = np.arange(-30, 31)
+        edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
+                   np.max(np.abs(seg.x[-2:] - right.extended(idx[-2:]))))
+        assert f["edge"] == f"{edge:.3e}"
+
+    def test_no_record_when_debug_is_off(self, family, caplog):
+        gf, _ = family
+        with caplog.at_level(logging.INFO, logger="denshoe.twist"):
+            left = tw.minimize_periodic(gf, 0, 1)
+            tw.heteroclinic_minimizer(gf, left, tw.Configuration(left.x + 1, "periodic", 0, 1), 60)
+        assert not caplog.records
