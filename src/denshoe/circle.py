@@ -80,7 +80,7 @@ class DenjoyMap:
 
     def __post_init__(self):
         m = self.cutoff
-        self.alpha_float = float(self.alpha)
+        self.alpha_float = _float_value(self.alpha)
         ns = np.arange(-m, m + 1)
         pos = np.mod(ns * self.alpha_float, 1.0)
         lens = float(GAP_NORMALIZER) / ((np.abs(ns) + 1.0) * (np.abs(ns) + 2.0))
@@ -202,11 +202,26 @@ class DenjoyMap:
         return out
 
 
+def _float_value(alpha) -> float:
+    """The float nearest alpha, up to one rounding.  An exact alpha is
+    rounded from its floor at 2^-60: float(a) + float(b) sqrt(d) keeps
+    only the digits that a and b sqrt(d) do not cancel, so for
+    QuadReal(0, 10**12, 2).frac() it is off by 1.7e-4, and at 10**20 it
+    is an integer."""
+    if not is_exact(alpha):
+        return float(alpha)
+    try:
+        return float(Fraction((as_real(alpha) * 2 ** 60).floor(), 2 ** 60))
+    except OverflowError:
+        raise InvalidArgument(f"{alpha!r} has no float value") from None
+
+
 def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
     """Build the Denjoy example for an irrational-representable alpha.  The
     map runs on the float value of alpha, which is taken as irrational when
     its 2*cutoff+1 orbit angles are distinct in float, so that every gap
-    has its own anchor."""
+    has its own anchor; for an exact alpha that float is rounded from
+    exact arithmetic."""
     if cutoff < 10 ** 3:
         raise InvalidArgument("cutoff must be at least 10^3")
     if is_exact(alpha):

@@ -13,13 +13,16 @@ of that float value is at most e(k) = e_theta + |k| e_alpha plus the
 rounding of the product, the sum and the wrap, with e_alpha and e_theta
 from `QuadReal.float_enclosure`; the float decides every entry whose
 margin exceeds four times that bound, and exact arithmetic settles the
-rest.  For float angles the margin is compared with GUARD_BAND, and
-entries inside it are escalated to mpmath.
+rest.  For float angles, which are exact binary rationals, the margin
+is compared with GUARD_BAND, or with the bound on the float pass's own
+rounding where that is larger (|k alpha| beyond about 4500), and entries
+inside it are escalated to mpmath.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +43,8 @@ ESCALATED_DPS = 60
 ESCALATED_GUARD = 1e-40
 #: factor by which the float pass's error bound is widened for exact angles
 _FILTER_SAFETY = 4.0
+#: largest index float() converts without overflow
+_FLOAT_INDEX_MAX = int(sys.float_info.max)
 
 #: byte table taking symbols 0/1 to the characters '0'/'1'
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -163,12 +168,14 @@ def _symbol_exact(alpha: QuadReal, theta: QuadReal, k: int) -> int:
 
 
 def _symbol_escalated(alpha: float, theta: float, k: int) -> int:
-    """Symbol of float angles decided at ESCALATED_DPS digits.  Floats are
-    exact binary rationals, so the escalated value is exact; a margin of
-    exactly zero is a true endpoint hit, resolved by the half-open rule."""
+    """Symbol of float angles decided at ESCALATED_DPS digits after the
+    point, plus one digit per digit of k, so that k*alpha keeps them.
+    Floats are exact binary rationals, so the escalated value is exact; a
+    margin of exactly zero is a true endpoint hit, resolved by the
+    half-open rule."""
     import mpmath
 
-    with mpmath.workdps(ESCALATED_DPS):
+    with mpmath.workdps(ESCALATED_DPS + len(str(abs(k)))):
         a = mpmath.mpf(alpha)
         tt = mpmath.frac(mpmath.mpf(theta) + k * a)
         if tt == 0:
@@ -186,10 +193,13 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     """Symbols of the rotation coding at k = lo..hi, in one float64 pass.
 
     An entry's margin is its distance to the arc ends 0, alpha and 1.
-    Float angles: entries with margin at most GUARD_BAND are escalated to
-    mpmath.  Exact angles: entries with margin at most the certified error
-    bound of the float pass, among them every exact hit of an arc end,
-    are settled in exact arithmetic, so every symbol is exact."""
+    Float angles: entries with margin at most GUARD_BAND, or at most the
+    rounding bound of the float pass where that is larger, are escalated
+    to mpmath; an index beyond the float range raises OutOfRange.  Exact
+    angles: entries with margin at most the certified error bound of the
+    float pass, among them every exact hit of an arc end and every entry
+    whose index is beyond the float range, are settled in exact
+    arithmetic, so every symbol is exact."""
     exact = is_exact(alpha) and is_exact(theta)
     if exact:
         a, th = as_real(alpha), as_real(theta).frac()
@@ -197,21 +207,37 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
         tf, err_t = th.float_enclosure()
     else:
         af, tf = float(alpha), float(theta)
-    ks = (np.arange(lo, hi + 1, dtype=np.float64) if max(abs(lo), abs(hi)) <= 2 ** 53
-          else np.array([float(k) for k in range(lo, hi + 1)]))
+    span = max(abs(lo), abs(hi))
+    if span <= 2 ** 53:
+        ks = np.arange(lo, hi + 1, dtype=np.float64)
+    elif span <= _FLOAT_INDEX_MAX:
+        ks = np.array([float(k) for k in range(lo, hi + 1)])
+    elif exact:
+        ks = np.zeros(hi - lo + 1)    # no float value: every entry is flagged below
+    else:
+        raise OutOfRange("index beyond the float range: float angles have no coding "
+                         "pass there")
     # the same operations, in the same order, as (theta + k*alpha) % 1.0
     t = np.mod(tf + ks * af, 1.0)
     margin = np.minimum(np.minimum(t, 1.0 - t), np.abs(t - af))
     if exact:
         # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of
         # k, of the product, the sum and the wrap into [0, 1); alpha itself
-        # is off by err_a.  A margin above the bound fixes the symbol.
-        # An infinite enclosure (no float value) flags every entry.
+        # is off by err_a.  A margin above the bound fixes the symbol.  An
+        # infinite enclosure or an index beyond the float range (no float
+        # value) flags every entry.
         bound = (_FILTER_SAFETY * (err_t + 2 * err_a + _UNIT * (abs(tf) + 2)
                                    + np.abs(ks) * (err_a + 3 * _UNIT * abs(af)))
-                 if err_a + err_t < np.inf else np.inf)
+                 if err_a + err_t < np.inf and span <= _FLOAT_INDEX_MAX else np.inf)
     else:
-        bound = GUARD_BAND
+        # float angles are exact binary rationals, so the float pass errs
+        # only by its own rounding: u |k alpha| for k itself beyond 2**53,
+        # u |k alpha| for the product, u (|theta| + |k alpha|) for the sum
+        # and u for the wrap, with u = 2**-53 (the factors add the second
+        # order terms), and u for the margin's own rounding.  That bound
+        # passes GUARD_BAND once |k alpha| is beyond about 4500.
+        per_k = (2.000001 if span <= 2 ** 53 else 3.000001) * _UNIT * abs(af)
+        bound = np.maximum(GUARD_BAND, _UNIT * (abs(tf) + 2) + per_k * np.abs(ks))
     syms = (t >= af).astype(np.int8)
     flagged = np.flatnonzero(~(margin > bound)).tolist()
     for i in flagged:

@@ -10,11 +10,14 @@ annulus map has fixed points at (0, 0) (elliptic for 0 < K < 4) and
 rotation-number-zero scenarios need no parameter hunting.  Orbits are
 critical configurations of the action sum.  Their Hessians are
 tridiagonal (cyclic for periodic configurations), since the action
-couples only neighbouring sites; one LDL^T elimination solves them,
-tests them for positive definiteness and runs the discrete Jacobi test.
-Minimizers are found by damped Newton descent on the action, with
-multi-start for periodic orbits and several kink centerings for
-heteroclinic segments.
+couples only neighbouring sites.  One LDL^T factorization, `_ldl`, serves
+every use of them: a single pass keeps the pivots d_i and the
+multipliers l_i = off_i / d_i and stops at the first nonpositive pivot.
+That pivot refuses a damped Newton step and marks the saddle test and
+the discrete Jacobi test as failed; otherwise both substitutions read the
+stored multipliers, so a solve divides by each pivot once.  Minimizers
+are found by damped Newton descent on the action, with multi-start for
+periodic orbits and several kink centerings for heteroclinic segments.
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -184,68 +187,91 @@ def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
 
 
 def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
-    """Aubry non-crossing of integer translates of a periodic configuration."""
+    """Aubry non-crossing of integer translates of a periodic configuration.
+
+    The translate (a, b), 0 <= a < q and |b| <= |p| + b_extra, crosses the
+    configuration when x_{i+a} + b - x_i exceeds 1e-12 at some i and falls
+    below -1e-12 at another.  Row a of the (q, q) table x_{i+a} - x_i holds
+    the differences of every b at once, so one row max and one row min per
+    shift a decide all of them, in O(q^2) time and memory whatever p is.
+    The row a = 0 is exactly 0, so the configuration itself never crosses.
+
+    b is added after the reduction, (x_{i+a} - x_i) + b, where a translate
+    loop forms (x_{i+a} + b) - x_i.  For b = 0 the two are equal; otherwise
+    they differ by a few ulps of |x| + |b|, about 1e-14 for the sites and
+    shifts met here.  So the verdict can change only for a translate whose
+    largest or smallest difference lies within that distance of +-1e-12:
+    one that touches the configuration at the margin, where rounding
+    decides either way."""
     q, p = cfg.q, cfg.p
     ext = cfg.extended(np.arange(2 * q))
-    base = ext[:q]
+    d = ext[np.add.outer(np.arange(q), np.arange(q))] - ext[:q]
+    hi, lo = d.max(axis=1), d.min(axis=1)
     bs = np.arange(-abs(p) - b_extra, abs(p) + b_extra + 1)[:, None]
-    for a in range(q):
-        # One row per b.  The row of a = b = 0 is the configuration itself:
-        # it is exactly 0, so it never crosses.
-        d = ext[a:a + q] + bs - base
-        if np.any(np.any(d > 1e-12, axis=1) & np.any(d < -1e-12, axis=1)):
-            return False
-    return True
+    return not np.any((hi + bs > 1e-12) & (lo + bs < -1e-12))
 
 
-def _ldl_pivots(diag, off) -> list[float]:
-    """Pivots of the LDL^T factorization of the symmetric tridiagonal
-    matrix with diagonal `diag` and off-diagonal `off`, up to and including
-    the first nonpositive one.  By Sylvester's law of inertia the matrix is
+def _ldl(diag, off) -> tuple[list[float], list[float]]:
+    """Pivots d_i and multipliers l_i = off_i / d_i of the LDL^T
+    factorization of the symmetric tridiagonal matrix with diagonal `diag`
+    and off-diagonal `off` (lists, len(diag) >= 1), up to and including the
+    first nonpositive pivot.  By Sylvester's law of inertia the matrix is
     positive definite iff all len(diag) pivots come out positive."""
-    piv = []
-    for i, a in enumerate(diag):
-        piv.append(a - off[i - 1] * off[i - 1] / piv[-1] if i else a)
-        if piv[-1] <= 0.0:
+    d = diag[0]
+    piv, mult = [d], []
+    if d <= 0.0:
+        return piv, mult
+    for a, b in zip(diag[1:], off):
+        mult.append(b / d)
+        d = a - b * b / d
+        piv.append(d)
+        if d <= 0.0:
             break
-    return piv
+    return piv, mult
 
 
-def _substitute(piv, off, rhs) -> list[float]:
-    """Solve L D L^T y = rhs, given the pivots D from _ldl_pivots."""
-    y = list(rhs)
-    for i in range(1, len(y)):
-        y[i] -= off[i - 1] / piv[i - 1] * y[i - 1]
-    y = [a / d for a, d in zip(y, piv)]
-    for i in range(len(y) - 2, -1, -1):
-        y[i] -= off[i] / piv[i] * y[i + 1]
-    return y
+def _substitute(piv, mult, rhs) -> list[float]:
+    """Solve L D L^T x = rhs, given the factors from _ldl."""
+    rs = iter(rhs)
+    y = next(rs)
+    ys = [y]
+    for r, l in zip(rs, mult):      # L y = rhs, top down
+        y = r - l * y
+        ys.append(y)
+    ys, ds = reversed(ys), reversed(piv)
+    x = next(ys) / next(ds)
+    xs = [x]
+    for a, d, l in zip(ys, ds, reversed(mult)):     # L^T x = D^-1 y, bottom up
+        x = a / d - l * x
+        xs.append(x)
+    xs.reverse()
+    return xs
 
 
 def _positive_solve(diag, off, rhs, cyclic: bool):
-    """Solution of H y = rhs for the symmetric tridiagonal H given by the
-    arrays (diag, off), or None when H is not positive definite.  With
-    cyclic, off[-1] couples the last site with the first.  The last site is
-    then bordered off, H = [[T, u], [u^T, c]], and H is positive definite
-    iff T is and the Schur complement c - u^T T^-1 u is positive; for q = 1
-    and 2 the wrap-around bonds fall on c and on u."""
-    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
+    """Solution of H y = rhs, as an array, for the symmetric tridiagonal H
+    given by the lists diag and off, with rhs a list; None when H is not
+    positive definite.  With cyclic, off[-1] couples the last site with the
+    first.  The last site is then bordered off, H = [[T, u], [u^T, c]],
+    and H is positive definite iff T is and the Schur complement
+    c - u^T T^-1 u is positive; for q = 2 both wrap-around bonds fall on
+    u, and for q = 1 H is the number diag[0] + 2 off[0]."""
     if cyclic:
         n = len(diag)
-        c, r = diag.pop(), rhs.pop()
-        u = [0.0] * (n - 1)
         if n == 1:
-            c += 2.0 * off[0]
-        else:
-            u[0] += off[-1]
-            u[-1] += off[-2]
-    piv = _ldl_pivots(diag, off)
-    if piv and piv[-1] <= 0.0:
+            c = diag[0] + 2.0 * off[0]
+            return None if c <= 0.0 else np.array([rhs[0] / c])
+        c, r, diag, rhs = diag[-1], rhs[-1], diag[:-1], rhs[:-1]
+        u = [0.0] * (n - 1)
+        u[0] += off[-1]
+        u[-1] += off[-2]
+    piv, mult = _ldl(diag, off)
+    if piv[-1] <= 0.0:
         return None
-    y = _substitute(piv, off, rhs)
+    y = _substitute(piv, mult, rhs)
     if not cyclic:
         return np.array(y)
-    z = _substitute(piv, off, u)
+    z = _substitute(piv, mult, u)
     schur = c - sum(a * b for a, b in zip(u, z))
     if schur <= 0.0:
         return None
@@ -275,10 +301,11 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     steps = refused = uphill = 0
     for _ in range(max_iter):
         diag, off = _hessian(gf, e)
+        off, rhs = off.tolist(), (-g).tolist()
         gg = float(np.dot(g, g))
         for _ in range(1 if np.max(np.abs(g)) <= TOL else 40):
             max_tau = max(max_tau, tau)
-            step = _positive_solve(diag + tau, off, -g, cyclic)
+            step = _positive_solve((diag + tau).tolist(), off, rhs, cyclic)
             if step is None:
                 refused += 1
             else:
@@ -394,7 +421,7 @@ def heteroclinic_minimizer(
         if res > TOL:
             continue
         diag, off = _hessian(gf, x)
-        if _ldl_pivots((diag + 1e-10).tolist(), off.tolist())[-1] <= 0.0:
+        if _ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
             saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
             continue
         if best is None or w < best[0] - 1e-14:
@@ -575,7 +602,7 @@ def no_conjugate_points_check(gf: GeneratingFunction, xs) -> tuple[bool, int | N
     # bonds have d12 < 0), so xi first fails to be positive where the
     # LDL^T factorization meets its first nonpositive pivot
     diag, off = _hessian(gf, x)
-    piv = _ldl_pivots(diag.tolist(), off.tolist())
+    piv, _ = _ldl(diag.tolist(), off.tolist())
     if piv[-1] <= 0.0:
         return False, len(piv) + 1
     return True, None

@@ -5,6 +5,7 @@ import logging
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -345,3 +346,13 @@ def test_semiconjugacy_on_random_points(b, d, cutoff, data):
     for x in xs:
         err = (k(h(x)) - k(x) - h.alpha_float) % 1.0
         assert min(err, 1 - err) <= 1e-9, x
+
+
+@pytest.mark.parametrize("b", [10 ** 12, 10 ** 20])
+def test_exact_alpha_float_from_exact_arithmetic(b):
+    # float(a) + float(b) sqrt(2) cancels: 1.7e-4 off at 10^12, and an
+    # integer at 10^20, which made the build raise RationalAlpha
+    h = ci.denjoy_build(QuadReal(0, b, 2).frac(), 1000)
+    with mpmath.workdps(60):
+        want = float(mpmath.frac(b * mpmath.sqrt(2)))
+    assert abs(h.alpha_float - want) <= math.ulp(want)

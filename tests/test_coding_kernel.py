@@ -151,6 +151,37 @@ def test_indices_beyond_float_precision():
     assert sy.sturmian_symbol(af, 0.25, k) == per_symbol_float(af, 0.25, k)[0]
 
 
+def binary_rational_point(alpha: float, theta: float, k: int) -> Fraction:
+    return (Fraction(theta) + k * Fraction(alpha)) % 1
+
+
+def binary_rational_symbol(alpha: float, theta: float, k: int) -> int:
+    return 0 if binary_rational_point(alpha, theta, k) < Fraction(alpha) else 1
+
+
+@pytest.mark.parametrize("alpha, theta, k", [
+    (0.6874311291222428, 0.0, 793163261370336),   # float pass off by 0.025
+    (0.3, 0.0, 3 ** 200),                         # k*alpha needs 140 digits
+], ids=["float-pass-off", "escalation-digits"])
+def test_float_angles_at_far_indices(alpha, theta, k):
+    assert sy.sturmian_symbol(alpha, theta, k) == binary_rational_symbol(alpha, theta, k)
+
+
+@PROPERTY
+@given(alpha=st.floats(0.01, 0.99), theta=st.floats(0.0, 1.0, exclude_max=True),
+       k=st.integers(3, 308).flatmap(lambda e: st.integers(-10 ** e, 10 ** e)))
+def test_float_angles_match_binary_rationals_up_to_the_float_range(alpha, theta, k):
+    # the float pass's rounding grows with |k|; the entries it cannot
+    # decide are escalated with enough digits for k*alpha
+    try:
+        got = sy.sturmian_symbol(alpha, theta, k)
+    except BoundaryUndecidable:
+        t = binary_rational_point(alpha, theta, k)
+        assert 0 < min(t, 1 - t, abs(t - Fraction(alpha))) <= 2 * sy.ESCALATED_GUARD
+        return
+    assert got == binary_rational_symbol(alpha, theta, k)
+
+
 def test_offset_beyond_float_range():
     theta = QuadReal(0, 10 ** 400, 5)
     assert sy.sturmian_window(ALPHA_STAR, theta, 3).symbols == \

@@ -6,6 +6,7 @@ checks raise `InvalidArgument` (a `ValueError`) or `OutOfRange` (an
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from denshoe import symbolic as sy
 from denshoe import twist as tw
 from denshoe import wdsfamily as wf
 from denshoe.errors import DenshoeError, InvalidArgument, OutOfRange
-from denshoe.exact import QuadReal, as_real, continued_fraction, convergents
+from denshoe.exact import ALPHA_STAR, QuadReal, as_real, continued_fraction, convergents
 
 EDGE = settings(max_examples=60, deadline=None)
 
@@ -103,7 +104,21 @@ def test_argument_errors_and_edge_answers():
     with pytest.raises(InvalidArgument):
         wf.build_wds(0.3, 3)
     with pytest.raises(InvalidArgument, match="no float value"):
-        ci.denjoy_build(QuadReal(0, 10 ** 400, 2).frac())
+        ci.denjoy_build(QuadReal(0, 10 ** 400, 2))
     assert convergents(Fraction(1, 3), 0) == []
     with pytest.raises(TypeError):  # not coercible: the operators return NotImplemented
         QuadReal(1) < 0.5
+
+
+def test_indices_beyond_the_float_range():
+    # exact angles settle such entries in exact arithmetic; float angles
+    # have no float pass there
+    k = 10 ** 400
+    with mpmath.workdps(500):
+        alpha = (3 - mpmath.sqrt(5)) / 2
+        t = mpmath.frac(k * alpha)
+        want = 0 if t < alpha else 1
+    assert sy.sturmian_symbol(ALPHA_STAR, 0, k) == want
+    assert sy.coding_block(ALPHA_STAR, 0, k - 1, k + 1)[1] == want
+    with pytest.raises(OutOfRange):
+        sy.sturmian_symbol(0.3, 0, k)

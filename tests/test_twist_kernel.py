@@ -3,7 +3,8 @@ padded bond layout.
 
 The oracles are the code the kernel replaced, copied here: the dense
 Hessian assembly loops, dense `np.linalg.solve` and `eigvalsh`, the
-xi recursion of the discrete Jacobi test, the growth loop of
+LDL^T solve that recomputed each multiplier off[i] / piv[i] where it was
+used, the xi recursion of the discrete Jacobi test, the growth loop of
 `hyperbolicity_report` that rebuilt Df^m from scratch for every m, and
 the translate-by-translate loop of `check_well_ordered`.  The gradient
 is checked against central differences of `action`.
@@ -92,7 +93,7 @@ def test_positive_solve_matches_dense_solve(matrix, cyclic):
         off = off[:-1]
     H = dense(diag, off, cyclic)
     rhs = np.cos(np.arange(len(diag)))
-    got = tw._positive_solve(diag, off, rhs, cyclic)
+    got = tw._positive_solve(diag.tolist(), off.tolist(), rhs.tolist(), cyclic)
     lam = np.linalg.eigvalsh(H)
     if lam[0] > 1e-8:
         ref = np.linalg.solve(H, rhs)
@@ -101,6 +102,88 @@ def test_positive_solve_matches_dense_solve(matrix, cyclic):
         assert np.max(np.abs(got - ref)) <= 1e-12 * cond * np.max(np.abs(ref))
     elif lam[0] < -1e-8:
         assert got is None
+
+
+def old_ldl_pivots(diag, off):
+    piv = []
+    for i, a in enumerate(diag):
+        piv.append(a - off[i - 1] * off[i - 1] / piv[-1] if i else a)
+        if piv[-1] <= 0.0:
+            break
+    return piv
+
+
+def old_substitute(piv, off, rhs):
+    y = list(rhs)
+    for i in range(1, len(y)):
+        y[i] -= off[i - 1] / piv[i - 1] * y[i - 1]
+    y = [a / d for a, d in zip(y, piv)]
+    for i in range(len(y) - 2, -1, -1):
+        y[i] -= off[i] / piv[i] * y[i + 1]
+    return y
+
+
+def old_positive_solve(diag, off, rhs, cyclic):
+    """The LDL^T solve before the multipliers were stored."""
+    diag, off, rhs = diag.tolist(), off.tolist(), rhs.tolist()
+    if cyclic:
+        n = len(diag)
+        c, r = diag.pop(), rhs.pop()
+        u = [0.0] * (n - 1)
+        if n == 1:
+            c += 2.0 * off[0]
+        else:
+            u[0] += off[-1]
+            u[-1] += off[-2]
+    piv = old_ldl_pivots(diag, off)
+    if piv and piv[-1] <= 0.0:
+        return None
+    y = old_substitute(piv, off, rhs)
+    if not cyclic:
+        return np.array(y)
+    z = old_substitute(piv, off, u)
+    schur = c - sum(a * b for a, b in zip(u, z))
+    if schur <= 0.0:
+        return None
+    t = (r - sum(a * b for a, b in zip(u, y))) / schur
+    return np.array([a - b * t for a, b in zip(y, z)] + [t])
+
+
+@st.composite
+def large_tridiagonals(draw):
+    """(diag, off, rhs, cyclic) with n = 1..1200, either with random
+    entries or shaped like a damped twist Hessian, diag = 2 - K cos 2 pi x
+    + tau and off = -1, so that some factorizations are refused midway."""
+    n = draw(st.one_of(st.integers(1, 3), st.integers(1, 1200)))
+    cyclic = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        diag = draw(st.floats(-2.0, 8.0)) + rng.uniform(-2.0, 2.0, n)
+        off = rng.uniform(-2.0, 2.0, n)
+    else:
+        K = draw(st.floats(0.0, 4.0))
+        tau = draw(st.sampled_from((0.0, 1e-8, 1e-4, 0.1, 1.0, 10.0)))
+        diag = 2.0 - K * np.cos(2 * np.pi * rng.uniform(0, 1, n)) + tau
+        off = -np.ones(n)
+    return diag, off if cyclic else off[:-1], rng.normal(size=n), cyclic
+
+
+@PROPERTY
+@given(large_tridiagonals())
+def test_kernel_matches_old_kernel_bit_for_bit(matrix):
+    diag, off, rhs, cyclic = matrix
+    ref = old_positive_solve(diag, off, rhs, cyclic)
+    got = tw._positive_solve(diag.tolist(), off.tolist(), rhs.tolist(), cyclic)
+    assert (got is None) == (ref is None)
+    if ref is not None:
+        assert np.array_equal(got, ref)
+    # the same pivots, so the same first nonpositive one, and the stored
+    # multipliers are the quotients the old solve formed
+    t = diag[:-1] if cyclic else diag
+    if len(t):
+        piv, mult = tw._ldl(t.tolist(), off.tolist())
+        assert piv == old_ldl_pivots(t.tolist(), off.tolist())
+        assert mult == [b / d for b, d in zip(off.tolist(), piv[:-1])]
 
 
 @PROPERTY
@@ -136,6 +219,25 @@ def test_well_ordered_matches_translate_loop(q, p, b_extra, noise, seed):
     x = np.arange(q) * (p / q) + rng.uniform(0, 1) + noise * rng.normal(size=q)
     cfg = tw.Configuration(x, "periodic", p, q)
     assert tw.check_well_ordered(cfg, b_extra) == loop_well_ordered(cfg, b_extra)
+
+
+GOLDEN_CONVERGENTS = ((0, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21),
+                      (21, 34), (34, 55), (55, 89))
+GOLDEN_SQUARE_CONVERGENTS = ((1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (13, 34),
+                             (21, 55), (34, 89))
+
+
+@pytest.mark.parametrize("p, q", GOLDEN_CONVERGENTS + GOLDEN_SQUARE_CONVERGENTS)
+def test_well_ordered_matches_translate_loop_on_minimizers(p, q):
+    # the minimizers of the benchmark's periodic tasks, and copies of them
+    # perturbed until some translates cross
+    gf, _ = tw.standard_family(0.95)
+    cfg = tw.minimize_periodic(gf, p, q)
+    assert tw.check_well_ordered(cfg) and loop_well_ordered(cfg)
+    rng = np.random.default_rng(q)
+    for noise in (1e-13, 1e-6, 1e-3, 1e-1):
+        bent = replace(cfg, x=cfg.x + noise * rng.normal(size=q))
+        assert tw.check_well_ordered(bent) == loop_well_ordered(bent)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 8])
