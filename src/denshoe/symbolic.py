@@ -68,9 +68,15 @@ class CentralWindow:
     def __post_init__(self):
         if self.radius < 0:
             raise InvalidArgument("radius must be non-negative")
+        if not isinstance(self.symbols, tuple):
+            # an ndarray's tolist() gives Python ints; bytes() of the array
+            # itself would read its raw memory
+            syms = self.symbols.tolist() if isinstance(self.symbols, np.ndarray) else self.symbols
+            object.__setattr__(self, "symbols", tuple(syms))
         if len(self.symbols) != 2 * self.radius + 1:
             raise InvalidArgument("need exactly 2N+1 symbols")
-        if any(s not in (0, 1) for s in self.symbols):
+        # count() compares by ==, as `in` does: True and numpy integers pass
+        if self.symbols.count(0) + self.symbols.count(1) != len(self.symbols):
             raise InvalidArgument("symbols must be 0 or 1")
         object.__setattr__(self, "_word", bytes(self.symbols).translate(_DIGITS).decode())
 
@@ -300,21 +306,51 @@ def shift_distance(u: CentralWindow, v: CentralWindow) -> ShiftDistance:
 # the key 2*lab[i] + s[i+n] orders those pairs lexicographically, so the
 # ranks of the keys that occur are the next level's labels.  The keys
 # are below twice the number of labels, so ranking them is a presence
-# table and a cumulative sum, O(L) per length.  A prefix sum of the
-# symbols gives each factor's one-count.
+# table and a cumulative sum, O(L) per length.
+#
+# Balance needs no factors: with ones[j] the number of 1s among the first
+# j symbols, ones[n:] - ones[:-n] are the one-counts of the length-n
+# factors at every start, and the balance defect is their max - min.
+# Balance at every length n <= N implies complexity p(n) <= n + 1 at
+# every n <= N (Lothaire, "Algebraic Combinatorics on Words", Prop. 2.1.2;
+# Coven & Hedlund, "Sequences with minimal block growth", Math. Systems
+# Theory 7, 1973).  p(m+1) - p(m) is at most the number of right-special
+# length-m factors (those followed by both 0 and 1; in a finite window
+# only the suffix can have no extension), so p(m+1) >= p(m) + 2 gives two
+# of them, u = ..as and v = ..bs with a != b and s their longest common
+# suffix; then 0s0 and 1s1 are factors of length <= m + 1, and balance
+# fails there.  So complexity never exceeds n + 1 at a length below the
+# first one where balance fails.
 
 def _symbol_array(w: CentralWindow) -> np.ndarray:
     return np.frombuffer(w.word().encode("ascii"), dtype=np.uint8).astype(np.int64) - 48
 
 
-def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray, int]]:
-    """(n, starts, defect) for n = 1..top: one start of each distinct
-    length-n factor, in lexicographic order of the factors, and the
-    balance defect, max - min of the factors' one-counts."""
+def _one_counts(w: CentralWindow) -> np.ndarray:
+    """Prefix sum of the symbols: entry j is the number of 1s before index j."""
+    return np.concatenate(([0], np.cumsum(_symbol_array(w))))
+
+
+def _defect(ones: np.ndarray, n: int) -> int:
+    """Balance defect at length n, max - min of the sliding one-counts,
+    from the prefix sum `ones`; 1 <= n < len(ones)."""
+    counts = ones[n:] - ones[:-n]
+    return int(counts.max() - counts.min())
+
+
+def _check_length(w: CentralWindow, n: int) -> None:
+    if n < 1:
+        raise InvalidArgument("factor length must be >= 1")
+    if n > len(w):
+        raise WindowTooShort(f"window length {len(w)} < factor length {n}")
+
+
+def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, starts) for n = 1..top: one start of each distinct length-n
+    factor, in lexicographic order of the factors."""
     if top > len(w):
         raise WindowTooShort(f"window length {len(w)} < factor length {top}")
     s = _symbol_array(w)
-    ones = np.concatenate(([0], np.cumsum(s)))
     lab = np.zeros(len(s) + 1, dtype=np.int64)     # the empty factor, at 0..L
     size = 1
     for n in range(1, top + 1):
@@ -326,38 +362,38 @@ def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray
         size = int(rank[-1]) + 1
         starts = np.empty(size, dtype=np.int64)
         starts[lab] = np.arange(len(lab))
-        counts = ones[starts + n] - ones[starts]
-        yield n, starts, int(counts.max() - counts.min())
+        yield n, starts
 
 
 def _factor_set(word: str, n: int, starts: np.ndarray) -> FactorSet:
     return FactorSet(n, frozenset(word[i:i + n] for i in starts.tolist()))
 
 
-def _level(w: CentralWindow, n: int) -> tuple[int, np.ndarray, int]:
-    if n < 1:
-        raise InvalidArgument("factor length must be >= 1")
-    *_, last = _factor_levels(w, n)
-    return last
+def _level(w: CentralWindow, n: int) -> np.ndarray:
+    """One start of each distinct length-n factor."""
+    _check_length(w, n)
+    *_, (_, starts) = _factor_levels(w, n)
+    return starts
 
 
 def factor_set(w: CentralWindow, n: int) -> FactorSet:
     """The set of distinct length-n blocks of the window."""
-    return _factor_set(w.word(), n, _level(w, n)[1])
+    return _factor_set(w.word(), n, _level(w, n))
 
 
 def complexity(w: CentralWindow, n: int) -> int:
-    return len(_level(w, n)[1])
+    return len(_level(w, n))
 
 
 def balance_defect(w: CentralWindow, n: int) -> int:
     """Max difference of 1-counts over pairs of length-n factors (<=1 iff balanced)."""
-    return _level(w, n)[2]
+    _check_length(w, n)
+    return _defect(_one_counts(w), n)
 
 
 def factor_family(w: CentralWindow, max_length: int) -> dict[int, FactorSet]:
     """Factor sets of every length 1..max_length."""
-    return {n: _factor_set(w.word(), n, starts) for n, starts, _ in _factor_levels(w, max_length)}
+    return {n: _factor_set(w.word(), n, starts) for n, starts in _factor_levels(w, max_length)}
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +474,21 @@ def _is_periodic(word: str) -> bool:
 
 
 def _validate_sturmian(w: CentralWindow, max_check: int) -> None:
-    for n, starts, defect in _factor_levels(w, min(max_check, len(w))):
-        if len(starts) > n + 1:
-            raise NotSturmian(f"complexity exceeds n+1 at n={n}")
-        if defect > 1:
+    """NotSturmian at the first length n <= max_check (and <= len(w))
+    where the window has more than n + 1 factors or a balance defect
+    above 1; complexity is reported first when both fail at that n.
+
+    Only the sliding one-counts are read: balance at every length up to
+    n implies complexity <= n + 1 up to n (Lothaire, "Algebraic
+    Combinatorics on Words", Prop. 2.1.2; Coven & Hedlund, Math. Systems
+    Theory 7, 1973; the argument is in the comment above `_symbol_array`),
+    so neither check fails below the first length where balance fails.
+    The factors of that one length are counted only to pick the message."""
+    ones = _one_counts(w)
+    for n in range(1, min(max_check, len(w)) + 1):
+        if _defect(ones, n) > 1:
+            if len(_level(w, n)) > n + 1:
+                raise NotSturmian(f"complexity exceeds n+1 at n={n}")
             raise NotSturmian(f"balance defect exceeds 1 at n={n}")
 
 
@@ -467,7 +514,10 @@ def estimate_rotation_interval(
     """Farey interval guaranteed to contain every slope whose Sturmian
     language includes all observed factors.
 
-    Stern-Brocot refinement: each mediant p/q is accepted on the side
+    The window is first checked to be balanced at every factor length up
+    to `validate_to`, which also bounds its complexity by n + 1 there (see
+    `_validate_sturmian`); NotSturmian names the first length that fails.
+    Then Stern-Brocot refinement: each mediant p/q is accepted on the side
     proven either by the symbol-0 frequency bound or by the zero counts of
     the window's length-q factors.  A length-q factor of a coding of slope
     beta has floor(q*beta) or ceil(q*beta) zeros, so a factor with more

@@ -289,7 +289,8 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     tries one step only and the descent stops at the first one refused;
     this takes the residual to round-off, which keeps exponentially small
     heteroclinic tails clean.  Returns the padded array of the last
-    accepted point, its action and its residual.  A DEBUG record on this
+    accepted point, its action, its residual, the number of steps
+    accepted and the number of factorizations refused.  A DEBUG record on this
     module's logger gives the steps accepted, the factorizations refused,
     the steps rejected as uphill, the largest tau tried and the residual."""
     def evaluate(x):
@@ -323,7 +324,7 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("newton sites=%d cyclic=%d steps=%d refused=%d uphill=%d max_tau=%.3e "
                    "residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau, res)
-    return e, f, res
+    return e, f, res, steps, refused
 
 
 def minimize_periodic(
@@ -336,9 +337,12 @@ def minimize_periodic(
     """Action-minimizing critical (p,q)-configuration from STARTS starts
     (half of them shifted ramps, the rest random with seed SEED), each
     descended until its residual is within TOL; NoConvergence past the
-    iteration cap reports the best residual.  A DEBUG record gives the
-    starts tried and how many of them converged, were well ordered and
-    confirmed the final minimum."""
+    iteration cap reports the best residual.  A start that takes no step
+    because its Hessian was refused is critical but not a minimizer (the
+    (0,1) start x = 0 is the potential's maximum), and is skipped.  A
+    DEBUG record gives the starts tried and how many of them converged,
+    were skipped for a refused Hessian, were well ordered and confirmed
+    the final minimum."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
@@ -354,14 +358,18 @@ def minimize_periodic(
 
     best = None
     best_res = math.inf
-    starts = converged = ordered = confirmations = 0
+    starts = converged = skipped = ordered = confirmations = 0
     for x0 in candidates:
         starts += 1
-        e, _, res = _newton_minimize(gf, lambda x: _pad(x, p), x0, max_iter, cyclic=True)
+        e, _, res, steps, refused = _newton_minimize(gf, lambda x: _pad(x, p), x0, max_iter,
+                                                     cyclic=True)
         best_res = min(best_res, res)
         if res > TOL:
             continue
         converged += 1
+        if steps == 0 and refused:
+            skipped += 1
+            continue
         x = e[1:-1]
         cfg = Configuration(x - math.floor(x[0]), "periodic", p, q)
         if not check_well_ordered(cfg):
@@ -376,8 +384,9 @@ def minimize_periodic(
             if confirmations >= 4:
                 break  # the same minimum keeps reappearing
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("minimize_periodic p=%d q=%d starts=%d converged=%d well_ordered=%d "
-                   "confirmations=%d", p, q, starts, converged, ordered, confirmations)
+        _log.debug("minimize_periodic p=%d q=%d starts=%d converged=%d skipped=%d "
+                   "well_ordered=%d confirmations=%d", p, q, starts, converged, skipped,
+                   ordered, confirmations)
     if best is None:
         raise NoConvergence(f"no well-ordered critical ({p},{q}) configuration found",
                             residual=best_res)
@@ -417,7 +426,7 @@ def heteroclinic_minimizer(
     for offset in (0.5, 0.0, 0.25):
         blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
-        x, w, res = _newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
+        x, w, res, _, _ = _newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
         if res > TOL:
             continue
         diag, off = _hessian(gf, x)

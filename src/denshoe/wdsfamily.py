@@ -46,9 +46,11 @@ from .exact import QuadReal, as_real
 from .symbolic import (
     CentralWindow,
     FactorSet,
+    _defect,
     _factor_levels,
     _factor_set,
     _first_disagreement,
+    _one_counts,
     estimate_rotation_interval,
     sturmian_window,
 )
@@ -176,12 +178,13 @@ def build_wds(
         raise WindowTooShort(f"window radius {radius} < 2*depth+1 = {top}")
     w = sturmian_window(a, 0, radius)
     levels = list(_factor_levels(w, top))
-    for n, starts, defect in levels:
+    ones = _one_counts(w)
+    for n, starts in levels:
         if len(starts) != n + 1:
             raise NotSturmian(f"{len(starts)} factors of length {n}, not {n + 1}")
-        if defect > 1:
+        if _defect(ones, n) > 1:
             raise NotSturmian(f"balance defect exceeds 1 at length {n}")
-    fam = {n: _factor_set(w.word(), n, starts) for n, starts, _ in levels}
+    fam = {n: _factor_set(w.word(), n, starts) for n, starts in levels}
     return WdsSymbolic(a, depth, fam, w, orientation)
 
 

@@ -219,6 +219,25 @@ def test_statistics_match_string_functions(w):
         assert outcome(sy._validate_sturmian, w, m) == outcome(old_validate_sturmian, w, m)
 
 
+def test_validator_matches_old_loop_on_every_short_word():
+    """Balance alone, with the factors of the first unbalanced length
+    counted for the message, gives the old loop's outcome on every word
+    of odd length up to 13."""
+    for L in range(1, 14, 2):
+        for bits in itertools.product((0, 1), repeat=L):
+            w = sy.CentralWindow(L // 2, bits)
+            for m in (1, 2, 3, 5, 40):
+                assert (outcome(sy._validate_sturmian, w, m)
+                        == outcome(old_validate_sturmian, w, m)), (bits, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(coding_windows(st.integers(50, 800)), flipped_windows(st.integers(50, 800))),
+       st.sampled_from((10, 40)))
+def test_validator_matches_old_loop_on_flipped_windows(w, m):
+    assert outcome(sy._validate_sturmian, w, m) == outcome(old_validate_sturmian, w, m)
+
+
 def test_factor_family_of_long_window():
     w = sy.sturmian_window(ALPHA_STAR, Fraction(1, 7), 3000)
     assert sy.factor_family(w, 41) == old_factor_family(w, 41)
@@ -385,3 +404,32 @@ def test_cached_word_is_not_part_of_the_value():
     assert dataclasses.replace(w, radius=12) == w
     back = sy.CentralWindow.from_word(w.word())
     assert back == w and back.word() == w.word()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.uint8])
+def test_window_from_ndarray_list_and_tuple(dtype):
+    syms = (0, 1, 0, 0, 1)
+    tup = sy.CentralWindow(2, syms)
+    for w in (sy.CentralWindow(2, np.array(syms, dtype=dtype)), sy.CentralWindow(2, list(syms))):
+        assert w == tup and hash(w) == hash(tup) and repr(w) == repr(tup)
+        assert w.word() == "01001" and w.segment(-1, 1) == "100"
+        assert all(type(s) is int for s in w.symbols)
+
+
+SYMBOL_VALUES = (0, 1, 2, -1, 0.5, None, "1", [1], True, False,
+                 np.int64(0), np.int64(1), np.uint8(1), np.int8(0), np.int64(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda r: st.lists(st.sampled_from(SYMBOL_VALUES), min_size=2 * r + 1, max_size=2 * r + 1)),
+    st.booleans())
+def test_symbol_check_matches_old_generator(syms, as_tuple):
+    """The window accepts exactly the symbols the replaced check,
+    any(s not in (0, 1) ...), accepted, from a tuple or a list."""
+    r = len(syms) // 2
+    got = outcome(sy.CentralWindow, r, tuple(syms) if as_tuple else syms)
+    if any(s not in (0, 1) for s in syms):
+        assert got == (InvalidArgument, "symbols must be 0 or 1")
+    else:
+        assert got == sy.CentralWindow(r, tuple(int(s) for s in syms))

@@ -300,18 +300,26 @@ class TestRecords:
         assert int(summary["starts"]) == len(runs)
         converged = sum(float(f["residual"]) <= tw.TOL for _, f in runs)
         assert int(summary["converged"]) == converged
-        assert 1 <= int(summary["well_ordered"]) <= converged
+        skipped = sum(float(f["residual"]) <= tw.TOL and f["steps"] == "0" and f["refused"] != "0"
+                      for _, f in runs)
+        assert int(summary["skipped"]) == skipped
+        assert 1 <= int(summary["well_ordered"]) <= converged - skipped
         assert int(summary["confirmations"]) <= int(summary["well_ordered"]) - 1
 
     def test_start_on_the_potential_maximum_is_refused(self, family, caplog):
         # the first (0,1) start is x = 0: critical, with H = -K < 0, so its
-        # one factorization is refused and no step is taken
+        # one factorization is refused, no step is taken, and the start is
+        # skipped; the minimizer is the saddle orbit x = 1/2
         gf, _ = family
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
-            tw.minimize_periodic(gf, 0, 1)
+            cfg = tw.minimize_periodic(gf, 0, 1)
         assert caplog.records[0].getMessage() == (
             "newton sites=1 cyclic=1 steps=0 refused=1 uphill=0 max_tau=0.000e+00 "
             "residual=0.000e+00")
+        name, summary = fields(caplog.records[-1].getMessage())
+        assert name == "minimize_periodic" and summary["skipped"] == "1"
+        assert int(summary["well_ordered"]) <= int(summary["converged"]) - 1
+        assert cfg.x.tolist() == [0.5]
 
     def test_heteroclinic_record(self, family, caplog):
         gf, _ = family

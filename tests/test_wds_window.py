@@ -3,7 +3,8 @@
 
 The oracles are the implementations they replaced, copied here unchanged
 except that the saturation loop raises AssertionError where it raised the
-deleted NotSaturated: a window that doubles its radius until every
+deleted NotSaturated and counts the ones of each factor itself, since the
+factor kernel no longer reports a balance defect: a window that doubles its radius until every
 factor length n has n+1 factors, and arc words coded as 2n+2 separate
 exact windows at the 2n+2 arc ends, sorted exactly.
 """
@@ -42,16 +43,17 @@ def old_build_wds(alpha, depth, *, initial_radius=None, max_radius=1 << 17, orie
     while True:
         w = sy.sturmian_window(a, 0, radius)
         levels = list(sy._factor_levels(w, top))
-        if all(len(starts) == n + 1 for n, starts, _ in levels):
+        if all(len(starts) == n + 1 for n, starts in levels):
             break
         if radius >= max_radius:
             raise AssertionError(
                 f"factors not saturated at depth {depth} with radius {radius}")
         radius *= 2
-    for n, _, defect in levels:
-        if defect > 1:
+    fam = {n: sy._factor_set(w.word(), n, starts) for n, starts in levels}
+    for n, fs in fam.items():
+        ones = [u.count("1") for u in fs.words]
+        if max(ones) - min(ones) > 1:
             raise AssertionError(f"balance defect exceeds 1 at length {n}")
-    fam = {n: sy._factor_set(w.word(), n, starts) for n, starts, _ in levels}
     return wf.WdsSymbolic(a, depth, fam, w, orientation)
 
 
