@@ -338,13 +338,6 @@ def _defect(ones: np.ndarray, n: int) -> int:
     return int(counts.max() - counts.min())
 
 
-def _check_length(w: CentralWindow, n: int) -> None:
-    if n < 1:
-        raise InvalidArgument("factor length must be >= 1")
-    if n > len(w):
-        raise WindowTooShort(f"window length {len(w)} < factor length {n}")
-
-
 def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray]]:
     """(n, starts) for n = 1..top: one start of each distinct length-n
     factor, in lexicographic order of the factors."""
@@ -371,7 +364,8 @@ def _factor_set(word: str, n: int, starts: np.ndarray) -> FactorSet:
 
 def _level(w: CentralWindow, n: int) -> np.ndarray:
     """One start of each distinct length-n factor."""
-    _check_length(w, n)
+    if n < 1:
+        raise InvalidArgument("factor length must be >= 1")
     *_, (_, starts) = _factor_levels(w, n)
     return starts
 
@@ -387,7 +381,10 @@ def complexity(w: CentralWindow, n: int) -> int:
 
 def balance_defect(w: CentralWindow, n: int) -> int:
     """Max difference of 1-counts over pairs of length-n factors (<=1 iff balanced)."""
-    _check_length(w, n)
+    if n < 1:
+        raise InvalidArgument("factor length must be >= 1")
+    if n > len(w):
+        raise WindowTooShort(f"window length {len(w)} < factor length {n}")
     return _defect(_one_counts(w), n)
 
 

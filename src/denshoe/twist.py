@@ -43,6 +43,7 @@ from .exact import convergents as cf_convergents
 TWO_PI = 2.0 * math.pi
 
 TOL = 1e-10              # Newton residual max|grad| that counts as converged
+NEGATIVE_CURVATURE = 1e-8  # Hessian eigenvalue at or below minus this: not a minimizer
 STARTS, SEED = 20, 0     # periodic multi-start: starts, seed of the random ones
 TAIL_TOL = 1e-6          # largest drift of a segment's ends from its two orbits
 STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
@@ -327,6 +328,15 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     return e, f, res, steps, refused
 
 
+def _clearly_indefinite(gf, e) -> bool:
+    """Whether the cyclic Hessian H at the padded array e has an eigenvalue
+    at or below -NEGATIVE_CURVATURE, i.e. H + NEGATIVE_CURVATURE I is
+    refused too."""
+    diag, off = _hessian(gf, e)
+    return _positive_solve((diag + NEGATIVE_CURVATURE).tolist(), off.tolist(),
+                           [0.0] * len(diag), cyclic=True) is None
+
+
 def minimize_periodic(
     gf: GeneratingFunction,
     p: int,
@@ -338,11 +348,14 @@ def minimize_periodic(
     (half of them shifted ramps, the rest random with seed SEED), each
     descended until its residual is within TOL; NoConvergence past the
     iteration cap reports the best residual.  A start that takes no step
-    because its Hessian was refused is critical but not a minimizer (the
-    (0,1) start x = 0 is the potential's maximum), and is skipped.  A
-    DEBUG record gives the starts tried and how many of them converged,
-    were skipped for a refused Hessian, were well ordered and confirmed
-    the final minimum."""
+    because its Hessian was refused, and whose Hessian has an eigenvalue
+    at or below -NEGATIVE_CURVATURE, is critical but not a minimizer
+    (the (0,1) start x = 0 is the potential's maximum, with H = -K), and
+    is skipped.
+    A start refused only for a singular Hessian is kept: at K = 0 every
+    start is a degenerate minimizer.  A DEBUG record gives the starts
+    tried and how many of them converged, were skipped as indefinite,
+    were well ordered and confirmed the final minimum."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
@@ -367,7 +380,7 @@ def minimize_periodic(
         if res > TOL:
             continue
         converged += 1
-        if steps == 0 and refused:
+        if steps == 0 and refused and _clearly_indefinite(gf, e):
             skipped += 1
             continue
         x = e[1:-1]

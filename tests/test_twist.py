@@ -92,6 +92,20 @@ class TestMinimizePeriodic:
             other = tw.Configuration(rng.uniform(0, 1, 1), "periodic", 0, 1)
             assert a0 <= tw.action(gf, other) + 1e-12
 
+    def test_degenerate_minimizers_at_zero_coupling(self, caplog):
+        # at K = 0 every equally spaced configuration is a minimizer; its
+        # Hessian is singular, so the first start's factorization is refused
+        # before any step, but it has no negative direction and is kept
+        gf, _ = tw.standard_family(0.0)
+        for p, q in ((0, 1), (1, 1), (2, 1), (1, 2), (2, 5)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+                cfg = tw.minimize_periodic(gf, p, q)
+            assert (cfg.p, cfg.q) == (p, q) and cfg.well_ordered
+            assert tw.criticality_residual(gf, cfg) <= 1e-15
+            assert cfg.x == pytest.approx(np.arange(q) * (p / q), abs=1e-15)
+            assert fields(caplog.records[-1].getMessage())[1]["skipped"] == "0"
+
     def test_one_two(self, family):
         gf, _ = family
         cfg = tw.minimize_periodic(gf, 1, 2)
@@ -300,6 +314,8 @@ class TestRecords:
         assert int(summary["starts"]) == len(runs)
         converged = sum(float(f["residual"]) <= tw.TOL for _, f in runs)
         assert int(summary["converged"]) == converged
+        # at K = 1 a critical start refused before any step is a saddle or a
+        # maximum, never a degenerate minimizer, so every such start is skipped
         skipped = sum(float(f["residual"]) <= tw.TOL and f["steps"] == "0" and f["refused"] != "0"
                       for _, f in runs)
         assert int(summary["skipped"]) == skipped
