@@ -75,10 +75,15 @@ class CentralWindow:
             object.__setattr__(self, "symbols", tuple(syms))
         if len(self.symbols) != 2 * self.radius + 1:
             raise InvalidArgument("need exactly 2N+1 symbols")
-        # count() compares by ==, as `in` does: True and numpy integers pass
+        # count() compares by ==, as `in` does: True and numpy integers pass,
+        # and so does a float equal to 0 or 1, which bytes() then refuses
         if self.symbols.count(0) + self.symbols.count(1) != len(self.symbols):
             raise InvalidArgument("symbols must be 0 or 1")
-        object.__setattr__(self, "_word", bytes(self.symbols).translate(_DIGITS).decode())
+        try:
+            raw = bytes(self.symbols)
+        except TypeError:
+            raise InvalidArgument("symbols must be the integers 0 or 1") from None
+        object.__setattr__(self, "_word", raw.translate(_DIGITS).decode())
 
     def __getitem__(self, k: int) -> int:
         if abs(k) > self.radius:
@@ -300,13 +305,37 @@ def shift_distance(u: CentralWindow, v: CentralWindow) -> ShiftDistance:
 # factors, complexity, balance
 # ---------------------------------------------------------------------------
 #
-# One pass serves every factor length.  With lab[i] the rank, among the
-# distinct length-n factors in lexicographic order, of the factor that
-# starts at i, the length-(n+1) factor at i is the pair (lab[i], s[i+n]);
-# the key 2*lab[i] + s[i+n] orders those pairs lexicographically, so the
-# ranks of the keys that occur are the next level's labels.  The keys
-# are below twice the number of labels, so ranking them is a presence
-# table and a cumulative sum, O(L) per length.
+# One sort serves a block of up to 61 factor lengths.  With lab[i] a label
+# of the length-n0 factor that starts at i (below `size`, equal for equal
+# factors, ordered as the factors are), and code[i] the next b symbols
+# s[i+n0 .. i+n0+b-1] packed into b bits (first symbol highest, zeros past
+# the end of the window), the key lab[i] << b | code[i] orders the
+# length-(n0+b) factors lexicographically; b <= 62 - bitlen(size) keeps it
+# below 2**62.  The codes are built by shift-or doubling: the code of
+# width 2w at i is the code of width w at i, shifted by w, or'ed with the
+# one at i + w.
+#
+# The block sorts the keys of every start i < L - n0 once (np.unique).
+# The last b - 1 of them are late: their codes hold only the L - n0 - i
+# symbols left, and a late key equal to an earlier one is the earlier
+# word cut short, so the first occurrence stands for both.  In the sorted
+# list the length-(n0+k) factor of an entry is the prefix key >> (b - k),
+# which is monotone in the key, so the distinct factors of length n0 + k
+# are the runs of equal prefixes among the entries still valid at k, and
+# the first entry of each run gives one start per factor, in
+# lexicographic order.  An entry starts a run iff k exceeds a, the common
+# prefix of its code and the code before it (0 when their labels
+# differ), read from the highest bit of the two keys' xor.  When a late
+# start runs out of symbols it leaves the list, and the entry after it
+# takes the smaller of the two a's: the common prefix of sorted words
+# u <= v <= x is the shorter of those of (u, v) and (v, x).  Each length is
+# then one comparison and one gather.  The ranks from the sort (its
+# inverse), at the starts with all b symbols, are the labels that the
+# next block starts from, so any top <= L works.  The cost is one
+# O(L log L) sort and about log2(b) O(L) passes per block, plus
+# O(distinct) per length: on a Sturmian window, about n + 1 entries
+# instead of the L starts.  Memory is O(L): a few int64 arrays of
+# length L.
 #
 # Balance needs no factors: with ones[j] the number of 1s among the first
 # j symbols, ones[n:] - ones[:-n] are the one-counts of the length-n
@@ -338,24 +367,84 @@ def _defect(ones: np.ndarray, n: int) -> int:
     return int(counts.max() - counts.min())
 
 
+def _codes(s: np.ndarray, b: int) -> np.ndarray:
+    """The b-bit codes, first symbol highest, of s[i:i+b] for every i,
+    zero-padded past the end of s; 1 <= b <= 62."""
+    width = 1
+    while 2 * width <= b:
+        width *= 2
+    # the doublings read width - 1 entries past each start, the last step
+    # another width: pad s with 2 * width - 1 zeros
+    c = np.concatenate((s, np.zeros(2 * width - 1, dtype=np.int64)))
+    w = 1
+    while w < width:
+        c = c[:-w] << w | c[w:]
+        w *= 2
+    # the last b - width symbols are the top bits of the code `width` on
+    return c[:-width] << (b - width) | c[width:] >> (2 * width - b)
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of x, 0 <= x < 2**62; each half of 31
+    bits converts to a float exactly."""
+    high = x >> 31
+    return np.where(high > 0, np.frexp(high)[1] + 31, np.frexp(x)[1])
+
+
 def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray]]:
     """(n, starts) for n = 1..top: one start of each distinct length-n
-    factor, in lexicographic order of the factors."""
-    if top > len(w):
-        raise WindowTooShort(f"window length {len(w)} < factor length {top}")
+    factor, in lexicographic order of the factors.
+
+    The lengths come in blocks of b <= 62 - bitlen(size) (61 in the first
+    block).  A block packs the next b symbols after each start into a
+    code, zero-padded where fewer are left, sorts the keys lab << b | code
+    once, and reads length n0 + k as the runs of the prefixes
+    key >> (b - k) among the entries valid to k, from the common prefixes
+    of neighbouring codes.  The sort's inverse gives the labels the next
+    block starts from.  Cost: O(L log L) per block plus O(distinct) per
+    length; memory O(L).  See the comment above `_symbol_array`.  A DEBUG
+    record on this module's logger gives the window length, top, the
+    number of blocks and the distinct keys of each block's sort."""
+    L = len(w)
+    if top > L:
+        raise WindowTooShort(f"window length {L} < factor length {top}")
     s = _symbol_array(w)
-    lab = np.zeros(len(s) + 1, dtype=np.int64)     # the empty factor, at 0..L
-    size = 1
-    for n in range(1, top + 1):
-        key = 2 * lab[:-1] + s[n - 1:]
-        seen = np.zeros(2 * size, dtype=bool)
-        seen[key] = True
-        rank = np.cumsum(seen) - 1
-        lab = rank[key]
-        size = int(rank[-1]) + 1
-        starts = np.empty(size, dtype=np.int64)
-        starts[lab] = np.arange(len(lab))
-        yield n, starts
+    lab = np.zeros(L + 1, dtype=np.int64)      # the empty factor, at 0..L
+    size, n0 = 1, 0
+    distinct = []
+    while n0 < top:
+        b = min(62 - size.bit_length(), top - n0)
+        key = lab[:L - n0] << b | _codes(s[n0:], b)
+        keys, starts, inverse = np.unique(key, return_index=True, return_inverse=True)
+        lab, size = inverse[:L - n0 - b + 1], len(keys)
+        distinct.append(size)
+        valid = L - n0 - starts                # symbols left; b or more at a full start
+        # entry j starts a run of equal length-(n0+k) prefixes iff k > a[j],
+        # the common prefix of its code and the one before it (0 when
+        # their labels differ)
+        a = np.concatenate(([0], np.maximum(b - _bit_length(keys[1:] ^ keys[:-1]), 0)))
+        late = np.flatnonzero(valid < b)
+        leaves = dict(zip(valid[late].tolist(), late.tolist()))
+        gone = set()
+        for k in range(1, b + 1):
+            p = leaves.get(k - 1)
+            if p is not None:
+                # the late start with k - 1 symbols leaves (a = b + 1 starts
+                # no run); the next entry still in now follows the one
+                # before it, and shares with it the shorter of the two
+                # prefixes
+                gone.add(p)
+                q = p + 1
+                while q in gone:
+                    q += 1
+                if q < len(a):
+                    a[q] = min(a[q], a[p])
+                a[p] = b + 1
+            yield n0 + k, starts[a < k]
+        n0 += b
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("factor_levels length=%d top=%d blocks=%d distinct=%s",
+                   L, top, len(distinct), ",".join(map(str, distinct)))
 
 
 def _factor_set(word: str, n: int, starts: np.ndarray) -> FactorSet:

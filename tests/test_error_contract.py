@@ -7,6 +7,7 @@ checks raise `InvalidArgument` (a `ValueError`) or `OutOfRange` (an
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -108,6 +109,15 @@ def test_argument_errors_and_edge_answers():
     assert convergents(Fraction(1, 3), 0) == []
     with pytest.raises(TypeError):  # not coercible: the operators return NotImplemented
         QuadReal(1) < 0.5
+
+
+@pytest.mark.parametrize("symbols", [(1.0,), [1.0], (0.0,), np.array([0.0, 1.0, 0.0])],
+                         ids=["tuple-1.0", "list-1.0", "tuple-0.0", "float-ndarray"])
+def test_float_symbols_are_invalid(symbols):
+    # a float equal to 0 or 1 passes the symbol check by ==, but is no
+    # integer symbol
+    with pytest.raises(InvalidArgument):
+        sy.CentralWindow(len(symbols) // 2, symbols)
 
 
 def test_indices_beyond_the_float_range():

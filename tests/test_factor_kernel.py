@@ -1,4 +1,4 @@
-"""Property tests for the one-pass factor kernel of `symbolic` and for the
+"""Property tests for the factor kernel of `symbolic` and for the
 Stern-Brocot walk that reads sliding zero counts.
 
 The oracles are the string functions and the language-building walk the
@@ -8,7 +8,8 @@ ValueError, and the walk caches its one-sided language differences per
 mediant (they depend on p/q alone) and has lost its constant-window
 shortcut, whose interval [0, 1/(L+1)] could miss the slope.  The walk's
 periodicity test is the KMP failure-function period that
-`symbolic._is_periodic` replaced.
+`symbolic._is_periodic` replaced.  The block kernel `_factor_levels` is
+checked against the per-length label loop it replaced, copied unchanged.
 """
 
 import dataclasses
@@ -59,6 +60,26 @@ def old_balance_defect(w, n):
 
 def old_factor_family(w, max_length):
     return {n: old_factor_set(w, n) for n in range(1, max_length + 1)}
+
+
+def old_factor_levels(w, top):
+    """The label kernel that the block kernel replaced: one pass over the
+    window per length, ranking the keys 2 * label + next symbol."""
+    if top > len(w):
+        raise WindowTooShort(f"window length {len(w)} < factor length {top}")
+    s = sy._symbol_array(w)
+    lab = np.zeros(len(s) + 1, dtype=np.int64)     # the empty factor, at 0..L
+    size = 1
+    for n in range(1, top + 1):
+        key = 2 * lab[:-1] + s[n - 1:]
+        seen = np.zeros(2 * size, dtype=bool)
+        seen[key] = True
+        rank = np.cumsum(seen) - 1
+        lab = rank[key]
+        size = int(rank[-1]) + 1
+        starts = np.empty(size, dtype=np.int64)
+        starts[lab] = np.arange(len(lab))
+        yield n, starts
 
 
 def old_validate_sturmian(w, max_check):
@@ -193,12 +214,63 @@ def flipped_windows(draw, radii):
     return sy.CentralWindow(len(syms) // 2, tuple(syms))
 
 
-random_windows = st.integers(0, 40).flatmap(
-    lambda r: st.lists(st.integers(0, 1), min_size=2 * r + 1, max_size=2 * r + 1)
-    .map(lambda s: sy.CentralWindow(r, tuple(s))))
+def random_windows(radii):
+    return radii.flatmap(
+        lambda r: st.lists(st.integers(0, 1), min_size=2 * r + 1, max_size=2 * r + 1)
+        .map(lambda s: sy.CentralWindow(r, tuple(s))))
 
-any_windows = st.one_of(random_windows, flipped_windows(st.integers(0, 60)),
+
+any_windows = st.one_of(random_windows(st.integers(0, 40)), flipped_windows(st.integers(0, 60)),
                         coding_windows(st.integers(0, 60)))
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the label loop
+# ---------------------------------------------------------------------------
+
+def assert_levels_match(w, top):
+    """Same lengths, the same number of factors per length and the same
+    words; the starts are distinct and their factors strictly increasing."""
+    word = w.word()
+    new = list(sy._factor_levels(w, top))
+    old = list(old_factor_levels(w, top))
+    assert [n for n, _ in new] == [n for n, _ in old] == list(range(1, top + 1))
+    for (n, starts), (_, ref) in zip(new, old):
+        assert len(set(starts.tolist())) == len(starts) == len(ref), n
+        words = [word[i:i + n] for i in starts.tolist()]
+        assert words == sorted(set(words)), n
+        assert set(words) == {word[i:i + n] for i in ref.tolist()}, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_windows(st.integers(0, 70)), flipped_windows(st.integers(0, 70)),
+                 coding_windows(st.integers(0, 70))))
+def test_block_kernel_matches_label_loop(w):
+    """Tops past 61 run a second and third block from carried labels."""
+    L = len(w)
+    for top in (1, 41, 61, 62, 63, 100, L):
+        if top <= L:
+            assert_levels_match(w, top)
+    with pytest.raises(WindowTooShort):
+        next(sy._factor_levels(w, L + 1))
+
+
+@pytest.mark.parametrize("word", [
+    "0" * 141, "1" * 141, "01" * 70 + "0",
+    "1" + "0" * 140, "0110100110010110" * 4 + "1" * 77, "1011" * 17 + "0" * 73])
+def test_block_kernel_on_windows_ending_in_a_run(word):
+    """The late starts' codes, zero-padded, tie with each other and with
+    full keys, and the late entries that stay each leave the sorted list
+    at their own length."""
+    w = sy.CentralWindow.from_word(word)
+    for top in (41, 61, 62, 100, len(w)):
+        assert_levels_match(w, top)
+
+
+def test_block_kernel_on_every_short_word():
+    for L in range(1, 14, 2):
+        for bits in itertools.product((0, 1), repeat=L):
+            assert_levels_match(sy.CentralWindow(L // 2, bits), L)
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +461,32 @@ def test_no_walk_record_when_debug_is_off(caplog):
     assert not caplog.records
 
 
+def test_factor_levels_record(caplog):
+    w, top = sy.sturmian_window(ALPHA_STAR, 0, 100), 150
+    with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
+        fam = sy.factor_family(w, top)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("factor_levels")]
+    # a block of b <= 62 - bitlen(size) lengths sorts the words of length
+    # n0 + b at every start i < L - n0, zero-padded past the end; the
+    # first block takes 61 lengths
+    word = w.word()
+    n0, size, distinct = 0, 1, []
+    while n0 < top:
+        b = min(62 - size.bit_length(), top - n0)
+        size = len({(word + "0" * b)[i:i + n0 + b] for i in range(len(word) - n0)})
+        distinct.append(size)
+        n0 += b
+    assert len(distinct) == 3 and len(fam) == top
+    assert record.getMessage() == (
+        f"factor_levels length=201 top={top} blocks=3 distinct={','.join(map(str, distinct))}")
+
+
+def test_no_factor_levels_record_when_debug_is_off(caplog):
+    with caplog.at_level(logging.INFO, logger="denshoe.symbolic"):
+        sy.factor_family(sy.sturmian_window(ALPHA_STAR, 0, 100), 150)
+    assert not caplog.records
+
+
 # ---------------------------------------------------------------------------
 # the cached word
 # ---------------------------------------------------------------------------
@@ -426,7 +524,9 @@ SYMBOL_VALUES = (0, 1, 2, -1, 0.5, None, "1", [1], True, False,
     st.booleans())
 def test_symbol_check_matches_old_generator(syms, as_tuple):
     """The window accepts exactly the symbols the replaced check,
-    any(s not in (0, 1) ...), accepted, from a tuple or a list."""
+    any(s not in (0, 1) ...), accepted, from a tuple or a list; none of
+    the values is a float equal to 0 or 1, which the check passed but the
+    window refuses (see tests/test_error_contract.py)."""
     r = len(syms) // 2
     got = outcome(sy.CentralWindow, r, tuple(syms) if as_tuple else syms)
     if any(s not in (0, 1) for s in syms):
