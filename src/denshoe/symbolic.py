@@ -391,8 +391,9 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(high > 0, np.frexp(high)[1] + 31, np.frexp(x)[1])
 
 
-def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(n, starts) for n = 1..top: one start of each distinct length-n
+def _factor_levels(w: CentralWindow, top: int,
+                   first: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """(n, starts) for n = first..top: one start of each distinct length-n
     factor, in lexicographic order of the factors.
 
     The lengths come in blocks of b <= 62 - bitlen(size) (61 in the first
@@ -401,10 +402,11 @@ def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray
     once, and reads length n0 + k as the runs of the prefixes
     key >> (b - k) among the entries valid to k, from the common prefixes
     of neighbouring codes.  The sort's inverse gives the labels the next
-    block starts from.  Cost: O(L log L) per block plus O(distinct) per
-    length; memory O(L).  See the comment above `_symbol_array`.  A DEBUG
-    record on this module's logger gives the window length, top, the
-    number of blocks and the distinct keys of each block's sort."""
+    block starts from; a block that ends below `first` gives only those.
+    Cost: O(L log L) per block plus O(distinct) per length read; memory
+    O(L).  See the comment above `_symbol_array`.  A DEBUG record on this
+    module's logger gives the window length, top, the number of blocks
+    and the distinct keys of each block's sort."""
     L = len(w)
     if top > L:
         raise WindowTooShort(f"window length {L} < factor length {top}")
@@ -418,6 +420,9 @@ def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray
         keys, starts, inverse = np.unique(key, return_index=True, return_inverse=True)
         lab, size = inverse[:L - n0 - b + 1], len(keys)
         distinct.append(size)
+        if n0 + b < first:
+            n0 += b
+            continue
         valid = L - n0 - starts                # symbols left; b or more at a full start
         # entry j starts a run of equal length-(n0+k) prefixes iff k > a[j],
         # the common prefix of its code and the one before it (0 when
@@ -440,7 +445,8 @@ def _factor_levels(w: CentralWindow, top: int) -> Iterator[tuple[int, np.ndarray
                 if q < len(a):
                     a[q] = min(a[q], a[p])
                 a[p] = b + 1
-            yield n0 + k, starts[a < k]
+            if n0 + k >= first:
+                yield n0 + k, starts[a < k]
         n0 += b
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("factor_levels length=%d top=%d blocks=%d distinct=%s",
@@ -455,7 +461,7 @@ def _level(w: CentralWindow, n: int) -> np.ndarray:
     """One start of each distinct length-n factor."""
     if n < 1:
         raise InvalidArgument("factor length must be >= 1")
-    *_, (_, starts) = _factor_levels(w, n)
+    ((_, starts),) = _factor_levels(w, n, n)
     return starts
 
 

@@ -17,7 +17,9 @@ That pivot refuses a damped Newton step and marks the saddle test and
 the discrete Jacobi test as failed; otherwise both substitutions read the
 stored multipliers, so a solve divides by each pivot once.  Minimizers
 are found by damped Newton descent on the action, with multi-start for
-periodic orbits and several kink centerings for heteroclinic segments.
+periodic orbits and three kink centerings for heteroclinic segments, each
+descended first on a central core of 50 q bonds and then finished on the
+full window (see `heteroclinic_minimizer`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -195,7 +197,11 @@ def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
     below -1e-12 at another.  Row a of the (q, q) table x_{i+a} - x_i holds
     the differences of every b at once, so one row max and one row min per
     shift a decide all of them, in O(q^2) time and memory whatever p is.
-    The row a = 0 is exactly 0, so the configuration itself never crosses.
+    With hi and lo the row's max and min, hi + b > 1e-12 holds from the
+    smallest such b on and lo + b < -1e-12 up to the largest such b, so
+    the row crosses for some b in range iff the second holds at the first
+    b in range where the first does.  The row a = 0 is exactly 0, so the
+    configuration itself never crosses.
 
     b is added after the reduction, (x_{i+a} - x_i) + b, where a translate
     loop forms (x_{i+a} + b) - x_i.  For b = 0 the two are equal; otherwise
@@ -208,8 +214,13 @@ def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
     ext = cfg.extended(np.arange(2 * q))
     d = ext[np.add.outer(np.arange(q), np.arange(q))] - ext[:q]
     hi, lo = d.max(axis=1), d.min(axis=1)
-    bs = np.arange(-abs(p) - b_extra, abs(p) + b_extra + 1)[:, None]
-    return not np.any((hi + bs > 1e-12) & (lo + bs < -1e-12))
+    top = float(abs(p) + b_extra)
+    # the smallest integer b with hi + b > 1e-12: the ceiling of 1e-12 - hi,
+    # or one more where hi + b lands on 1e-12 or rounds to it
+    b = np.ceil(1e-12 - hi)
+    b = np.where(hi + b > 1e-12, b, b + 1.0)
+    b = np.maximum(b, -top)
+    return not np.any((b <= top) & (lo + b < -1e-12))
 
 
 def _ldl(diag, off) -> tuple[list[float], list[float]]:
@@ -418,51 +429,118 @@ def heteroclinic_minimizer(
     orbit to the right one over `window` bonds.  Each kink centering
     starts from a sigmoid blend of slope STEEPNESS and must reach a
     residual within TOL; TailNotSettled when the segment's ends stray
-    more than TAIL_TOL from the orbits they connect.  A DEBUG record gives
-    the winning offset, how many centerings converged to a minimizer and
-    to a saddle, the action gap from the winner to the next minimizer
-    (inf when there is none) and the edge residual."""
+    more than TAIL_TOL from the orbits they connect.
+
+    A minimal heteroclinic approaches its two orbits exponentially fast
+    away from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert,
+    Dynamics Reported 1, 1988).  For (0,1) the distance shrinks per site
+    by the saddle's eigenvalue, lam + 1/lam = 2 + K: at K = 0.7 by about
+    2.26, so every site more than about 45 from the kink sits on its
+    orbit to double precision.  So each centering first descends the
+    central core of C = min(window, 50 q) bonds, cut from the same orbit
+    values and clamped to them; 50 q is the smallest window accepted.
+    The converged core, with the orbit values on both sides, then starts
+    the descent of the full window, which only has the tails to settle.
+    When C is the window, the one descent is the full one.
+
+    The extended start's residual is the drift of the core's outermost
+    sites, between TOL and about 1e-8 for K below 1.  A Newton step from
+    there lowers the action by about 1e-19, far below the rounding of a
+    sum over the window, so the descent's action test would accept or
+    refuse it by rounding alone; at K = 0.8 over 1000 bonds one
+    centering would raise tau for all 400 iterations.  So one plain
+    Newton step on the full window, when its Hessian is positive
+    definite, first settles the tails, and the descent starts within
+    TOL.
+
+    A core critical point whose Hessian plus 1e-10 I is refused is a
+    saddle and is not extended.  The Hessian's diagonal is
+    2 - K cos 2 pi x_i and its off-diagonal is -1, so the core's Hessian
+    is the principal submatrix, over the core sites, of the full
+    window's Hessian at the extended start; by Cauchy interlacing the
+    full Hessian has an eigenvalue at or below the core's lowest, and is
+    indefinite there too.  A core minimizer whose ends stray more than
+    TAIL_TOL from the orbits has a kink too wide for the core (below
+    K = 0.32 for (0,1)): the clamps, not the lattice, then decide where
+    the kink sits, and between K = 0.1 and 0.14 every centering's core
+    converges to the site-centered kink, a saddle of the full window.
+    Such a centering descends the full window from its blend instead.
+    The residual, saddle and tail tests and the action comparison all
+    read the full window.
+
+    A DEBUG record gives the core size C, the winning offset, how many
+    centerings converged to a minimizer and to a saddle, how many of the
+    saddles were rejected on the core, how many cores were too narrow for
+    their kink, the action gap from the winner to the next minimizer (inf
+    when there is none) and the edge residual."""
     if window < 50 * left.q:
         raise InvalidArgument("window must be at least 50 q")
     L = window
     idx = np.arange(-L // 2, L - L // 2 + 1)
     base_l, base_r = left.extended(idx), right.extended(idx)
+    n = len(idx) - 1            # bonds of the padded array
+    C = min(n, 50 * left.q)
+    lo = (n - C) // 2
+    # (first, last) sites of each descent's padded array: core, then full
+    spans = [(lo, lo + C), (0, n)] if C < n else [(0, n)]
 
-    def clamped(xi):
-        return np.concatenate([[base_l[0]], xi, [base_r[-1]]])
+    def clamped(a, b):
+        return lambda xi: np.concatenate([[base_l[a]], xi, [base_r[b]]])
+
+    m = left.q + 1
+
+    def edge(e, a, b):
+        """Largest drift of the first and last q+1 sites of the padded
+        array e of sites a..b from the orbits they connect."""
+        return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
+                   np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
     # Both kink centerings are critical (site-centered is the
     # Peierls-Nabarro saddle); keep the one with the smaller action.
     best = None
     actions = []    # of every converged minimizer, in offset order
-    saddles = 0
+    saddles = core_saddles = core_skipped = 0
     for offset in (0.5, 0.0, 0.25):
         blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
-        x0 = base_l + (base_r - base_l) * blend
-        x, w, res, _, _ = _newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
-        if res > TOL:
-            continue
-        diag, off = _hessian(gf, x)
-        if _ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
-            saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
-            continue
-        if best is None or w < best[0] - 1e-14:
-            best = (w, x, offset, len(actions))
-        actions.append(w)
+        x = base_l + (base_r - base_l) * blend
+        for a, b in spans:
+            e, w, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
+                                               cyclic=False)
+            if res > TOL:
+                break
+            core = b - a < n
+            diag, off = _hessian(gf, e)
+            if _ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
+                saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
+                core_saddles += core
+                break
+            if core and edge(e, a, b) > TAIL_TOL:
+                core_skipped += 1
+                continue    # the kink does not fit the core: the window starts from the blend
+            x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
+            if core:
+                diag, off = _hessian(gf, x)
+                step = _positive_solve(diag.tolist(), off.tolist(),
+                                       (-_gradient(gf, x)).tolist(), cyclic=False)
+                if step is not None:
+                    x[1:-1] += step
+        else:
+            if best is None or w < best[0] - 1e-14:
+                best = (w, x, offset, len(actions))
+            actions.append(w)
     if best is None:
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
     x = best[1]
-    # the first and last q+1 sites must sit on the orbits they connect
-    m = left.q + 1
-    edge = max(np.max(np.abs(x[:m] - base_l[:m])), np.max(np.abs(x[-m:] - base_r[-m:])))
+    tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
         others = actions[:best[3]] + actions[best[3] + 1:]
-        _log.debug("heteroclinic_minimizer window=%d offset=%s minimizers=%d saddles=%d "
-                   "gap=%.3e edge=%.3e", window, best[2], len(actions), saddles,
-                   min(others, default=math.inf) - best[0], edge)
-    if edge > TAIL_TOL:
-        raise TailNotSettled(f"window edge residual {edge:.2e} exceeds {TAIL_TOL:.0e}")
+        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s minimizers=%d "
+                   "saddles=%d core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C,
+                   best[2], len(actions), saddles, core_saddles, core_skipped,
+                   min(others, default=math.inf) - best[0], tail)
+    if tail > TAIL_TOL:
+        raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - left.p, left.q)
 
 
@@ -549,7 +627,9 @@ def hyperbolicity_report(
     neighborhood of each orbit point, a GRID x GRID grid with RAYS rays per
     cone and cone growth tried up to M_CAP iterates.  The cone field is the
     eigenframe of the cycled Jacobian, extended constantly near each point;
-    condition margins are the worst values seen on the grid."""
+    condition margins are the worst values seen on the grid.  A DEBUG
+    record on this module's logger gives q, the trace, cone_m, the three
+    margins and which of the three conditions passed."""
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     q = len(orbit)
     M = np.eye(2)
@@ -600,6 +680,11 @@ def hyperbolicity_report(
             break
     growth_ok = cone_m > 0
     cone_mu = min(g_fwd, g_bwd) if growth_ok else 0.0
+    passed = (invariance_ok, growth_ok and g_fwd > 1.0, growth_ok and g_bwd > 1.0)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug("hyperbolicity_report q=%d trace=%.6e cone_m=%d cone_invariance_ratio=%.3e "
+                   "growth_forward=%.3e growth_backward=%.3e passed=%d,%d,%d", q, tr, cone_m,
+                   worst_ratio, g_fwd, g_bwd, *passed)
 
     return HyperbolicityReport(
         trace=tr, lam=lam, mu=mu, frames=frames,
@@ -609,7 +694,7 @@ def hyperbolicity_report(
             "growth_forward": g_fwd,
             "growth_backward": g_bwd,
         },
-        passed=(invariance_ok, growth_ok and g_fwd > 1.0, growth_ok and g_bwd > 1.0),
+        passed=passed,
     )
 
 

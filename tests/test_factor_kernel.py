@@ -246,11 +246,19 @@ def assert_levels_match(w, top):
 @given(st.one_of(random_windows(st.integers(0, 70)), flipped_windows(st.integers(0, 70)),
                  coding_windows(st.integers(0, 70))))
 def test_block_kernel_matches_label_loop(w):
-    """Tops past 61 run a second and third block from carried labels."""
+    """Tops past 61 run a second and third block from carried labels.  A
+    first length past 1 gives the same levels from that length on."""
     L = len(w)
     for top in (1, 41, 61, 62, 63, 100, L):
         if top <= L:
             assert_levels_match(w, top)
+            levels = list(sy._factor_levels(w, top))
+            for first in (2, 61, 62, 63, top):
+                if first <= top:
+                    part = list(sy._factor_levels(w, top, first))
+                    assert [n for n, _ in part] == list(range(first, top + 1))
+                    assert all(np.array_equal(a, b)
+                               for (_, a), (_, b) in zip(part, levels[first - 1:]))
     with pytest.raises(WindowTooShort):
         next(sy._factor_levels(w, L + 1))
 

@@ -344,20 +344,49 @@ class TestRecords:
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             seg = tw.heteroclinic_minimizer(gf, left, right, 60)
         *runs, (name, f) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "heteroclinic_minimizer" and f["window"] == "60"
-        assert len(runs) == 3
-        assert all(n == "newton" and g["sites"] == "59" and g["cyclic"] == "0" for n, g in runs)
+        assert name == "heteroclinic_minimizer" and f["window"] == "60" and f["core"] == "50"
+        assert all(n == "newton" and g["sites"] in ("49", "59") and g["cyclic"] == "0"
+                   for n, g in runs)
+        # each centering descends its 49-site core; a core minimizer, or a
+        # core too narrow for its kink, is followed by the full 59 sites
+        centerings = []
+        for _, g in runs:
+            if g["sites"] == "49":
+                centerings.append([g])
+            else:
+                assert centerings and len(centerings[-1]) == 1
+                centerings[-1].append(g)
+        assert len(centerings) == 3
         assert float(f["offset"]) in (0.5, 0.0, 0.25)
-        converged = sum(float(g["residual"]) <= tw.TOL for _, g in runs)
+        converged = sum(float(c[-1]["residual"]) <= tw.TOL for c in centerings)
         assert 1 <= int(f["minimizers"]) and int(f["minimizers"]) + int(f["saddles"]) == converged
+        not_extended = sum(len(c) == 1 and float(c[0]["residual"]) <= tw.TOL for c in centerings)
+        assert int(f["core_saddles"]) == not_extended <= int(f["saddles"])
+        assert f["core_skipped"] == "0"     # the K = 1 kink fits in 50 bonds
         idx = np.arange(-30, 31)
         edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
                    np.max(np.abs(seg.x[-2:] - right.extended(idx[-2:]))))
         assert f["edge"] == f"{edge:.3e}"
 
+    @pytest.mark.parametrize("K, p, q", [(1.0, 1, 2), (0.95, 1, 3)])
+    def test_hyperbolicity_record(self, K, p, q, caplog):
+        # (1,3) at K = 0.95 has trace 2.99 but fails all three cone
+        # conditions on the sampled grid
+        gf, tm = tw.standard_family(K)
+        orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, p, q))
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            rep = tw.hyperbolicity_report(tm, orbit)
+        ((name, f),) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "hyperbolicity_report" and f["q"] == str(q)
+        assert f["trace"] == f"{rep.trace:.6e}" and f["cone_m"] == str(rep.cone_m)
+        assert {k: f[k] for k in rep.margins} == {k: f"{v:.3e}" for k, v in rep.margins.items()}
+        assert f["passed"] == ",".join(str(int(ok)) for ok in rep.passed)
+        assert rep.is_saddle == (q == 2)
+
     def test_no_record_when_debug_is_off(self, family, caplog):
-        gf, _ = family
+        gf, tm = family
         with caplog.at_level(logging.INFO, logger="denshoe.twist"):
             left = tw.minimize_periodic(gf, 0, 1)
             tw.heteroclinic_minimizer(gf, left, tw.Configuration(left.x + 1, "periodic", 0, 1), 60)
+            tw.hyperbolicity_report(tm, tw.config_orbit(gf, left))
         assert not caplog.records

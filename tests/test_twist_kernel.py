@@ -6,10 +6,15 @@ Hessian assembly loops, dense `np.linalg.solve` and `eigvalsh`, the
 LDL^T solve that recomputed each multiplier off[i] / piv[i] where it was
 used, the xi recursion of the discrete Jacobi test, the growth loop of
 `hyperbolicity_report` that rebuilt Df^m from scratch for every m, and
-the translate-by-translate loop of `check_well_ordered`.  The gradient
-is checked against central differences of `action`.
+the translate-by-translate loop of `check_well_ordered`, and the
+`heteroclinic_minimizer` that descended every kink centering over its
+full window.  The gradient is checked against central differences of
+`action`.
 """
 
+import functools
+import itertools
+import logging
 import math
 from dataclasses import replace
 
@@ -221,6 +226,59 @@ def test_well_ordered_matches_translate_loop(q, p, b_extra, noise, seed):
     assert tw.check_well_ordered(cfg, b_extra) == loop_well_ordered(cfg, b_extra)
 
 
+def every_b_well_ordered(cfg, b_extra=2):
+    """`check_well_ordered` as it was before it stopped listing the shifts
+    b: each row's max and min against every b in range."""
+    q, p = cfg.q, cfg.p
+    ext = cfg.extended(np.arange(2 * q))
+    d = ext[np.add.outer(np.arange(q), np.arange(q))] - ext[:q]
+    hi, lo = d.max(axis=1), d.min(axis=1)
+    bs = np.arange(-abs(p) - b_extra, abs(p) + b_extra + 1)[:, None]
+    return not np.any((hi + bs > 1e-12) & (lo + bs < -1e-12))
+
+
+@PROPERTY
+@given(st.integers(1, 40), st.integers(-40, 40), st.integers(0, 3), st.booleans(),
+       st.sampled_from((0.0, 5e-13, 1e-12, 2e-12, 1e-6, 0.1)), st.integers(0, 2 ** 32))
+def test_well_ordered_matches_every_b(q, p, b_extra, on_integers, noise, seed):
+    """The same verdict as listing every b, bit for bit; with on_integers
+    the differences sit within the noise of integers, so the rows meet the
+    +-1e-12 margins."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(q) * (p / q)
+    x = (np.round(x) if on_integers else x + rng.uniform(0, 1)) + noise * rng.normal(size=q)
+    cfg = tw.Configuration(x, "periodic", p, q)
+    assert tw.check_well_ordered(cfg, b_extra) == every_b_well_ordered(cfg, b_extra)
+
+
+def test_well_ordered_matches_every_b_at_the_margins():
+    """(p, 3)-configurations whose differences sit on half-integers, on
+    +-1e-12 and a few ulps from +-1e-12, so that hi + b or lo + b lands on
+    the margin itself: hi = 1e-12 with lo = -0.5 crosses for no b."""
+    ulps = [0.0]
+    for _ in range(3):
+        ulps.append(np.nextafter(ulps[-1], np.inf))
+    ulps = [s * u for u in ulps[1:] for s in (1, -1)]
+    sites = sorted({h + e + u for h in (-1.0, -0.5, 0.0, 0.5, 1.0)
+                    for e in (0.0, 1e-12, -1e-12) for u in [0.0] + ulps})
+    for p in range(-2, 3):
+        for x1, x2 in itertools.product(sites, repeat=2):
+            cfg = tw.Configuration(np.array([0.0, x1, x2]), "periodic", p, 3)
+            for b_extra in (0, 2):
+                assert tw.check_well_ordered(cfg, b_extra) == every_b_well_ordered(cfg, b_extra)
+
+
+def test_well_ordered_memory_does_not_grow_with_p():
+    # listing every b took 2|p| + 5 entries, 8.7 GiB at p = 582049683,
+    # which irrational_am_set reaches from the integer angle 582049683
+    assert tw.minimize_periodic(tw.standard_family(0.0)[0], 582049683, 1).well_ordered
+    p = 2 * 582049683 + 1
+    assert tw.check_well_ordered(tw.Configuration(np.array([0.0, p / 2]), "periodic", p, 2))
+    assert tw.check_well_ordered(tw.Configuration(np.array([0.0, p / 2 + 0.3]), "periodic", p, 2))
+    assert not tw.check_well_ordered(
+        tw.Configuration(np.array([0.0, p / 2 + 0.6]), "periodic", p, 2))
+
+
 GOLDEN_CONVERGENTS = ((0, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21),
                       (21, 34), (34, 55), (55, 89))
 GOLDEN_SQUARE_CONVERGENTS = ((1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (13, 34),
@@ -341,3 +399,98 @@ def test_hyperbolicity_growth_matches_rebuilt_products(K, p, q):
     assert rep.passed[1:] == (cone_m > 0 and g_fwd > 1.0, cone_m > 0 and g_bwd > 1.0)
     assert abs(rep.margins["growth_forward"] - g_fwd) <= 1e-12
     assert abs(rep.margins["growth_backward"] - g_bwd) <= 1e-12
+
+
+def old_heteroclinic_minimizer(gf, left, right, window):
+    """`heteroclinic_minimizer` as it was before it descended each kink
+    on its core: every centering descends the full window from its
+    sigmoid blend."""
+    if window < 50 * left.q:
+        raise tw.InvalidArgument("window must be at least 50 q")
+    L = window
+    idx = np.arange(-L // 2, L - L // 2 + 1)
+    base_l, base_r = left.extended(idx), right.extended(idx)
+
+    def clamped(xi):
+        return np.concatenate([[base_l[0]], xi, [base_r[-1]]])
+
+    best = None
+    actions = []
+    saddles = 0
+    for offset in (0.5, 0.0, 0.25):
+        blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
+        x0 = base_l + (base_r - base_l) * blend
+        x, w, res, _, _ = tw._newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
+        if res > tw.TOL:
+            continue
+        diag, off = tw._hessian(gf, x)
+        if tw._ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
+            saddles += 1
+            continue
+        if best is None or w < best[0] - 1e-14:
+            best = (w, x, offset, len(actions))
+        actions.append(w)
+    if best is None:
+        raise tw.NoConvergence("heteroclinic segment did not converge", residual=math.inf)
+    x = best[1]
+    m = left.q + 1
+    edge = max(np.max(np.abs(x[:m] - base_l[:m])), np.max(np.abs(x[-m:] - base_r[-m:])))
+    if tw._log.isEnabledFor(logging.DEBUG):
+        others = actions[:best[3]] + actions[best[3] + 1:]
+        tw._log.debug("heteroclinic_minimizer window=%d offset=%s minimizers=%d saddles=%d "
+                      "gap=%.3e edge=%.3e", window, best[2], len(actions), saddles,
+                      min(others, default=math.inf) - best[0], edge)
+    if edge > tw.TAIL_TOL:
+        raise tw.TailNotSettled(f"window edge residual {edge:.2e} exceeds {tw.TAIL_TOL:.0e}")
+    return tw.Configuration(x, "segment", right.p - left.p, left.q)
+
+
+@functools.cache
+def minimizer(K, p, q):
+    gf, _ = tw.standard_family(K)
+    return gf, tw.minimize_periodic(gf, p, q)
+
+
+def recorded_run(fn, gf, left, right, window, caplog):
+    """(segment or (error type, message), winning offset, Newton records)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+        try:
+            out = fn(gf, left, right, window)
+        except tw.TailNotSettled as exc:
+            out = (type(exc), str(exc))
+    *runs, summary = [r.getMessage() for r in caplog.records]
+    offset = summary.split(" offset=")[1].split()[0]
+    return out, offset, runs
+
+
+@pytest.mark.parametrize("K, p, q, window, shift", [
+    (K, 0, 1, window, shift) for K in (0.12, 0.3, 0.7, 1.0, 1.3, 2.0)
+    for window in (50, 60, 200, 1000) for shift in (1, -1)
+] + [(K, 1, 2, window, shift) for K in (1.0, 2.0) for window in (100, 300) for shift in (1, -1)])
+def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
+    """The core-then-window descent reaches the old full-window minimizer:
+    the same sites within 1e-9, the same action within 1e-12 and the same
+    winning offset, unless the old descent from the new winner's blend
+    stopped above TOL (at (1,2), K = 2, window 300 it ran into the
+    iteration cap, where its core converges).  At window = 50 q the core
+    is the window, so each centering runs exactly one Newton descent, the
+    one the old code ran."""
+    gf, left = minimizer(K, p, q)
+    right = tw.Configuration(left.x + shift, "periodic", p, q)
+    old, old_offset, old_runs = recorded_run(old_heteroclinic_minimizer, gf, left, right, window,
+                                             caplog)
+    new, new_offset, new_runs = recorded_run(tw.heteroclinic_minimizer, gf, left, right, window,
+                                             caplog)
+    if new_offset != old_offset:
+        old_run = old_runs[("0.5", "0.0", "0.25").index(new_offset)]
+        assert float(old_run.split("residual=")[1]) > tw.TOL
+    if window == 50 * q:
+        assert len(new_runs) == 3 and new_runs == old_runs
+    if isinstance(old, tuple):
+        # below K = 0.32 the (0,1) kink settles too slowly for 50 bonds,
+        # and below K = 0.14 for 60: both refuse it
+        assert new == old and K <= 0.3 and window <= 60
+        return
+    assert np.max(np.abs(new.x - old.x)) <= 1e-9
+    assert abs(tw.action(gf, new) - tw.action(gf, old)) <= 1e-12
