@@ -1,4 +1,4 @@
-"""Binary coding words, the shift metric, and rotation-number recovery.
+"""Binary coding words, their factors, and rotation-number recovery.
 
 The coding convention throughout: symbol 0 at time k iff the rotated
 point {theta + k*alpha} lies in the half-open arc [0, alpha); symbol 1
@@ -45,6 +45,10 @@ ESCALATED_GUARD = 1e-40
 _FILTER_SAFETY = 4.0
 #: largest index float() converts without overflow
 _FLOAT_INDEX_MAX = int(sys.float_info.max)
+#: most symbols one `coding_block` call codes.  Its float pass peaks near
+#: 50 bytes a symbol under tracemalloc, about 200 MiB at this cap; a longer
+#: block raises OutOfRange before anything is allocated
+MAX_BLOCK = 2 ** 22
 
 #: byte table taking symbols 0/1 to the characters '0'/'1'
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -116,27 +120,8 @@ class FactorSet:
     length: int
     words: frozenset[str]
 
-    def __post_init__(self):
-        if any(len(u) != self.length for u in self.words):
-            raise InvalidArgument("factor length mismatch")
-
     def __len__(self) -> int:
         return len(self.words)
-
-
-@dataclass(frozen=True)
-class ShiftDistance:
-    """Value of the shift metric d(u,v) = max_k |u_k - v_k| / (|k|+1).
-
-    `truncated` marks comparisons of unequal radii, where the value is
-    only a lower bound computed on the common radius."""
-
-    value: Fraction
-    truncated: bool = False
-
-    def __post_init__(self):
-        if not (0 <= self.value <= 1):
-            raise InvalidArgument("shift distance lies in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -210,7 +195,10 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     angles: entries with margin at most the certified error bound of the
     float pass, among them every exact hit of an arc end and every entry
     whose index is beyond the float range, are settled in exact
-    arithmetic, so every symbol is exact."""
+    arithmetic, so every symbol is exact.  A block of more than MAX_BLOCK
+    symbols raises OutOfRange; the indices themselves may be any size."""
+    if hi - lo + 1 > MAX_BLOCK:
+        raise OutOfRange(f"block of {hi - lo + 1} symbols exceeds MAX_BLOCK = {MAX_BLOCK}")
     exact = is_exact(alpha) and is_exact(theta)
     if exact:
         a, th = as_real(alpha), as_real(theta).frac()
@@ -260,45 +248,24 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     return tuple(syms.tolist())
 
 
-def sturmian_symbol(alpha, theta, k: int) -> int:
-    """Symbol of the rotation coding at time k: 0 iff {theta+k*alpha} in [0, alpha)."""
-    return coding_block(alpha, theta, k, k)[0]
-
-
 def sturmian_window(alpha, theta, radius: int) -> CentralWindow:
     """Central coding window of radius N for the rotation by alpha, offset theta."""
     return CentralWindow(radius, coding_block(alpha, theta, -radius, radius))
 
 
 # ---------------------------------------------------------------------------
-# the shift metric
+# agreement of two windows
 # ---------------------------------------------------------------------------
 
-def _first_disagreement(u, cu: int, v, cv: int, r: int) -> int:
-    """Least k in 0..r with u[cu+k] != v[cv+k] or u[cu-k] != v[cv-k], or
-    r+1 when there is none.  u and v are strings or tuples indexed from
-    their centres cu and cv."""
-    for k in range(r + 1):
-        if u[cu + k] != v[cv + k] or u[cu - k] != v[cv - k]:
-            return k
-    return r + 1
-
-
 def agreement_radius(u: CentralWindow, v: CentralWindow) -> int | None:
-    """Smallest |k| where u and v disagree; None if equal on the common radius."""
-    r = min(u.radius, v.radius)
-    k = _first_disagreement(u.symbols, u.radius, v.symbols, v.radius, r)
-    return k if k <= r else None
-
-
-def shift_distance(u: CentralWindow, v: CentralWindow) -> ShiftDistance:
-    """Exact max_k |u_k - v_k|/(|k|+1) over the common radius.
-
-    The first disagreement at minimal |k| dominates, so the scan runs
-    outward from k = 0 and stops at the first difference."""
-    k = agreement_radius(u, v)
-    return ShiftDistance(Fraction(0) if k is None else Fraction(1, k + 1),
-                         u.radius != v.radius)
+    """Smallest |k| where u and v disagree; None if equal on the common
+    radius.  The scan runs outward from k = 0 and stops at the first
+    difference."""
+    us, cu, vs, cv = u.symbols, u.radius, v.symbols, v.radius
+    for k in range(min(cu, cv) + 1):
+        if us[cu + k] != vs[cv + k] or us[cu - k] != vs[cv - k]:
+            return k
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -674,23 +641,3 @@ def estimate_rotation_interval(
         raise NotSturmian("frequency bound and factor refinement are inconsistent")
     return FareyInterval(lo, hi, periodic=periodic)
 
-
-# ---------------------------------------------------------------------------
-# Hausdorff proximity of subshifts via shared factors
-# ---------------------------------------------------------------------------
-
-def symbolic_hausdorff(
-    family_a: dict[int, FactorSet],
-    family_b: dict[int, FactorSet],
-    depth: int,
-) -> ShiftDistance:
-    """Bound on the Hausdorff distance of two subshifts: 1/(d+2) where d is
-    the largest depth whose central (2d+1)-factor sets coincide."""
-    for fam in (family_a, family_b):
-        if 2 * depth + 1 not in fam:
-            raise WindowTooShort(f"family lacks factors of length {2 * depth + 1}")
-    for d in range(depth, -1, -1):
-        n = 2 * d + 1
-        if family_a[n].words == family_b[n].words:
-            return ShiftDistance(Fraction(1, d + 2))
-    return ShiftDistance(Fraction(1))

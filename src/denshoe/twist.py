@@ -13,9 +13,9 @@ tridiagonal (cyclic for periodic configurations), since the action
 couples only neighbouring sites.  One LDL^T factorization, `_ldl`, serves
 every use of them: a single pass keeps the pivots d_i and the
 multipliers l_i = off_i / d_i and stops at the first nonpositive pivot.
-That pivot refuses a damped Newton step and marks the saddle test and
-the discrete Jacobi test as failed; otherwise both substitutions read the
-stored multipliers, so a solve divides by each pivot once.  Minimizers
+That pivot refuses a damped Newton step and fails the saddle test;
+otherwise both substitutions read the stored multipliers, so a solve
+divides by each pivot once.  Minimizers
 are found by damped Newton descent on the action, with multi-start for
 periodic orbits and three kink centerings for heteroclinic segments, each
 descended first on a central core of 50 q bonds and then finished on the
@@ -166,12 +166,6 @@ def _bonds(e, cyclic):
 
 def action(gf: GeneratingFunction, cfg: Configuration) -> float:
     return float(np.sum(gf.h(*_bonds(cfg.padded(), cfg.kind == "periodic"))))
-
-
-def segment_action_excess(gf: GeneratingFunction, cfg: Configuration, baseline: float) -> float:
-    """Action of a clamped segment with one baseline bond subtracted per
-    term, so the value converges as the window grows."""
-    return float(np.sum(gf.h(cfg.x[:-1], cfg.x[1:]) - baseline))
 
 
 def _gradient(gf, e):
@@ -476,7 +470,7 @@ def heteroclinic_minimizer(
     if window < 50 * left.q:
         raise InvalidArgument("window must be at least 50 q")
     L = window
-    idx = np.arange(-L // 2, L - L // 2 + 1)
+    idx = np.arange(-(L // 2), L - L // 2 + 1)
     base_l, base_r = left.extended(idx), right.extended(idx)
     n = len(idx) - 1            # bonds of the padded array
     C = min(n, 50 * left.q)
@@ -544,15 +538,6 @@ def heteroclinic_minimizer(
     return Configuration(x, "segment", right.p - left.p, left.q)
 
 
-def is_monotone(cfg: Configuration) -> bool:
-    """Monotonicity of a segment up to clamp artifacts: the hard endpoint
-    clamp produces reflected-tail dips below 1e-10 for windows >= 50 q,
-    which the tolerance absorbs."""
-    tol = 1e-9
-    d = np.diff(cfg.x)
-    return bool(np.all(d > -tol)) if d[len(d) // 2] > 0 else bool(np.all(d < tol))
-
-
 # ---------------------------------------------------------------------------
 # orbits from configurations
 # ---------------------------------------------------------------------------
@@ -561,21 +546,6 @@ def config_orbit(gf: GeneratingFunction, cfg: Configuration) -> np.ndarray:
     """Cover orbit points (x_i, y_i) with y_i = -d1 h(x_i, x_{i+1})."""
     x, xp = _bonds(cfg.padded(), cfg.kind == "periodic")
     return np.column_stack([x, -gf.d1(x, xp)])
-
-
-def is_orbit(tm: TwistMapF, pts: np.ndarray, wrap: int = 0) -> bool:
-    """Do the points form an F-orbit (up to the final wrap by `wrap`),
-    within 1e-8?"""
-    tol = 1e-8
-    for i in range(len(pts) - 1):
-        img = tm(pts[i])
-        if not np.allclose(img, pts[i + 1], atol=tol):
-            return False
-    if wrap:
-        img = tm(pts[-1])
-        target = pts[0] + np.array([wrap, 0.0])
-        return bool(np.allclose(img, target, atol=tol))
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -698,23 +668,6 @@ def hyperbolicity_report(
     )
 
 
-def no_conjugate_points_check(gf: GeneratingFunction, xs) -> tuple[bool, int | None]:
-    """Discrete Jacobi test along a configuration segment: the solution of
-    the linearized criticality recursion with xi_0 = 0, xi_1 = 1 must not
-    vanish (or cross zero) again inside the segment."""
-    x = np.asarray(xs, dtype=float)
-    if len(x) < 3:
-        raise InvalidArgument("segment must have length >= 3")
-    # xi_{i+1} has the sign of the i-th leading minor of the Hessian (the
-    # bonds have d12 < 0), so xi first fails to be positive where the
-    # LDL^T factorization meets its first nonpositive pivot
-    diag, off = _hessian(gf, x)
-    piv, _ = _ldl(diag.tolist(), off.tolist())
-    if piv[-1] <= 0.0:
-        return False, len(piv) + 1
-    return True, None
-
-
 # ---------------------------------------------------------------------------
 # Aubry-Mather assemblies
 # ---------------------------------------------------------------------------
@@ -727,14 +680,6 @@ class AubryMatherApprox:
     lipschitz: float
     hetero_count_bound: float
     drift: list = field(default_factory=list)  # Hausdorff drift per refinement
-
-    def verify_partial_graph(self) -> bool:
-        # near-saddle orbit points cluster like mu^(q/2), so the workable
-        # tolerance is close to round-off
-        xs = self.points[:, 0]
-        order = np.argsort(xs)
-        gaps = np.diff(xs[order])
-        return bool(np.all(gaps > 1e-12))
 
 
 def _circle_dist(a, b):

@@ -23,6 +23,18 @@ the points nearest to 0 on the right and on the left, at distances da
 and db.  Then the point after {k*alpha} in the direct sense is
 {(k+a)*alpha} if k+a < N, else {(k-b)*alpha} if k-b >= 0, else
 {(k+a-b)*alpha}; the gap between them is da, db or da + db.
+
+The gaps of the Denjoy system are read off the same order.  Crossing the
+cut {j*alpha} moves theta + i*alpha across 0 for i = -j and across alpha
+for i = 1 - j, so the two arcs that meet there differ at window indices
+-j and 1 - j, the one before the cut reading '10' and the one after it
+'01'.  For the 2n inner cuts, -n < j <= n, both indices lie in the
+window: these neighbours are the 2n gap pairs, and the two outer cuts
+flip one symbol each.  Every gap pair is a shift of the one at j = 0,
+the lower and upper mechanical words of intercept 0, which differ in
+exactly two adjacent places; so a Sturmian subshift of irrational slope
+has exactly one gap orbit (Lothaire, "Algebraic Combinatorics on Words",
+§2.1.2).
 """
 
 from __future__ import annotations
@@ -49,8 +61,8 @@ from .symbolic import (
     _defect,
     _factor_levels,
     _factor_set,
-    _first_disagreement,
     _one_counts,
+    agreement_radius,
     estimate_rotation_interval,
     sturmian_window,
 )
@@ -129,18 +141,6 @@ class RotationClass:
 
     def overlaps(self, other: "RotationClass") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-
-@dataclass(frozen=True)
-class GapPair:
-    """Two admissible central words coding the two endpoints of one gap:
-    they agree for k >= k0 and k <= k1 and swap '10'/'01' in between."""
-
-    upper: str   # carries '10' at the swap (left gap endpoint coding)
-    lower: str   # carries '01' at the swap (right gap endpoint coding)
-    position: int  # window index j of the swap: words differ at j, j+1
-    k0: int
-    k1: int
 
 
 class Equivalence(enum.Enum):
@@ -354,61 +354,6 @@ def equivalence_test(w1: WdsSymbolic, w2: WdsSymbolic) -> Equivalence:
 
 
 # ---------------------------------------------------------------------------
-# gap pairs
-# ---------------------------------------------------------------------------
-
-def asymptotic_pairs_in(words, radius: int) -> list[GapPair]:
-    """Scan a set of central words for pairs differing by exactly one
-    adjacent '10' <-> '01' swap (the coding signature of a gap)."""
-    ws = sorted(words)
-    pairs = []
-    for i, u in enumerate(ws):
-        for v in ws[i + 1:]:
-            diffs = [p for p in range(len(u)) if u[p] != v[p]]
-            if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
-                continue
-            p = diffs[0]
-            du, dv = u[p:p + 2], v[p:p + 2]
-            if {du, dv} != {"10", "01"}:
-                continue
-            upper, lower = (u, v) if du == "10" else (v, u)
-            j = p - radius
-            pairs.append(GapPair(upper, lower, j, k0=j + 2, k1=j - 1))
-    return pairs
-
-
-def asymptotic_pairs(w: WdsSymbolic) -> list[GapPair]:
-    if w.depth < 10:
-        raise InvalidArgument("gap detection needs depth >= 10")
-    return asymptotic_pairs_in(w.factors(2 * w.depth + 1).words, w.depth)
-
-
-def _pairs_aligned(p1: GapPair, p2: GapPair, radius: int) -> bool:
-    # Windows of one bi-infinite pair satisfy u2[k] = u1[k + s] with
-    # s = j1 - j2 (swap offsets), on the overlapping index range.
-    s = p1.position - p2.position
-    lo = max(-radius, -radius - s)
-    hi = min(radius, radius - s)
-    if hi < lo:
-        return False
-    c = radius
-    for k in range(lo, hi + 1):
-        if p2.upper[k + c] != p1.upper[k + s + c]:
-            return False
-        if p2.lower[k + c] != p1.lower[k + s + c]:
-            return False
-    return True
-
-
-def count_gap_orbits(pairs: list[GapPair], radius: int) -> int:
-    reps: list[GapPair] = []
-    for p in pairs:
-        if not any(_pairs_aligned(p, r, radius) for r in reps):
-            reps.append(p)
-    return len(reps)
-
-
-# ---------------------------------------------------------------------------
 # continuity probe
 # ---------------------------------------------------------------------------
 
@@ -444,7 +389,8 @@ def continuity_probe(alpha0, radius: int, perturbations, depth: int = 6) -> Cont
     for ap in perturbations:
         a1 = as_real(ap)
         win1 = sturmian_window(a1, 0, radius)
-        agree = _first_disagreement(win0.symbols, radius, win1.symbols, radius, radius) - 1
+        k = agreement_radius(win0, win1)
+        agree = radius if k is None else k - 1
         if a1 == a0:
             bound, cls1 = Fraction(0), cls0
         else:

@@ -146,9 +146,9 @@ def test_cancellation_angles_are_exact(b):
 
 def test_indices_beyond_float_precision():
     k = 10 ** 20
-    assert sy.sturmian_symbol(ALPHA_STAR, 0, k) == sy._symbol_exact(ALPHA_STAR, QuadReal(0), k)
+    assert sy.coding_block(ALPHA_STAR, 0, k, k)[0] == sy._symbol_exact(ALPHA_STAR, QuadReal(0), k)
     af = float(ALPHA_STAR)
-    assert sy.sturmian_symbol(af, 0.25, k) == per_symbol_float(af, 0.25, k)[0]
+    assert sy.coding_block(af, 0.25, k, k)[0] == per_symbol_float(af, 0.25, k)[0]
 
 
 def binary_rational_point(alpha: float, theta: float, k: int) -> Fraction:
@@ -164,7 +164,7 @@ def binary_rational_symbol(alpha: float, theta: float, k: int) -> int:
     (0.3, 0.0, 3 ** 200),                         # k*alpha needs 140 digits
 ], ids=["float-pass-off", "escalation-digits"])
 def test_float_angles_at_far_indices(alpha, theta, k):
-    assert sy.sturmian_symbol(alpha, theta, k) == binary_rational_symbol(alpha, theta, k)
+    assert sy.coding_block(alpha, theta, k, k)[0] == binary_rational_symbol(alpha, theta, k)
 
 
 @PROPERTY
@@ -174,7 +174,7 @@ def test_float_angles_match_binary_rationals_up_to_the_float_range(alpha, theta,
     # the float pass's rounding grows with |k|; the entries it cannot
     # decide are escalated with enough digits for k*alpha
     try:
-        got = sy.sturmian_symbol(alpha, theta, k)
+        got = sy.coding_block(alpha, theta, k, k)[0]
     except BoundaryUndecidable:
         t = binary_rational_point(alpha, theta, k)
         assert 0 < min(t, 1 - t, abs(t - Fraction(alpha))) <= 2 * sy.ESCALATED_GUARD

@@ -2,8 +2,9 @@
 subclass in `errors.py` is raised somewhere in `src/denshoe`, every
 entry of `[project].dependencies` is imported there, and every public
 function, method and class it defines is referenced by name in the
-package, its tests, the benchmark or the scripts.  It also keeps one
-error contract: the package raises no builtin exception but the
+package, its tests, the benchmark or the scripts, and those that only
+the tests reach are the ones listed in KEPT.  It also keeps one error
+contract: the package raises no builtin exception but the
 `AttributeError` of `QuadReal.__setattr__`."""
 
 import ast
@@ -15,6 +16,26 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "denshoe"
 USERS = ("src", "tests", "perfbench", "scripts")
+
+#: the public definitions that nothing in the package (outside their own
+#: body), the benchmark or the scripts uses; the tests reach each of them
+KEPT = {
+    "gap_length": "the gap lengths of the Denjoy construction, summed against GAP_NORMALIZER",
+    "gap_zero": "the gap at orbit index 0, whose ends code the gap pair across the cut 0",
+    "angle_of_position": "the semi-conjugacy that collapses the Denjoy gaps to the rotation",
+    "rotation_estimate": "the rotation number of a Denjoy map read from one orbit",
+    "from_word": "a window from its '0'/'1' string",
+    "factor_set": "the factors of one length, without the lengths below it",
+    "complexity": "the factor count p(n), n + 1 on a Sturmian window",
+    "balance_defect": "the balance of one length, which characterizes Sturmian windows",
+    "rational_limit_language": "the oracle of the rotation walk's zero counts, and the symbolic "
+                               "side of the rational Aubry-Mather sets",
+    "in_order": "the ternary circular order of the cylinders",
+    "overlaps": "whether two rotation classes can hold the same rotation number",
+    "continuity_probe": "the paper's continuity in rotation number, a planned benchmark scenario",
+    "criticality_residual": "how far a configuration is from an orbit",
+    "is_saddle": "the verdict of a hyperbolicity report",
+}
 
 
 def trees():
@@ -91,19 +112,40 @@ def public_definitions():
     return found
 
 
-def referenced_names():
-    """Every name read, attribute accessed or name imported in the package,
-    its tests, the benchmark and the scripts."""
+def names_read(tree):
+    """Every name read, attribute accessed or name imported in the tree."""
     names = set()
-    for d in USERS:
-        for path in sorted((ROOT / d).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    names.update(a.name for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def referenced_names(dirs=USERS):
+    """Every name read, attribute accessed or name imported in the given
+    directories: by default the package, its tests, the benchmark and the
+    scripts."""
+    return {name for d in dirs for path in sorted((ROOT / d).rglob("*.py"))
+            for name in names_read(ast.parse(path.read_text(), str(path)))}
+
+
+def package_references():
+    """The names the package reads outside the body of a definition of
+    that name: a module-level function or class, or a method."""
+    names = set()
+    for tree in trees():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for x in [*node.bases, *node.decorator_list]:
+                    names |= names_read(x)
+                for member in node.body:
+                    names |= names_read(member) - {node.name, getattr(member, "name", None)}
+            else:
+                names |= names_read(node) - {getattr(node, "name", None)}
     return names
 
 
@@ -112,6 +154,13 @@ def test_every_public_definition_is_referenced():
     assert defs, "no public definitions found"
     used = referenced_names()
     assert sorted(d for d in defs if d[1] not in used) == []
+
+
+def test_only_the_kept_names_are_test_only():
+    # a new public name that only tests call fails here: use it in the
+    # package, make it private, or add it to KEPT with its reason
+    used = package_references() | referenced_names(("perfbench", "scripts"))
+    assert sorted({name for _, name in public_definitions()} - used) == sorted(KEPT)
 
 
 def test_every_error_class_is_raised():

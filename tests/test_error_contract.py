@@ -4,6 +4,7 @@ K < 0, depth 0 and quadratic numbers with huge coefficients.  Argument
 checks raise `InvalidArgument` (a `ValueError`) or `OutOfRange` (an
 `IndexError`), so callers that catch the builtin types still work."""
 
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -128,7 +129,25 @@ def test_indices_beyond_the_float_range():
         alpha = (3 - mpmath.sqrt(5)) / 2
         t = mpmath.frac(k * alpha)
         want = 0 if t < alpha else 1
-    assert sy.sturmian_symbol(ALPHA_STAR, 0, k) == want
+    assert sy.coding_block(ALPHA_STAR, 0, k, k)[0] == want
     assert sy.coding_block(ALPHA_STAR, 0, k - 1, k + 1)[1] == want
     with pytest.raises(OutOfRange):
-        sy.sturmian_symbol(0.3, 0, k)
+        sy.coding_block(0.3, 0, k, k)[0]
+
+
+@pytest.mark.parametrize("alpha", [ALPHA_STAR, 0.3], ids=["exact", "float"])
+def test_blocks_beyond_the_cap_allocate_nothing(alpha):
+    # a block of more than MAX_BLOCK symbols is refused before its arrays
+    # exist, at radii whose arrays would not fit in memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(OutOfRange, match="MAX_BLOCK"):
+            sy.sturmian_window(alpha, 0, 10 ** 15)
+        with pytest.raises(OutOfRange, match="MAX_BLOCK"):
+            sy.coding_block(alpha, 0, -10 ** 18, 10 ** 18)
+        with pytest.raises(OutOfRange, match="MAX_BLOCK"):
+            sy.coding_block(alpha, 0, 0, sy.MAX_BLOCK)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from denshoe import wdsfamily as wf
 from denshoe.errors import DepthMismatch
 from denshoe.exact import ALPHA_STAR, QuadReal
-from denshoe.symbolic import _first_disagreement
 
 FIELDS = (2, 3, 5, 7, 11, 13)
 PROPERTY = settings(max_examples=25, deadline=None)
@@ -44,13 +43,22 @@ def _directed_value(agr, t1, t2):
     return int(a.max(axis=1).min())
 
 
+def first_disagreement(u, v, n):
+    """Least k in 0..n where the central words u and v of radius n differ
+    at n + k or n - k, or n + 1 when they agree everywhere."""
+    for k in range(n + 1):
+        if u[n + k] != v[n + k] or u[n - k] != v[n - k]:
+            return k
+    return n + 1
+
+
 def pairwise_levels(g1, g2):
     """Matched level of the direct and of the reversed orientation of g2."""
     n = g1.depth
     agr = np.empty((len(g1), len(g2)), dtype=np.int64)
     for i, u in enumerate(g1.cylinders):
         for j, v in enumerate(g2.cylinders):
-            agr[i, j] = _first_disagreement(u, n, v, n, n)
+            agr[i, j] = first_disagreement(u, v, n)
     t1 = loop_index_triples(g1)
     t2 = loop_index_triples(g2)
     return [min(_directed_value(agr, t1, t2v), _directed_value(agr.T, t2v, t1))

@@ -12,6 +12,7 @@ import mpmath
 import pytest
 
 from denshoe import symbolic as sy
+from denshoe import wdsfamily as wf
 from denshoe.errors import NotSturmian, WindowTooShort
 from denshoe.exact import ALPHA_STAR, QuadReal
 
@@ -34,15 +35,15 @@ ALPHA_STAR_EXPR = "(3 - mp.sqrt(5))/2"
 
 class TestSturmianSymbol:
     def test_k0_is_zero(self):
-        assert sy.sturmian_symbol(ALPHA_STAR, 0, 0) == 0
+        assert sy.coding_block(ALPHA_STAR, 0, 0, 0)[0] == 0
 
     def test_k1_oracle(self):
         # {alpha*} = alpha* which is not in [0, alpha*)
-        assert sy.sturmian_symbol(ALPHA_STAR, 0, 1) == oracle_symbol(ALPHA_STAR_EXPR, 0, 1) == 1
+        assert sy.coding_block(ALPHA_STAR, 0, 1, 1)[0] == oracle_symbol(ALPHA_STAR_EXPR, 0, 1) == 1
 
     def test_k3_oracle(self):
         # {3 alpha*} ~ 0.1459 < alpha*
-        assert sy.sturmian_symbol(ALPHA_STAR, 0, 3) == oracle_symbol(ALPHA_STAR_EXPR, 0, 3) == 0
+        assert sy.coding_block(ALPHA_STAR, 0, 3, 3)[0] == oracle_symbol(ALPHA_STAR_EXPR, 0, 3) == 0
 
     def test_window_matches_oracle_on_range(self):
         w = sy.sturmian_window(ALPHA_STAR, 0, 40)
@@ -58,7 +59,7 @@ class TestSturmianSymbol:
     def test_theta_offset(self):
         theta = Fraction(1, 7)
         for k in range(-10, 11):
-            got = sy.sturmian_symbol(ALPHA_STAR, theta, k)
+            got = sy.coding_block(ALPHA_STAR, theta, k, k)[0]
             want = oracle_symbol(ALPHA_STAR_EXPR, 1 / 7, k)
             assert got == want
 
@@ -88,30 +89,32 @@ class TestWindow:
 
 
 class TestShiftDistance:
+    """The shift distance of two windows is 1/(k+1), k their agreement radius."""
+
     def test_identical(self):
         w = sy.sturmian_window(ALPHA_STAR, 0, 10)
-        assert sy.shift_distance(w, w).value == 0
+        assert sy.agreement_radius(w, w) is None
 
     def test_single_difference_k3(self):
         u = sy.CentralWindow.from_word("0" * 9)
         flipped = list(u.symbols)
         flipped[3 + u.radius] = 1
         v = sy.CentralWindow(4, tuple(flipped))
-        assert sy.shift_distance(u, v).value == Fraction(1, 4)
+        assert sy.agreement_radius(u, v) == 3
 
     def test_single_difference_k0(self):
         u = sy.CentralWindow.from_word("000")
         v = sy.CentralWindow.from_word("010")
-        assert sy.shift_distance(u, v).value == 1
+        assert sy.agreement_radius(u, v) == 0
 
     def test_truncation_flag(self):
+        # unequal radii are compared on the common radius only
         u = sy.sturmian_window(ALPHA_STAR, 0, 5)
         v = sy.sturmian_window(ALPHA_STAR, 0, 9)
-        d = sy.shift_distance(u, v)
-        assert d.truncated and d.value == 0
+        assert sy.agreement_radius(u, v) is None
 
     def test_metric_cylinder_duality_bruteforce(self):
-        # d(u,v) <= 1/(n+2)  iff  u,v agree on [-n, n]
+        # u, v agree on [-n, n]  iff  the agreement radius is None or > n
         rng = random.Random(20240817)
         for _ in range(400):
             r = 20
@@ -122,11 +125,10 @@ class TestShiftDistance:
                     other[rng.randrange(2 * r + 1)] ^= 1
             u = sy.CentralWindow(r, tuple(base))
             v = sy.CentralWindow(r, tuple(other))
-            d = sy.shift_distance(u, v).value
+            a = sy.agreement_radius(u, v)
             for n in range(r + 1):
                 agree = all(u[k] == v[k] for k in range(-n, n + 1))
-                assert (d <= Fraction(1, n + 2)) == agree
-
+                assert (a is None or a > n) == agree
 
     def test_agreement_radius_unequal_radii_bruteforce(self):
         rng = random.Random(20261018)
@@ -140,7 +142,6 @@ class TestShiftDistance:
             r = min(ru, rv)
             want = next((k for k in range(r + 1) if u[k] != v[k] or u[-k] != v[-k]), None)
             assert sy.agreement_radius(u, v) == sy.agreement_radius(v, u) == want
-            assert sy.shift_distance(u, v).value == (0 if want is None else Fraction(1, want + 1))
 
 
 class TestFactors:
@@ -264,26 +265,26 @@ class TestRotationRecovery:
 
 
 class TestSymbolicHausdorff:
+    """Two Sturmian subshifts lie within 1/(n+2) of each other in the
+    Hausdorff distance iff their factor sets of length 2n+1 coincide, the
+    comparison `equivalence_test` makes first."""
+
     def test_equal_families(self):
-        w = sy.sturmian_window(ALPHA_STAR, 0, 300)
-        fam = sy.factor_family(w, 2 * 6 + 1)
-        assert sy.symbolic_hausdorff(fam, fam, 6).value == Fraction(1, 8)
+        w1 = wf.build_wds(ALPHA_STAR, 6, initial_radius=300)
+        w2 = wf.build_wds(ALPHA_STAR, 6)
+        assert wf.equivalence_test(w1, w2) is wf.Equivalence.EQUAL_ORDER
 
     def test_close_generators(self):
         # 13/34 and 21/55 are consecutive convergents of alpha*; a generator
         # between them shares every factor of length <= 13 with alpha*
         n = 6
         g = QuadReal(Fraction(13, 34)) - QuadReal(0, Fraction(1, 10 ** 9), 2)
-        wa = sy.sturmian_window(ALPHA_STAR, 0, 3000)
-        wb = sy.sturmian_window(g, 0, 3000)
-        fa = sy.factor_family(wa, 2 * n + 1)
-        fb = sy.factor_family(wb, 2 * n + 1)
-        assert sy.symbolic_hausdorff(fa, fb, n).value <= Fraction(1, n + 2)
+        wa = wf.build_wds(ALPHA_STAR, n, initial_radius=3000)
+        wb = wf.build_wds(g, n, initial_radius=3000)
+        assert wf.equivalence_test(wa, wb) is wf.Equivalence.EQUAL_ORDER
 
     def test_distant_generators(self):
         n = 4
-        wa = sy.sturmian_window(ALPHA_STAR, 0, 500)
-        wb = sy.sturmian_window(QuadReal(0, Fraction(1, 14), 2), 0, 500)  # ~0.101
-        fa = sy.factor_family(wa, 2 * n + 1)
-        fb = sy.factor_family(wb, 2 * n + 1)
-        assert sy.symbolic_hausdorff(fa, fb, n).value > Fraction(1, n + 2)
+        wa = wf.build_wds(ALPHA_STAR, n, initial_radius=500)
+        wb = wf.build_wds(QuadReal(0, Fraction(1, 14), 2), n, initial_radius=500)  # ~0.101
+        assert wf.equivalence_test(wa, wb) is wf.Equivalence.NOT_EQUIVALENT

@@ -19,6 +19,33 @@ def family():
     return tw.standard_family(1.0)
 
 
+def is_orbit(tm, pts, wrap=0):
+    """Do the points form an F-orbit (up to the final wrap by `wrap`),
+    within 1e-8?"""
+    tol = 1e-8
+    for i in range(len(pts) - 1):
+        img = tm(pts[i])
+        if not np.allclose(img, pts[i + 1], atol=tol):
+            return False
+    if wrap:
+        img = tm(pts[-1])
+        target = pts[0] + np.array([wrap, 0.0])
+        return bool(np.allclose(img, target, atol=tol))
+    return True
+
+
+def is_partial_graph(am):
+    """No two points of the assembly share an x.  Near-saddle orbit points
+    cluster like mu^(q/2), so the workable tolerance is close to round-off."""
+    return bool(np.all(np.diff(np.sort(am.points[:, 0])) > 1e-12))
+
+
+def pivots(gf, x):
+    """LDL^T pivots of the Hessian of the segment x, up to and including
+    the first nonpositive one."""
+    return tw._ldl(*(a.tolist() for a in tw._hessian(gf, np.asarray(x, dtype=float))))[0]
+
+
 class TestStandardFamily:
     def test_gradients_match_finite_differences(self, family):
         gf, _ = family
@@ -132,11 +159,11 @@ class TestMinimizePeriodic:
         gf, tm = family
         cfg = tw.minimize_periodic(gf, 1, 5)
         pts = tw.config_orbit(gf, cfg)
-        assert tw.is_orbit(tm, pts, wrap=1)
+        assert is_orbit(tm, pts, wrap=1)
         # perturbing breaks both criticality and the orbit property
         bad = tw.Configuration(cfg.x + np.array([0, 0.01, 0, 0, 0]), "periodic", 1, 5)
         assert tw.criticality_residual(gf, bad) > 1e-4
-        assert not tw.is_orbit(tm, tw.config_orbit(gf, bad), wrap=1)
+        assert not is_orbit(tm, tw.config_orbit(gf, bad), wrap=1)
 
     def test_translates_never_cross(self, family):
         gf, _ = family
@@ -149,18 +176,21 @@ class TestHeteroclinic:
         gf, _ = family
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
-        seg = tw.heteroclinic_minimizer(gf, left, right, 60)
-        assert seg.x[0] == pytest.approx(0.5) and seg.x[-1] == pytest.approx(1.5)
-        assert tw.is_monotone(seg)
-        assert tw.criticality_residual(gf, seg) <= 1e-9
+        for window in (60, 61, 200, 201):
+            seg = tw.heteroclinic_minimizer(gf, left, right, window)
+            assert len(seg.x) == window + 1
+            assert seg.x[0] == pytest.approx(0.5) and seg.x[-1] == pytest.approx(1.5)
+            assert np.all(np.diff(seg.x) > -1e-9)
+            assert tw.criticality_residual(gf, seg) <= 1e-9
 
     def test_action_stable_under_window_growth(self, family):
         gf, _ = family
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
         base = float(gf.h(0.5, 0.5))
-        a1 = tw.segment_action_excess(gf, tw.heteroclinic_minimizer(gf, left, right, 60), base)
-        a2 = tw.segment_action_excess(gf, tw.heteroclinic_minimizer(gf, left, right, 120), base)
+        # the action less one baseline bond per bond converges as the window grows
+        a1, a2 = (tw.action(gf, tw.heteroclinic_minimizer(gf, left, right, w)) - w * base
+                  for w in (60, 120))
         assert abs(a1 - a2) <= 1e-8
 
     def test_plus_branch_inequality(self, family):
@@ -208,24 +238,28 @@ class TestHyperbolicity:
 
 
 class TestJacobi:
+    """A segment has no conjugate points iff every LDL^T pivot of its
+    Hessian is positive; the Jacobi field first vanishes one index after
+    the first nonpositive pivot (see test_twist_kernel)."""
+
     def test_minimizer_has_no_conjugate_points(self, family):
         gf, _ = family
-        ok, witness = tw.no_conjugate_points_check(gf, [0.5] * 20)
-        assert ok and witness is None
+        piv = pivots(gf, [0.5] * 20)
+        assert len(piv) == 18 and min(piv) > 0
 
     def test_elliptic_fails_with_witness(self, family):
         # recursion 0, 1, 1, 0: the Jacobi field vanishes at index 3
         gf, _ = family
-        ok, witness = tw.no_conjugate_points_check(gf, [0.0] * 20)
-        assert not ok and witness == 3
+        piv = pivots(gf, [0.0] * 20)
+        assert len(piv) + 1 == 3 and piv[-1] <= 0
 
     def test_heteroclinic_passes(self, family):
         gf, _ = family
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
         seg = tw.heteroclinic_minimizer(gf, left, right, 60)
-        ok, _ = tw.no_conjugate_points_check(gf, seg.x)
-        assert ok
+        piv = pivots(gf, seg.x)
+        assert len(piv) == len(seg.x) - 2 and min(piv) > 0
 
 
 class TestAubryMather:
@@ -234,7 +268,7 @@ class TestAubryMather:
         am = tw.assemble_am_set(gf, 0, 1, "plus")
         assert am.rotation == Fraction(0, 1)
         assert "periodic" in am.roles and any(r.startswith("heteroclinic") for r in am.roles)
-        assert am.verify_partial_graph()
+        assert is_partial_graph(am)
         assert math.isfinite(am.lipschitz)
 
     def test_lipschitz_stable_under_doubling(self, family):
@@ -285,7 +319,7 @@ class TestAubryMather:
         am = tw.irrational_am_set(gf, omega, 4)
         p, q = am.rotation.numerator, am.rotation.denominator
         assert abs(p / q - float(omega)) <= 1.0 / q ** 2
-        assert am.verify_partial_graph()
+        assert is_partial_graph(am)
         assert len(am.drift) >= 2
         assert all(a >= b for a, b in zip(am.drift, am.drift[1:]))
 

@@ -195,8 +195,13 @@ def test_kernel_matches_old_kernel_bit_for_bit(matrix):
 @given(st.floats(0.0, 4.0),
        st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=80))
 def test_jacobi_check_matches_xi_recursion(K, xs):
+    # xi_{i+1} has the sign of the i-th leading minor of the Hessian (the
+    # bonds have d12 < 0), so xi first fails to be positive where the
+    # LDL^T factorization meets its first nonpositive pivot
     gf, _ = tw.standard_family(K)
-    assert tw.no_conjugate_points_check(gf, xs) == xi_recursion(gf, np.array(xs))
+    x = np.array(xs)
+    piv, _ = tw._ldl(*(a.tolist() for a in tw._hessian(gf, x)))
+    assert ((True, None) if piv[-1] > 0.0 else (False, len(piv) + 1)) == xi_recursion(gf, x)
 
 
 def loop_well_ordered(cfg, b_extra=2):

@@ -167,20 +167,63 @@ class TestEquivalence:
         assert not wf._cyclic_equal(g.cylinders, g.cylinders[::-1])
 
 
+def swap_pairs(words, radius):
+    """Every pair of the central words that differ by exactly one adjacent
+    '10' <-> '01' swap, as (upper, lower, j): upper reads '10' at window
+    indices j, j + 1 and lower '01'.  Compares every pair, O(m^2 L)."""
+    ws = sorted(words)
+    pairs = []
+    for i, u in enumerate(ws):
+        for v in ws[i + 1:]:
+            diffs = [p for p in range(len(u)) if u[p] != v[p]]
+            if len(diffs) != 2 or diffs[1] != diffs[0] + 1:
+                continue
+            p = diffs[0]
+            if {u[p:p + 2], v[p:p + 2]} != {"10", "01"}:
+                continue
+            upper, lower = (u, v) if u[p:p + 2] == "10" else (v, u)
+            pairs.append((upper, lower, p - radius))
+    return pairs
+
+
+def gap_orbits(pairs, radius):
+    """Number of classes of the pairs under the shift: a pair whose swap
+    lies s further right is in the orbit of a representative when both of
+    its words equal the representative's shifted by s, on the indices both
+    hold."""
+    def aligned(p, rep):
+        (u, lw, j), (u0, lw0, j0) = p, rep
+        s = j - j0
+        return all(u[k + radius] == u0[k - s + radius] and lw[k + radius] == lw0[k - s + radius]
+                   for k in range(max(-radius, s - radius), min(radius, radius + s) + 1))
+
+    reps = []
+    for p in pairs:
+        if not any(aligned(p, rep) for rep in reps):
+            reps.append(p)
+    return len(reps)
+
+
 class TestGapPairs:
+    """The gap pairs are the neighbours of the cylinder order across its
+    2n inner cuts (see the module docstring); `swap_pairs`, which compares
+    every pair of words, is the oracle."""
+
     def test_exactly_one_orbit(self):
         w = wf.build_wds(ALPHA_STAR, 30)
-        pairs = wf.asymptotic_pairs(w)
+        pairs = swap_pairs(wf.cylinder_order(w).cylinders, 30)
         assert len(pairs) == 2 * 30
-        assert wf.count_gap_orbits(pairs, 30) == 1
+        assert gap_orbits(pairs, 30) == 1
 
     def test_swap_symbols_at_zero(self):
-        w = wf.build_wds(ALPHA_STAR, 12)
-        p0 = [p for p in wf.asymptotic_pairs(w) if p.position == 0][0]
-        assert p0.upper[12] == "1" and p0.lower[12] == "0"
+        # the first arc starts at the cut 0; the last one ends there
+        c = wf.cylinder_order(wf.build_wds(ALPHA_STAR, 12)).cylinders
+        assert c[-1][12:14] == "10" and c[0][12:14] == "01"
+        assert c[-1][:12] == c[0][:12] and c[-1][14:] == c[0][14:]
 
     def test_matches_denjoy_itineraries(self):
-        # the j=0 pair is the coding pair of the gap endpoints (a, b)
+        # the itineraries of the gap's ends are neighbouring cylinders, the
+        # left end's first in the circular order, reading '10' at index 0
         from denshoe import circle as ci
 
         h = ci.denjoy_build(ALPHA_STAR, 2000)
@@ -189,14 +232,27 @@ class TestGapPairs:
         n = 12
         ia = ci.itinerary(h, cod, a0, n).word()
         ib = ci.itinerary(h, cod, b0, n).word()
-        w = wf.build_wds(ALPHA_STAR, n)
-        p0 = [p for p in wf.asymptotic_pairs(w) if p.position == 0][0]
-        assert p0.upper == ia and p0.lower == ib
+        g = wf.cylinder_order(wf.build_wds(ALPHA_STAR, n))
+        assert (g.position(ib) - g.position(ia)) % len(g) == 1
+        assert ia[n:n + 2] == "10"
 
     def test_full_shift_many_orbits(self):
+        # the orbit count can exceed 1: the full shift has many gap orbits
         words = {"".join(c) for c in itertools.product("01", repeat=7)}
-        pairs = wf.asymptotic_pairs_in(words, 3)
-        assert wf.count_gap_orbits(pairs, 3) > 1
+        assert gap_orbits(swap_pairs(words, 3), 3) > 1
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+    def test_gap_pairs_are_neighbours_across_inner_cuts(self, d):
+        for m in (1, 2, 3, 5, 7):
+            a = QuadReal(0, m, d).frac()
+            a = a if a < Fraction(1, 2) else 1 - a
+            for n in (4, 10, 20):
+                for orientation in (1, -1):
+                    g = wf.cylinder_order(wf.build_wds(a, n, orientation=orientation))
+                    pairs = swap_pairs(g.cylinders, n)
+                    assert len(pairs) == 2 * n and gap_orbits(pairs, n) == 1
+                    for upper, lower, _ in pairs:
+                        assert (g.position(lower) - g.position(upper) - orientation) % len(g) == 0
 
 
 class TestContinuity:
