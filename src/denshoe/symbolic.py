@@ -41,6 +41,10 @@ from .exact import _UNIT, QuadReal, as_real, is_exact
 GUARD_BAND = 1e-12
 ESCALATED_DPS = 60
 ESCALATED_GUARD = 1e-40
+#: the rotation walk: balance checked to this factor length, mediants
+#: decided by factor counts up to this denominator, and the width at
+#: which the walk stops
+VALIDATE_TO, LANGUAGE_CAP, TARGET_WIDTH = 40, 600, Fraction(1, 1200)
 #: factor by which the float pass's error bound is widened for exact angles
 _FILTER_SAFETY = 4.0
 #: largest index float() converts without overflow
@@ -562,58 +566,55 @@ def _count_side(zeros: np.ndarray, p: int, q: int) -> int:
     return 1 if above else -1 if below else 0
 
 
-def estimate_rotation_interval(
-    w: CentralWindow,
-    *,
-    max_denominator: int = 10 ** 6,
-    target_width: Fraction = Fraction(1, 1200),
-    language_cap: int = 600,
-    validate_to: int = 40,
-) -> FareyInterval:
+def estimate_rotation_interval(w: CentralWindow) -> FareyInterval:
     """Farey interval guaranteed to contain every slope whose Sturmian
     language includes all observed factors.
 
     The window is first checked to be balanced at every factor length up
-    to `validate_to`, which also bounds its complexity by n + 1 there (see
+    to VALIDATE_TO, which also bounds its complexity by n + 1 there (see
     `_validate_sturmian`); NotSturmian names the first length that fails.
-    Then Stern-Brocot refinement: each mediant p/q is accepted on the side
-    proven either by the symbol-0 frequency bound or by the zero counts of
-    the window's length-q factors.  A length-q factor of a coding of slope
-    beta has floor(q*beta) or ceil(q*beta) zeros, so a factor with more
-    than p zeros proves beta > p/q and one with fewer proves beta < p/q;
-    seeing both means no slope fits and raises NotSturmian.  On a true
-    coding this is the one-word difference of the two one-sided limit
-    languages of p/q (Lothaire, "Algebraic Combinatorics on Words", ch. 2;
-    Berstel, Lauve, Reutenauer & Saliola, "Combinatorics on Words", CRM
-    2008), read from one prefix sum instead of built.  The walk stops at
-    the target width, at the denominator cap, at the language cap
-    (q > min(len(w), language_cap)), or when the counts do not decide;
-    every stop is sound (the interval only ever shrinks around the
-    compatible-slope set).  A DEBUG record on this module's logger gives
-    the mediants tried, how each was decided, the stop reason and the
-    final interval."""
+    Then `_farey_walk` refines the interval."""
+    _validate_sturmian(w, VALIDATE_TO)
+    return _farey_walk(w)
+
+
+def _farey_walk(w: CentralWindow) -> FareyInterval:
+    """The Stern-Brocot refinement of `estimate_rotation_interval`, on a
+    window that is not validated.
+
+    Each mediant p/q is accepted on the side proven either by the symbol-0
+    frequency bound or by the zero counts of the window's length-q
+    factors.  A length-q factor of a coding of slope beta has floor(q*beta)
+    or ceil(q*beta) zeros, so a factor with more than p zeros proves
+    beta > p/q and one with fewer proves beta < p/q; seeing both means no
+    slope fits and raises NotSturmian.  On a true coding this is the
+    one-word difference of the two one-sided limit languages of p/q
+    (Lothaire, "Algebraic Combinatorics on Words", ch. 2; Berstel, Lauve,
+    Reutenauer & Saliola, "Combinatorics on Words", CRM 2008), read from
+    one prefix sum instead of built.  The walk stops at TARGET_WIDTH, at
+    the language cap (q > min(len(w), LANGUAGE_CAP)), or when the counts
+    do not decide; every stop is sound (the interval only ever shrinks
+    around the compatible-slope set).  While the interval is wider than
+    TARGET_WIDTH, lo_q * hi_q < 1200, so every mediant has
+    q = lo_q + hi_q <= 1200.  A DEBUG record on this module's logger
+    gives the mediants tried, how each was decided, the stop reason and
+    the final interval."""
     L = len(w)
     word = w.word()
-
-    _validate_sturmian(w, validate_to)
-
     periodic = _is_periodic(word)
 
     c0 = word.count("0")
     freq_lo = max(Fraction(0), Fraction(c0 - 1, L))
     freq_hi = min(Fraction(1), Fraction(c0 + 1, L))
     zeros = np.concatenate(([0], np.cumsum(_symbol_array(w) == 0)))
-    cap = min(L, language_cap)
+    cap = min(L, LANGUAGE_CAP)
 
     lo_p, lo_q = 0, 1
     hi_p, hi_q = 1, 1
     tried = by_frequency = by_counts = 0
     stop = "target_width"
-    while Fraction(1, lo_q * hi_q) > target_width:
+    while Fraction(1, lo_q * hi_q) > TARGET_WIDTH:
         mp, mq = lo_p + hi_p, lo_q + hi_q
-        if mq > max_denominator:
-            stop = "max_denominator"
-            break
         tried += 1
         m = Fraction(mp, mq)
         if m < freq_lo or m > freq_hi:

@@ -47,9 +47,11 @@ TWO_PI = 2.0 * math.pi
 TOL = 1e-10              # Newton residual max|grad| that counts as converged
 NEGATIVE_CURVATURE = 1e-8  # Hessian eigenvalue at or below minus this: not a minimizer
 STARTS, SEED = 20, 0     # periodic multi-start: starts, seed of the random ones
+B_EXTRA = 2              # well-ordering: translates by |b| <= |p| + B_EXTRA
 TAIL_TOL = 1e-6          # largest drift of a segment's ends from its two orbits
 STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
 GRID, RAYS, M_CAP = 5, 9, 20  # cone samples per box side, rays per cone, iterate cap
+BOX = 0.02               # half-side of the sampled box around each orbit point
 Q_CAP = 200              # largest convergent denominator in irrational_am_set
 
 _log = logging.getLogger(__name__)
@@ -106,8 +108,9 @@ class TwistMapF:
         x = xp - yp
         return np.array([x, yp + self._g(x)])
 
-    def jacobian(self, x, y=0.0):
-        """DF at (x, y); for an array of x, one 2x2 matrix per entry."""
+    def jacobian(self, x):
+        """DF at (x, y), which depends on x alone; for an array of x, one
+        2x2 matrix per entry."""
         gp = self.K * np.cos(TWO_PI * x)
         jac = np.ones(np.shape(gp) + (2, 2))
         jac[..., 0, 0] = 1.0 - gp
@@ -183,10 +186,10 @@ def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
     return float(np.max(np.abs(_gradient(gf, cfg.padded())), initial=0.0))
 
 
-def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
+def check_well_ordered(cfg: Configuration) -> bool:
     """Aubry non-crossing of integer translates of a periodic configuration.
 
-    The translate (a, b), 0 <= a < q and |b| <= |p| + b_extra, crosses the
+    The translate (a, b), 0 <= a < q and |b| <= |p| + B_EXTRA, crosses the
     configuration when x_{i+a} + b - x_i exceeds 1e-12 at some i and falls
     below -1e-12 at another.  Row a of the (q, q) table x_{i+a} - x_i holds
     the differences of every b at once, so one row max and one row min per
@@ -208,7 +211,7 @@ def check_well_ordered(cfg: Configuration, b_extra: int = 2) -> bool:
     ext = cfg.extended(np.arange(2 * q))
     d = ext[np.add.outer(np.arange(q), np.arange(q))] - ext[:q]
     hi, lo = d.max(axis=1), d.min(axis=1)
-    top = float(abs(p) + b_extra)
+    top = float(abs(p) + B_EXTRA)
     # the smallest integer b with hi + b > 1e-12: the ceiling of 1e-12 - hi,
     # or one more where hi + b lands on 1e-12 or rounds to it
     b = np.ceil(1e-12 - hi)
@@ -342,17 +345,12 @@ def _clearly_indefinite(gf, e) -> bool:
                            [0.0] * len(diag), cyclic=True) is None
 
 
-def minimize_periodic(
-    gf: GeneratingFunction,
-    p: int,
-    q: int,
-    *,
-    max_iter: int = 500,
-) -> Configuration:
+def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     """Action-minimizing critical (p,q)-configuration from STARTS starts
     (half of them shifted ramps, the rest random with seed SEED), each
-    descended until its residual is within TOL; NoConvergence past the
-    iteration cap reports the best residual.  A start that takes no step
+    descended for at most 500 Newton iterations until its residual is
+    within TOL; NoConvergence, when no start converges to a well-ordered
+    minimizer, reports the best residual.  A start that takes no step
     because its Hessian was refused, and whose Hessian has an eigenvalue
     at or below -NEGATIVE_CURVATURE, is critical but not a minimizer
     (the (0,1) start x = 0 is the potential's maximum, with H = -K), and
@@ -379,7 +377,7 @@ def minimize_periodic(
     starts = converged = skipped = ordered = confirmations = 0
     for x0 in candidates:
         starts += 1
-        e, _, res, steps, refused = _newton_minimize(gf, lambda x: _pad(x, p), x0, max_iter,
+        e, _, res, steps, refused = _newton_minimize(gf, lambda x: _pad(x, p), x0, 500,
                                                      cyclic=True)
         best_res = min(best_res, res)
         if res > TOL:
@@ -433,9 +431,13 @@ def heteroclinic_minimizer(
     orbit to double precision.  So each centering first descends the
     central core of C = min(window, 50 q) bonds, cut from the same orbit
     values and clamped to them; 50 q is the smallest window accepted.
-    The converged core, with the orbit values on both sides, then starts
-    the descent of the full window, which only has the tails to settle.
-    When C is the window, the one descent is the full one.
+    The core, with the orbit values on both sides, then starts the
+    descent of the full window, which only has the tails to settle.  A
+    core that stalls above TOL is finished the same way as a converged
+    one, and the full window's residual test decides: at (1,2), K = 2,
+    window 110, the offset-0.5 core stalls at 4.5e-10 with tau past 1e45,
+    and its finished window is the minimizer.  When C is the window, the
+    one descent is the full one.
 
     The extended start's residual is the drift of the core's outermost
     sites, between TOL and about 1e-8 for K below 1.  A Newton step from
@@ -500,9 +502,9 @@ def heteroclinic_minimizer(
         for a, b in spans:
             e, w, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
                                                cyclic=False)
-            if res > TOL:
-                break
             core = b - a < n
+            if res > TOL and not core:
+                break
             diag, off = _hessian(gf, e)
             if _ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
                 saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
@@ -576,8 +578,7 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
     for j in range(q):
         M = np.eye(2)
         for i in range(q):
-            x, y = orbit[(j + i) % q]
-            M = tm.jacobian(x, y) @ M
+            M = tm.jacobian(orbit[(j + i) % q, 0]) @ M
         evals, evecs = np.linalg.eig(M)
         evals = np.real(evals)
         evecs = np.real(evecs)
@@ -588,23 +589,19 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
     return frames
 
 
-def hyperbolicity_report(
-    tm: TwistMapF,
-    orbit: np.ndarray,
-    radius: float = 0.02,
-) -> HyperbolicityReport:
-    """Saddle eigen-data plus sampled cone-condition checks on a square
-    neighborhood of each orbit point, a GRID x GRID grid with RAYS rays per
-    cone and cone growth tried up to M_CAP iterates.  The cone field is the
-    eigenframe of the cycled Jacobian, extended constantly near each point;
-    condition margins are the worst values seen on the grid.  A DEBUG
-    record on this module's logger gives q, the trace, cone_m, the three
-    margins and which of the three conditions passed."""
+def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityReport:
+    """Saddle eigen-data plus sampled cone-condition checks on the square
+    of half-side BOX around each orbit point, a GRID x GRID grid with RAYS
+    rays per cone and cone growth tried up to M_CAP iterates.  The cone
+    field is the eigenframe of the cycled Jacobian, extended constantly
+    near each point; condition margins are the worst values seen on the
+    grid.  A DEBUG record on this module's logger gives q, the trace,
+    cone_m, the three margins and which of the three conditions passed."""
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     q = len(orbit)
     M = np.eye(2)
-    for x, y in orbit:
-        M = tm.jacobian(x, y) @ M
+    for x in orbit[:, 0]:
+        M = tm.jacobian(x) @ M
     tr = float(np.trace(M))
     if tr <= 2.0:
         raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
@@ -615,7 +612,7 @@ def hyperbolicity_report(
     frames = _orbit_frames(tm, orbit)
     # the GRID x GRID samples around each orbit point, as columns (x, y);
     # owner[s] is the orbit index of sample s
-    offsets = np.linspace(-radius, radius, GRID)
+    offsets = np.linspace(-BOX, BOX, GRID)
     grid = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), -1).reshape(-1, 2)
     pts = (orbit[:, None, :] + grid).reshape(-1, 2).T
     owner = np.repeat(np.arange(q), GRID * GRID)
@@ -658,7 +655,7 @@ def hyperbolicity_report(
 
     return HyperbolicityReport(
         trace=tr, lam=lam, mu=mu, frames=frames,
-        cone_mu=cone_mu, cone_m=cone_m, radius=radius,
+        cone_mu=cone_mu, cone_m=cone_m, radius=BOX,
         margins={
             "cone_invariance_ratio": worst_ratio,
             "growth_forward": g_fwd,
@@ -678,7 +675,6 @@ class AubryMatherApprox:
     rotation: Fraction
     roles: tuple[str, ...]
     lipschitz: float
-    hetero_count_bound: float
     drift: list = field(default_factory=list)  # Hausdorff drift per refinement
 
 
@@ -714,12 +710,11 @@ def assemble_am_set(
     p: int,
     q: int,
     branch: str = "plus",
-    *,
-    window: int | None = None,
 ) -> AubryMatherApprox:
     """Maximal Aubry-Mather set at rotation number p/q, desk approximation:
-    the minimizing periodic orbit plus a sampled minimizing connection to
-    its advanced (plus) or retarded (minus) neighbor translate."""
+    the minimizing periodic orbit plus a sampled minimizing connection,
+    over max(50 q, 60) bonds, to its advanced (plus) or retarded (minus)
+    neighbor translate."""
     if branch not in ("plus", "minus"):
         raise InvalidArgument("branch must be 'plus' or 'minus'")
     tm = TwistMapF(gf.K)
@@ -727,11 +722,10 @@ def assemble_am_set(
     orbit = config_orbit(gf, per)
     hyperbolicity_report(tm, orbit)  # raises NotSaddle when inapplicable
 
-    window = window or max(50 * q, 60)
     shift = 1 if branch == "plus" else -1
     target = Configuration(per.x + shift, "periodic", p, q)
     # plus: advancing connection per -> per+1; minus: retreating per -> per-1
-    seg = heteroclinic_minimizer(gf, per, target, window)
+    seg = heteroclinic_minimizer(gf, per, target, max(50 * q, 60))
     seg_orbit = config_orbit(gf, seg)
 
     pts = [np.column_stack([orbit[:, 0] % 1.0, orbit[:, 1]])]
@@ -746,18 +740,11 @@ def assemble_am_set(
         pts.append(np.array(keep))
         roles += [f"heteroclinic-{branch}"] * len(keep)
     points = np.vstack(pts)
-
-    lip = _lipschitz_constant(points)
-    sep = np.inf
-    xs = np.sort(points[:, 0])
-    if len(xs) > 1:
-        sep = float(np.min(np.diff(xs)))
     return AubryMatherApprox(
         points=points,
         rotation=Fraction(p, q),
         roles=tuple(roles),
-        lipschitz=lip,
-        hetero_count_bound=(lip + 1.0) / sep if sep > 0 else math.inf,
+        lipschitz=_lipschitz_constant(points),
     )
 
 
@@ -793,7 +780,6 @@ def irrational_am_set(
             rotation=Fraction(p, q),
             roles=tuple(["periodic"] * len(pts)),
             lipschitz=_lipschitz_constant(pts),
-            hetero_count_bound=math.inf,
         )
     result.drift = drift
     return result

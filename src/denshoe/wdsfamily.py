@@ -52,7 +52,6 @@ from .errors import (
     InvalidArgument,
     NotSturmian,
     RationalAlpha,
-    WindowTooShort,
 )
 from .exact import QuadReal, as_real
 from .symbolic import (
@@ -153,18 +152,12 @@ class Equivalence(enum.Enum):
 # construction
 # ---------------------------------------------------------------------------
 
-def build_wds(
-    alpha,
-    depth: int,
-    *,
-    initial_radius: int | None = None,
-    orientation: int = 1,
-) -> WdsSymbolic:
+def build_wds(alpha, depth: int) -> WdsSymbolic:
     """Factor family up to length 2*depth+1 from one coding window at
     offset 0, checked for complexity n+1 and balance <= 1 (else
-    NotSturmian).  The radius defaults to max(8(2n+1), 128) for
+    NotSturmian).  The window's radius is max(8(2n+1), 128), for
     `rotation_class`; any radius >= 2n+1 holds the family (see the module
-    docstring), and a shorter one raises WindowTooShort."""
+    docstring).  `reversed_wds` gives the inverse circular order."""
     a = as_real(alpha)
     if a.is_rational:
         raise RationalAlpha(f"{alpha} is rational")
@@ -173,10 +166,7 @@ def build_wds(
     if depth < 0:
         raise InvalidArgument("depth must be >= 0")
     top = 2 * depth + 1
-    radius = max(8 * top, 128) if initial_radius is None else initial_radius
-    if radius < top:
-        raise WindowTooShort(f"window radius {radius} < 2*depth+1 = {top}")
-    w = sturmian_window(a, 0, radius)
+    w = sturmian_window(a, 0, max(8 * top, 128))
     levels = list(_factor_levels(w, top))
     ones = _one_counts(w)
     for n, starts in levels:
@@ -185,7 +175,7 @@ def build_wds(
         if _defect(ones, n) > 1:
             raise NotSturmian(f"balance defect exceeds 1 at length {n}")
     fam = {n: _factor_set(w.word(), n, starts) for n, starts in levels}
-    return WdsSymbolic(a, depth, fam, w, orientation)
+    return WdsSymbolic(a, depth, fam, w)
 
 
 def reversed_wds(w: WdsSymbolic) -> WdsSymbolic:

@@ -3,9 +3,11 @@ subclass in `errors.py` is raised somewhere in `src/denshoe`, every
 entry of `[project].dependencies` is imported there, and every public
 function, method and class it defines is referenced by name in the
 package, its tests, the benchmark or the scripts, and those that only
-the tests reach are the ones listed in KEPT.  It also keeps one error
-contract: the package raises no builtin exception but the
-`AttributeError` of `QuadReal.__setattr__`."""
+the tests reach are the ones listed in KEPT.  Likewise every defaulted
+parameter of a public function or method is passed by some call in the
+package, the benchmark or the scripts, but the ones listed in
+KEPT_OPTIONS.  It also keeps one error contract: the package raises no
+builtin exception but the `AttributeError` of `QuadReal.__setattr__`."""
 
 import ast
 import builtins
@@ -35,6 +37,13 @@ KEPT = {
     "continuity_probe": "the paper's continuity in rotation number, a planned benchmark scenario",
     "criticality_residual": "how far a configuration is from an orbit",
     "is_saddle": "the verdict of a hyperbolicity report",
+}
+
+#: the defaulted parameters of public functions and methods that no call in
+#: the package, the benchmark or the scripts passes; the tests pass each
+KEPT_OPTIONS = {
+    "branch": "assemble_am_set's advancing (plus) or retreating (minus) connection",
+    "depth": "continuity_probe at depths 6, 8 and 12, a planned benchmark scenario",
 }
 
 
@@ -161,6 +170,68 @@ def test_only_the_kept_names_are_test_only():
     # package, make it private, or add it to KEPT with its reason
     used = package_references() | referenced_names(("perfbench", "scripts"))
     assert sorted({name for _, name in public_definitions()} - used) == sorted(KEPT)
+
+
+def defaulted_parameters():
+    """(name it is called by, parameter, positional index or None) of each
+    parameter with a default of a public function at module level in the
+    package, or of a public method or `__init__` of a class there; an
+    `__init__` is called by its class's name, and a method's index does
+    not count self."""
+    found = []
+    for tree in trees():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                fns = [(m.name if m.name != "__init__" else node.name, m, 1)
+                       for m in node.body if isinstance(m, ast.FunctionDef)
+                       and (m.name == "__init__" or not m.name.startswith("_"))]
+            elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                fns = [(node.name, node, 0)]
+            else:
+                continue
+            for name, fn, skip in fns:
+                a = fn.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                found += [(name, p.arg, i - skip)
+                          for i, p in enumerate(positional) if i >= first]
+                found += [(name, p.arg, None)
+                          for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def passed_arguments():
+    """{called name: (most positional arguments, keywords)} over every call
+    in the package, the benchmark and the scripts; a starred argument
+    counts as every position and a ** argument as every keyword (None)."""
+    calls = {}
+    for d in ("src", "perfbench", "scripts"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                npos = (float("inf") if any(isinstance(x, ast.Starred) for x in node.args)
+                        else len(node.args))
+                most, keywords = calls.setdefault(name, (0, set()))
+                keywords.update(k.arg for k in node.keywords)
+                calls[name] = (max(most, npos), keywords)
+    return calls
+
+
+def test_only_the_kept_options_are_test_only():
+    # a new option that no caller sets fails here: pass it somewhere, make
+    # it a constant, or add it to KEPT_OPTIONS with its reason
+    params = defaulted_parameters()
+    assert params, "no defaulted parameters found"
+    calls = passed_arguments()
+
+    def passed(name, param, index):
+        most, keywords = calls.get(name, (0, set()))
+        return param in keywords or None in keywords or (index is not None and index < most)
+
+    assert sorted(p for name, p, i in params if not passed(name, p, i)) == sorted(KEPT_OPTIONS)
 
 
 def test_every_error_class_is_raised():

@@ -370,9 +370,13 @@ def test_flipped_windows_refine_old_walk(w, validate_to):
     """The count rule decides wherever the language rule did, so the walk
     either ends where the old one ended, goes on inside its interval, or
     proves that no slope fits.  Most flips fail the validation, so the
-    walk also runs with a shorter one."""
+    walk also runs after a shorter one."""
+    def walk(w):
+        sy._validate_sturmian(w, validate_to)
+        return sy._farey_walk(w)
+
     old = outcome(old_estimate_rotation_interval, w, validate_to=validate_to)
-    new = outcome(sy.estimate_rotation_interval, w, validate_to=validate_to)
+    new = outcome(walk, w)
     if isinstance(old, tuple):
         assert isinstance(new, tuple) and new[0] is NotSturmian
     elif isinstance(new, tuple):
@@ -443,15 +447,15 @@ def test_walk_record(caplog):
     assert Fraction(fields["lo"]) == iv.lo and Fraction(fields["hi"]) == iv.hi
 
 
-@pytest.mark.parametrize("kwargs, stop", [
-    ({"max_denominator": 20}, "max_denominator"),
-    ({"language_cap": 10, "target_width": Fraction(1, 10 ** 9)}, "language_cap"),
-])
-def test_walk_record_stop_reasons(caplog, kwargs, stop):
-    w = sy.sturmian_window(ALPHA_STAR, 0, 1000)
+def test_walk_record_language_cap(caplog):
+    # slope [0; 1, 1296, ...], just below 1: the frequency bound decides
+    # the mediants m/(m+1) up to 999/1000, and 1000/1001 is past
+    # LANGUAGE_CAP while the interval is still wider than TARGET_WIDTH
+    w = sy.sturmian_window(QuadReal(-648, 180, 13), 0, 1000)
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
-        sy.estimate_rotation_interval(w, **kwargs)
-    assert f" stop={stop} " in caplog.records[-1].getMessage()
+        iv = sy.estimate_rotation_interval(w)
+    assert " stop=language_cap " in caplog.records[-1].getMessage()
+    assert iv.width > sy.TARGET_WIDTH and iv == old_estimate_rotation_interval(w)
 
 
 def test_walk_record_undecided(caplog):

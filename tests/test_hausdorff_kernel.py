@@ -100,7 +100,8 @@ def angle_pairs(draw):
 
 
 def graph(alpha, depth, orientation=1):
-    return wf.cylinder_order(wf.build_wds(alpha, depth, orientation=orientation))
+    w = wf.build_wds(alpha, depth)
+    return wf.cylinder_order(w if orientation > 0 else wf.reversed_wds(w))
 
 
 @PROPERTY

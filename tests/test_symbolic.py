@@ -270,7 +270,7 @@ class TestSymbolicHausdorff:
     comparison `equivalence_test` makes first."""
 
     def test_equal_families(self):
-        w1 = wf.build_wds(ALPHA_STAR, 6, initial_radius=300)
+        w1 = wf.build_wds(ALPHA_STAR, 6)
         w2 = wf.build_wds(ALPHA_STAR, 6)
         assert wf.equivalence_test(w1, w2) is wf.Equivalence.EQUAL_ORDER
 
@@ -279,12 +279,12 @@ class TestSymbolicHausdorff:
         # between them shares every factor of length <= 13 with alpha*
         n = 6
         g = QuadReal(Fraction(13, 34)) - QuadReal(0, Fraction(1, 10 ** 9), 2)
-        wa = wf.build_wds(ALPHA_STAR, n, initial_radius=3000)
-        wb = wf.build_wds(g, n, initial_radius=3000)
+        wa = wf.build_wds(ALPHA_STAR, n)
+        wb = wf.build_wds(g, n)
         assert wf.equivalence_test(wa, wb) is wf.Equivalence.EQUAL_ORDER
 
     def test_distant_generators(self):
         n = 4
-        wa = wf.build_wds(ALPHA_STAR, n, initial_radius=500)
-        wb = wf.build_wds(QuadReal(0, Fraction(1, 14), 2), n, initial_radius=500)  # ~0.101
+        wa = wf.build_wds(ALPHA_STAR, n)
+        wb = wf.build_wds(QuadReal(0, Fraction(1, 14), 2), n)  # ~0.101
         assert wf.equivalence_test(wa, wb) is wf.Equivalence.NOT_EQUIVALENT

@@ -204,7 +204,7 @@ def test_jacobi_check_matches_xi_recursion(K, xs):
     assert ((True, None) if piv[-1] > 0.0 else (False, len(piv) + 1)) == xi_recursion(gf, x)
 
 
-def loop_well_ordered(cfg, b_extra=2):
+def loop_well_ordered(cfg):
     """Every translate (a, b) tested on its own."""
     q, p = cfg.q, cfg.p
     idx = np.arange(2 * q)
@@ -212,7 +212,7 @@ def loop_well_ordered(cfg, b_extra=2):
     base = ext[:q]
     for a in range(q):
         shifted = ext[a:a + q]
-        for b in range(-abs(p) - b_extra, abs(p) + b_extra + 1):
+        for b in range(-abs(p) - tw.B_EXTRA, abs(p) + tw.B_EXTRA + 1):
             if a == 0 and b == 0:
                 continue
             d = shifted + b - base
@@ -222,30 +222,30 @@ def loop_well_ordered(cfg, b_extra=2):
 
 
 @PROPERTY
-@given(st.integers(1, 40), st.integers(-40, 40), st.integers(0, 3),
+@given(st.integers(1, 40), st.integers(-40, 40),
        st.sampled_from((0.0, 1e-13, 1e-6, 1e-3, 0.1, 1.0)), st.integers(0, 2 ** 32))
-def test_well_ordered_matches_translate_loop(q, p, b_extra, noise, seed):
+def test_well_ordered_matches_translate_loop(q, p, noise, seed):
     rng = np.random.default_rng(seed)
     x = np.arange(q) * (p / q) + rng.uniform(0, 1) + noise * rng.normal(size=q)
     cfg = tw.Configuration(x, "periodic", p, q)
-    assert tw.check_well_ordered(cfg, b_extra) == loop_well_ordered(cfg, b_extra)
+    assert tw.check_well_ordered(cfg) == loop_well_ordered(cfg)
 
 
-def every_b_well_ordered(cfg, b_extra=2):
+def every_b_well_ordered(cfg):
     """`check_well_ordered` as it was before it stopped listing the shifts
     b: each row's max and min against every b in range."""
     q, p = cfg.q, cfg.p
     ext = cfg.extended(np.arange(2 * q))
     d = ext[np.add.outer(np.arange(q), np.arange(q))] - ext[:q]
     hi, lo = d.max(axis=1), d.min(axis=1)
-    bs = np.arange(-abs(p) - b_extra, abs(p) + b_extra + 1)[:, None]
+    bs = np.arange(-abs(p) - tw.B_EXTRA, abs(p) + tw.B_EXTRA + 1)[:, None]
     return not np.any((hi + bs > 1e-12) & (lo + bs < -1e-12))
 
 
 @PROPERTY
-@given(st.integers(1, 40), st.integers(-40, 40), st.integers(0, 3), st.booleans(),
+@given(st.integers(1, 40), st.integers(-40, 40), st.booleans(),
        st.sampled_from((0.0, 5e-13, 1e-12, 2e-12, 1e-6, 0.1)), st.integers(0, 2 ** 32))
-def test_well_ordered_matches_every_b(q, p, b_extra, on_integers, noise, seed):
+def test_well_ordered_matches_every_b(q, p, on_integers, noise, seed):
     """The same verdict as listing every b, bit for bit; with on_integers
     the differences sit within the noise of integers, so the rows meet the
     +-1e-12 margins."""
@@ -253,7 +253,7 @@ def test_well_ordered_matches_every_b(q, p, b_extra, on_integers, noise, seed):
     x = np.arange(q) * (p / q)
     x = (np.round(x) if on_integers else x + rng.uniform(0, 1)) + noise * rng.normal(size=q)
     cfg = tw.Configuration(x, "periodic", p, q)
-    assert tw.check_well_ordered(cfg, b_extra) == every_b_well_ordered(cfg, b_extra)
+    assert tw.check_well_ordered(cfg) == every_b_well_ordered(cfg)
 
 
 def test_well_ordered_matches_every_b_at_the_margins():
@@ -269,8 +269,7 @@ def test_well_ordered_matches_every_b_at_the_margins():
     for p in range(-2, 3):
         for x1, x2 in itertools.product(sites, repeat=2):
             cfg = tw.Configuration(np.array([0.0, x1, x2]), "periodic", p, 3)
-            for b_extra in (0, 2):
-                assert tw.check_well_ordered(cfg, b_extra) == every_b_well_ordered(cfg, b_extra)
+            assert tw.check_well_ordered(cfg) == every_b_well_ordered(cfg)
 
 
 def test_well_ordered_memory_does_not_grow_with_p():
@@ -372,14 +371,12 @@ def reference_growth(tm, orbit, frames, radius, grid=5, rays=9, m_cap=20):
                     A = np.eye(2)
                     pt = p.copy()
                     for _ in range(m):
-                        x, y = pt
                         if forward:
-                            A = tm.jacobian(x, y) @ A
+                            A = tm.jacobian(pt[0]) @ A
                             pt = tm(pt)
                         else:
                             pt = tm.inverse(pt)
-                            x, y = pt
-                            A = np.linalg.inv(tm.jacobian(x, y)) @ A
+                            A = np.linalg.inv(tm.jacobian(pt[0])) @ A
                     for t in ts:
                         v = frames[j] @ np.array([t, 1.0] if forward else [1.0, t])
                         worst = min(worst, np.linalg.norm(A @ v) / np.linalg.norm(v))
@@ -472,15 +469,19 @@ def recorded_run(fn, gf, left, right, window, caplog):
 @pytest.mark.parametrize("K, p, q, window, shift", [
     (K, 0, 1, window, shift) for K in (0.12, 0.3, 0.7, 1.0, 1.3, 2.0)
     for window in (50, 60, 200, 1000) for shift in (1, -1)
-] + [(K, 1, 2, window, shift) for K in (1.0, 2.0) for window in (100, 300) for shift in (1, -1)])
+] + [(K, 1, 2, window, shift) for K in (1.0, 2.0) for window in (100, 300) for shift in (1, -1)]
+    + [(2.0, 1, 2, 110, 1)])
 def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
     """The core-then-window descent reaches the old full-window minimizer:
     the same sites within 1e-9, the same action within 1e-12 and the same
     winning offset, unless the old descent from the new winner's blend
-    stopped above TOL (at (1,2), K = 2, window 300 it ran into the
-    iteration cap, where its core converges).  At window = 50 q the core
-    is the window, so each centering runs exactly one Newton descent, the
-    one the old code ran."""
+    stopped above TOL.  There the new minimizer may also be a lower one
+    that the old descent missed: at (1,2), K = 2, shift 1 the offset-0.5
+    kink's action is 4.6e-3 below the offset-0 one, and the old descent
+    from its blend ran into the iteration cap at window 300, while its
+    core stalls at 4.5e-10 and is finished on the window.  At window =
+    50 q the core is the window, so each centering runs exactly one Newton
+    descent, the one the old code ran."""
     gf, left = minimizer(K, p, q)
     right = tw.Configuration(left.x + shift, "periodic", p, q)
     old, old_offset, old_runs = recorded_run(old_heteroclinic_minimizer, gf, left, right, window,
@@ -497,5 +498,9 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
         # and below K = 0.14 for 60: both refuse it
         assert new == old and K <= 0.3 and window <= 60
         return
+    gain = tw.action(gf, old) - tw.action(gf, new)
+    if gain > 1e-12:
+        assert new_offset != old_offset
+        return
     assert np.max(np.abs(new.x - old.x)) <= 1e-9
-    assert abs(tw.action(gf, new) - tw.action(gf, old)) <= 1e-12
+    assert abs(gain) <= 1e-12

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from denshoe import symbolic as sy
 from denshoe import wdsfamily as wf
-from denshoe.errors import DegenerateArc, RationalAlpha, WindowTooShort
+from denshoe.errors import DegenerateArc, RationalAlpha
 from denshoe.exact import ALPHA_STAR, QuadReal, as_real
 
 FIELDS = [d for d in range(2, 14) if isqrt(d) ** 2 != d]
@@ -99,6 +99,11 @@ deep_depths = st.integers(21, 40)
 orientations = st.sampled_from((1, -1))
 
 
+def oriented_wds(alpha, depth, orientation):
+    w = wf.build_wds(alpha, depth)
+    return w if orientation > 0 else wf.reversed_wds(w)
+
+
 # ---------------------------------------------------------------------------
 # the one window against the replaced code
 # ---------------------------------------------------------------------------
@@ -106,7 +111,7 @@ orientations = st.sampled_from((1, -1))
 @PROPERTY
 @given(angles(), depths, orientations)
 def test_matches_saturation_loop_and_coded_arcs(alpha, depth, orientation):
-    w = wf.build_wds(alpha, depth, orientation=orientation)
+    w = oriented_wds(alpha, depth, orientation)
     old = old_build_wds(alpha, depth, orientation=orientation)
     assert w == old     # alpha, depth, family, window and orientation
     g, og = wf.cylinder_order(w), old_cylinder_order(old)
@@ -117,18 +122,22 @@ def test_matches_saturation_loop_and_coded_arcs(alpha, depth, orientation):
 @given(angles(), depths)
 def test_window_of_radius_2n_plus_1_holds_the_family(alpha, depth):
     top = 2 * depth + 1
-    fam = sy.factor_family(sy.sturmian_window(alpha, 0, top), top)
-    assert all(len(fs) == m + 1 for m, fs in fam.items())
-    w = wf.build_wds(alpha, depth, initial_radius=top)
-    assert w.family == fam == wf.build_wds(alpha, depth).family
-    assert wf.cylinder_order(w) == old_cylinder_order(old_build_wds(alpha, depth))
+    win = sy.sturmian_window(alpha, 0, top)
+    levels = list(sy._factor_levels(win, top))
+    assert all(len(starts) == m + 1 for m, starts in levels)
+    fam = {m: sy._factor_set(win.word(), m, starts) for m, starts in levels}
+    w = wf.build_wds(alpha, depth)
+    assert fam == w.family
+    # the arcs' words are read from the short window as well
+    assert wf.cylinder_order(replace(w, window=win)) \
+        == old_cylinder_order(old_build_wds(alpha, depth))
 
 
 # caplog is cleared for each example
 @settings(PROPERTY, max_examples=15, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(angles(), depths, orientations)
 def test_cylinder_order_codes_nothing(caplog, alpha, depth, orientation):
-    w = wf.build_wds(alpha, depth, orientation=orientation)
+    w = oriented_wds(alpha, depth, orientation)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         wf.cylinder_order(w)
@@ -142,15 +151,6 @@ def test_caplog_sees_coding_blocks(caplog):
     assert [r for r in caplog.records if r.getMessage().startswith("coding_block")]
 
 
-@pytest.mark.parametrize("depth", [1, 4, 20])
-def test_short_initial_radius_raises(depth):
-    for radius in range(-1, 2 * depth + 1):
-        with pytest.raises(WindowTooShort):
-            wf.build_wds(ALPHA_STAR, depth, initial_radius=radius)
-    assert wf.build_wds(ALPHA_STAR, depth, initial_radius=2 * depth + 1).window.radius \
-        == 2 * depth + 1
-
-
 # ---------------------------------------------------------------------------
 # the three-distance walk against the exact sort
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_short_initial_radius_raises(depth):
 @settings(PROPERTY, max_examples=40)
 @given(angles(), deep_depths, orientations)
 def test_deep_cylinder_order_matches_exact_sort(alpha, depth, orientation):
-    w = wf.build_wds(alpha, depth, orientation=orientation)
+    w = oriented_wds(alpha, depth, orientation)
     g, og = wf.cylinder_order(w), old_cylinder_order(w)
     assert g.cylinders == og.cylinders and g.arc_lefts == og.arc_lefts
     assert repr(g.arc_lefts) == repr(og.arc_lefts)

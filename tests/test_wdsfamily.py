@@ -1,6 +1,7 @@
 """Tests for the symbolic weak-Denjoy-subsystem family."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -141,7 +142,7 @@ class TestRotationClass:
         assert a == b
 
     def test_width_at_radius_1000(self):
-        w = wf.build_wds(ALPHA_STAR, 4, initial_radius=1000)
+        w = replace(wf.build_wds(ALPHA_STAR, 4), window=sy.sturmian_window(ALPHA_STAR, 0, 1000))
         rc = wf.rotation_class(w)
         assert rc.width <= Fraction(2, 1000)
 
@@ -248,7 +249,8 @@ class TestGapPairs:
             a = a if a < Fraction(1, 2) else 1 - a
             for n in (4, 10, 20):
                 for orientation in (1, -1):
-                    g = wf.cylinder_order(wf.build_wds(a, n, orientation=orientation))
+                    w = wf.build_wds(a, n)
+                    g = wf.cylinder_order(w if orientation > 0 else wf.reversed_wds(w))
                     pairs = swap_pairs(g.cylinders, n)
                     assert len(pairs) == 2 * n and gap_orbits(pairs, n) == 1
                     for upper, lower, _ in pairs:
