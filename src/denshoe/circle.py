@@ -175,7 +175,9 @@ class DenjoyMap:
 
     def orbit(self, x: float, lo: int, hi: int) -> np.ndarray:
         """Positions h^j(x) for j = lo..hi, from the closed form of the
-        module docstring."""
+        module docstring.  x must be finite."""
+        if not math.isfinite(x):
+            raise InvalidArgument(f"position {x!r} is not finite")
         if max(abs(lo), abs(hi)) + self.cutoff >= 2 ** (53 - HEAD_BITS):
             raise InvalidArgument(f"orbit range {lo}..{hi} too long for exact angle products")
         js = np.arange(lo, hi + 1)
@@ -207,8 +209,10 @@ def _float_value(alpha) -> float:
     rounded from its floor at 2^-60: float(a) + float(b) sqrt(d) keeps
     only the digits that a and b sqrt(d) do not cancel, so for
     QuadReal(0, 10**12, 2).frac() it is off by 1.7e-4, and at 10**20 it
-    is an integer."""
+    is an integer.  A float alpha must be finite."""
     if not is_exact(alpha):
+        if not math.isfinite(alpha):
+            raise InvalidArgument(f"{alpha!r} is not finite")
         return float(alpha)
     try:
         return float(Fraction((as_real(alpha) * 2 ** 60).floor(), 2 ** 60))

@@ -22,6 +22,7 @@ inside it are escalated to mpmath.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -193,9 +194,10 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     """Symbols of the rotation coding at k = lo..hi, in one float64 pass.
 
     An entry's margin is its distance to the arc ends 0, alpha and 1.
-    Float angles: entries with margin at most GUARD_BAND, or at most the
-    rounding bound of the float pass where that is larger, are escalated
-    to mpmath; an index beyond the float range raises OutOfRange.  Exact
+    Float angles must be finite (else InvalidArgument); entries with
+    margin at most GUARD_BAND, or at most the rounding bound of the float
+    pass where that is larger, are escalated to mpmath, and an index
+    beyond the float range raises OutOfRange.  Exact
     angles: entries with margin at most the certified error bound of the
     float pass, among them every exact hit of an arc end and every entry
     whose index is beyond the float range, are settled in exact
@@ -210,6 +212,8 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
         tf, err_t = th.float_enclosure()
     else:
         af, tf = float(alpha), float(theta)
+        if not (math.isfinite(af) and math.isfinite(tf)):
+            raise InvalidArgument(f"angles alpha={alpha!r}, theta={theta!r} must be finite")
     span = max(abs(lo), abs(hi))
     if span <= 2 ** 53:
         ks = np.arange(lo, hi + 1, dtype=np.float64)

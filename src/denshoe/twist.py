@@ -119,6 +119,8 @@ class TwistMapF:
 
 
 def standard_family(K: float) -> tuple[GeneratingFunction, TwistMapF]:
+    if not math.isfinite(K):
+        raise InvalidArgument(f"coupling K must be finite, got {K!r}")
     if K < 0:
         raise InvalidArgument("coupling K must be >= 0")
     return GeneratingFunction(K), TwistMapF(K)
@@ -562,7 +564,6 @@ class HyperbolicityReport:
     frames: np.ndarray  # (q, 2, 2): columns [stable, unstable] per orbit point
     cone_mu: float      # verified growth constant > 1
     cone_m: int         # iterate count realizing the growth
-    radius: float
     margins: dict
     passed: tuple[bool, bool, bool]
 
@@ -655,7 +656,7 @@ def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityRepor
 
     return HyperbolicityReport(
         trace=tr, lam=lam, mu=mu, frames=frames,
-        cone_mu=cone_mu, cone_m=cone_m, radius=BOX,
+        cone_mu=cone_mu, cone_m=cone_m,
         margins={
             "cone_invariance_ratio": worst_ratio,
             "growth_forward": g_fwd,

@@ -255,9 +255,14 @@ def graph_hausdorff(g1: CircularOrderGraph, g2: CircularOrderGraph) -> Fraction:
     the reverse, exactly when the two sets of block-class triples are
     equal.  Matching is monotone in h, so the largest matched level, which
     gives the distance 1/(h+1) (0 from n+1 on), is found by bisecting h
-    over 0..n+1 for each orientation of g2.  With T triples per graph and
-    depth n this takes O(T log n) time and O(T) memory: no pair of triples
-    is ever compared."""
+    over 0..n+1 for each orientation of g2.  A level's set of class triples
+    is a presence bitmap of size^3 bytes, size <= 2m the distinct blocks
+    among the m = 2n+2 cylinders of each graph, set by one scatter of the
+    triples' keys; two sets are equal when their bitmaps are.  With
+    T = m(m-1)(m-2)/2 triples per graph this takes O(T log n) time and
+    O(T) memory, since 8m^3 bytes of bitmap stay below the 24m^3 of the
+    two graphs' triple arrays: nothing is sorted, hashed or compared pair
+    by pair."""
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths {g1.depth} != {g2.depth}")
     n = g1.depth
@@ -266,8 +271,10 @@ def graph_hausdorff(g1: CircularOrderGraph, g2: CircularOrderGraph) -> Fraction:
     t2 = g2.index_triples()
 
     def classes(triples, labels, size):
-        return np.unique((labels[triples[:, 0]] * size + labels[triples[:, 1]]) * size
-                         + labels[triples[:, 2]])
+        present = np.zeros(size ** 3, dtype=bool)
+        present[(labels[triples[:, 0]] * size + labels[triples[:, 1]]) * size
+                + labels[triples[:, 2]]] = True
+        return present
 
     def matched(t2v, h):
         # one label per distinct central (2h-1)-block, shared by both graphs

@@ -4,6 +4,7 @@ K < 0, depth 0 and quadratic numbers with huge coefficients.  Argument
 checks raise `InvalidArgument` (a `ValueError`) or `OutOfRange` (an
 `IndexError`), so callers that catch the builtin types still work."""
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from denshoe.exact import ALPHA_STAR, QuadReal, as_real, continued_fraction, con
 
 EDGE = settings(max_examples=60, deadline=None)
 
-rational_floats = st.builds(lambda p, q: p / q, st.integers(-8, 8), st.integers(1, 8))
+non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
+rational_floats = st.one_of(
+    st.builds(lambda p, q: p / q, st.integers(-8, 8), st.integers(1, 8)), non_finite)
 coefficients = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=8),
                          st.integers(10 ** 300, 10 ** 400), st.integers(-10 ** 400, -10 ** 300))
 quadratic = st.builds(QuadReal, coefficients, coefficients, st.sampled_from((0, 2, 3, 5, 13)))
@@ -73,8 +76,8 @@ def test_wdsfamily_entry_points(alpha, depth):
 
 
 @EDGE
-@given(alpha=angles, cutoff=st.sampled_from((0, 999, 1000)), x=st.floats(0, 1),
-       radius=small, n=st.integers(-2000, 2000))
+@given(alpha=angles, cutoff=st.sampled_from((0, 999, 1000)),
+       x=st.one_of(st.floats(0, 1), non_finite), radius=small, n=st.integers(-2000, 2000))
 def test_circle_entry_points(alpha, cutoff, x, radius, n):
     h = attempt(ci.denjoy_build, alpha, cutoff)
     if h is not None:
@@ -84,7 +87,7 @@ def test_circle_entry_points(alpha, cutoff, x, radius, n):
 
 
 @EDGE
-@given(K=st.floats(-2, 2), p=st.integers(-3, 3), q=st.integers(-1, 3),
+@given(K=st.one_of(st.floats(-2, 2), non_finite), p=st.integers(-3, 3), q=st.integers(-1, 3),
        omega=exact_angles, depth=st.integers(-1, 3))
 def test_twist_entry_points(K, p, q, omega, depth):
     fam = attempt(tw.standard_family, K)
@@ -110,6 +113,36 @@ def test_argument_errors_and_edge_answers():
     assert convergents(Fraction(1, 3), 0) == []
     with pytest.raises(TypeError):  # not coercible: the operators return NotImplemented
         QuadReal(1) < 0.5
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_invalid(x):
+    # no OverflowError or ValueError from the float conversions, and no
+    # numpy RuntimeWarning from a coding pass over nan
+    for f, args in ((continued_fraction, (x, 3)), (convergents, (x, 3)),
+                    (sy.sturmian_window, (x, 0, 3)), (sy.sturmian_window, (0.3, x, 3)),
+                    (sy.coding_block, (ALPHA_STAR, x, 0, 3)), (tw.standard_family, (x,))):
+        with pytest.raises(InvalidArgument):
+            f(*args)
+
+
+@pytest.mark.parametrize("args", [(1, 1, 2.5), (1, 1, "2"), (1, 1, math.nan), (1, 1, math.inf),
+                                  (math.nan,), (math.inf,), (-math.inf, 1, 2), (1, math.nan, 2),
+                                  (None,), ("x",)])
+def test_quadreal_refuses_what_is_not_a_number(args):
+    with pytest.raises(InvalidArgument):
+        QuadReal(*args)
+
+
+def test_quadreal_takes_integral_floats():
+    assert QuadReal(0.5, 2.0, 8.0) == QuadReal(Fraction(1, 2), 4, 2)
+    assert QuadReal(1, 1, Fraction(4, 2)) == QuadReal(1, 1, 2)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), False])
+def test_quadreal_division_by_zero(zero):
+    with pytest.raises(InvalidArgument, match="divided by zero"):
+        QuadReal(1, 1, 2) / zero
 
 
 @pytest.mark.parametrize("symbols", [(1.0,), [1.0], (0.0,), np.array([0.0, 1.0, 0.0])],

@@ -396,7 +396,7 @@ def test_hyperbolicity_growth_matches_rebuilt_products(K, p, q):
     gf, tm = tw.standard_family(K)
     orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, p, q))
     rep = tw.hyperbolicity_report(tm, orbit)
-    cone_m, g_fwd, g_bwd = reference_growth(tm, orbit, rep.frames, rep.radius)
+    cone_m, g_fwd, g_bwd = reference_growth(tm, orbit, rep.frames, tw.BOX)
     assert rep.cone_m == cone_m
     assert rep.passed[1:] == (cone_m > 0 and g_fwd > 1.0, cone_m > 0 and g_bwd > 1.0)
     assert abs(rep.margins["growth_forward"] - g_fwd) <= 1e-12
