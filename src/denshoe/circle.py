@@ -117,7 +117,10 @@ class DenjoyMap:
         """Image of the rotation coordinate theta (a float or an array) in
         the blown-up circle (left limit at orbit points, i.e. the gap's left
         endpoint).  A tiny negative angle, which reduces to 1.0, is taken as
-        the angle 0; since _pos[0] = 0, every reduced angle then has a slot."""
+        the angle 0; since _pos[0] = 0, every reduced angle then has a slot.
+        theta must be finite."""
+        if not np.isfinite(theta).all():
+            raise InvalidArgument(f"angle {theta!r} is not finite")
         theta %= 1.0
         theta = theta * (theta < 1.0)      # 1.0 -> 0.0; scalars stay scalars
         j = self._pos.searchsorted(theta, "right") - 1
@@ -127,7 +130,10 @@ class DenjoyMap:
 
     def _slot(self, x: float) -> tuple[int, bool]:
         """(j, in_gap): the sorted slot j of the last gap whose left end is
-        <= x (-1 if none), and whether x lies in that gap's closure."""
+        <= x (-1 if none), and whether x lies in that gap's closure.  x
+        must be finite."""
+        if not math.isfinite(x):
+            raise InvalidArgument(f"position {x!r} is not finite")
         j = bisect_right(self._a, x) - 1
         return j, j >= 0 and x <= self._a[j] + self._len[j]
 
@@ -176,8 +182,6 @@ class DenjoyMap:
     def orbit(self, x: float, lo: int, hi: int) -> np.ndarray:
         """Positions h^j(x) for j = lo..hi, from the closed form of the
         module docstring.  x must be finite."""
-        if not math.isfinite(x):
-            raise InvalidArgument(f"position {x!r} is not finite")
         if max(abs(lo), abs(hi)) + self.cutoff >= 2 ** (53 - HEAD_BITS):
             raise InvalidArgument(f"orbit range {lo}..{hi} too long for exact angle products")
         js = np.arange(lo, hi + 1)

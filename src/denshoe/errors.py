@@ -15,11 +15,6 @@ class OutOfRange(DenshoeError, IndexError):
 
 # --- symbolic words / rotation recovery ---
 
-class BoundaryUndecidable(DenshoeError):
-    """A coding point cannot be separated from an arc endpoint at any
-    available precision (the offset sits on the coding orbit of a boundary)."""
-
-
 class WindowTooShort(DenshoeError):
     """Requested factor length exceeds the window length 2N+1."""
 

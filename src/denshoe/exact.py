@@ -292,7 +292,7 @@ def _coerce(x) -> QuadReal | None:
 
 def as_real(x) -> QuadReal:
     """Coerce int / Fraction / QuadReal to QuadReal.  Floats are rejected:
-    float angles take the guard-band evaluation path instead."""
+    `coding_block` takes a float angle as the Fraction of its value."""
     v = _coerce(x)
     if v is None:
         raise InvalidArgument(f"expected an exact angle, got {type(x).__name__}")

@@ -7,16 +7,14 @@ rule, so exact angles always produce a well-defined symbol.
 
 Every coding symbol comes from `coding_block`, a filtered predicate
 (Shewchuk, "Adaptive precision floating-point arithmetic and fast robust
-geometric predicates", 1997).  One float64 pass computes each point and
-its margin to the arc ends 0, alpha and 1.  For exact angles the error
-of that float value is at most e(k) = e_theta + |k| e_alpha plus the
-rounding of the product, the sum and the wrap, with e_alpha and e_theta
-from `QuadReal.float_enclosure`; the float decides every entry whose
-margin exceeds four times that bound, and exact arithmetic settles the
-rest.  For float angles, which are exact binary rationals, the margin
-is compared with GUARD_BAND, or with the bound on the float pass's own
-rounding where that is larger (|k alpha| beyond about 4500), and entries
-inside it are escalated to mpmath.
+geometric predicates", 1997).  A float angle is an exact binary rational,
+so it enters as the `Fraction` of its value, and float and exact angles
+take one path.  One float64 pass computes each point and its margin to
+the arc ends 0, alpha and 1.  The error of that float value is at most
+e(k) = e_theta + |k| e_alpha plus the rounding of the product, the sum
+and the wrap, with e_alpha and e_theta from `QuadReal.float_enclosure`;
+the float decides every entry whose margin exceeds four times that
+bound, and exact arithmetic settles the rest.
 """
 
 from __future__ import annotations
@@ -30,23 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    BoundaryUndecidable,
-    InvalidArgument,
-    NotSturmian,
-    OutOfRange,
-    WindowTooShort,
-)
+from .errors import InvalidArgument, NotSturmian, OutOfRange, WindowTooShort
 from .exact import _UNIT, QuadReal, as_real, is_exact
 
-GUARD_BAND = 1e-12
-ESCALATED_DPS = 60
-ESCALATED_GUARD = 1e-40
 #: the rotation walk: balance checked to this factor length, mediants
 #: decided by factor counts up to this denominator, and the width at
 #: which the walk stops
 VALIDATE_TO, LANGUAGE_CAP, TARGET_WIDTH = 40, 600, Fraction(1, 1200)
-#: factor by which the float pass's error bound is widened for exact angles
+#: factor by which the float pass's error bound is widened
 _FILTER_SAFETY = 4.0
 #: largest index float() converts without overflow
 _FLOAT_INDEX_MAX = int(sys.float_info.max)
@@ -168,91 +157,54 @@ def _symbol_exact(alpha: QuadReal, theta: QuadReal, k: int) -> int:
     return 0 if u < (alpha - v if u < 1 - v else alpha + 1 - v) else 1
 
 
-def _symbol_escalated(alpha: float, theta: float, k: int) -> int:
-    """Symbol of float angles decided at ESCALATED_DPS digits after the
-    point, plus one digit per digit of k, so that k*alpha keeps them.
-    Floats are exact binary rationals, so the escalated value is exact; a
-    margin of exactly zero is a true endpoint hit, resolved by the
-    half-open rule."""
-    import mpmath
-
-    with mpmath.workdps(ESCALATED_DPS + len(str(abs(k)))):
-        a = mpmath.mpf(alpha)
-        tt = mpmath.frac(mpmath.mpf(theta) + k * a)
-        if tt == 0:
-            return 0
-        if tt == a:
-            return 1
-        margin = min(tt, 1 - tt, abs(tt - a))
-        if margin > ESCALATED_GUARD:
-            return 0 if tt < a else 1
-    raise BoundaryUndecidable(
-        f"point {{theta + {k}*alpha}} is indistinguishable from an arc endpoint")
-
-
 def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     """Symbols of the rotation coding at k = lo..hi, in one float64 pass.
 
-    An entry's margin is its distance to the arc ends 0, alpha and 1.
-    Float angles must be finite (else InvalidArgument); entries with
-    margin at most GUARD_BAND, or at most the rounding bound of the float
-    pass where that is larger, are escalated to mpmath, and an index
-    beyond the float range raises OutOfRange.  Exact
-    angles: entries with margin at most the certified error bound of the
-    float pass, among them every exact hit of an arc end and every entry
-    whose index is beyond the float range, are settled in exact
-    arithmetic, so every symbol is exact.  A block of more than MAX_BLOCK
-    symbols raises OutOfRange; the indices themselves may be any size."""
+    Float angles must be finite (else InvalidArgument), and are coded as
+    the binary rationals they are; when either angle is a float, both are
+    taken at their float values.  An entry's margin is its distance to
+    the arc ends 0, alpha and 1.  Entries with margin at most the certified
+    error bound of the float pass, among them every exact hit of an arc
+    end and every entry whose index is beyond the float range, are settled
+    in exact arithmetic, so every symbol is exact.  A block of more than
+    MAX_BLOCK symbols raises OutOfRange; the indices themselves may be any
+    size.  A DEBUG record on this module's logger gives the block and the
+    number of entries settled exactly (flagged)."""
     if hi - lo + 1 > MAX_BLOCK:
         raise OutOfRange(f"block of {hi - lo + 1} symbols exceeds MAX_BLOCK = {MAX_BLOCK}")
-    exact = is_exact(alpha) and is_exact(theta)
-    if exact:
-        a, th = as_real(alpha), as_real(theta).frac()
-        af, err_a = a.float_enclosure()
-        tf, err_t = th.float_enclosure()
-    else:
+    if not (is_exact(alpha) and is_exact(theta)):
         af, tf = float(alpha), float(theta)
         if not (math.isfinite(af) and math.isfinite(tf)):
             raise InvalidArgument(f"angles alpha={alpha!r}, theta={theta!r} must be finite")
+        # Fraction(float(x)), not Fraction(x), which refuses np.float32
+        alpha, theta = Fraction(af), Fraction(tf)
+    a, th = as_real(alpha), as_real(theta).frac()
+    af, err_a = a.float_enclosure()
+    tf, err_t = th.float_enclosure()
     span = max(abs(lo), abs(hi))
     if span <= 2 ** 53:
         ks = np.arange(lo, hi + 1, dtype=np.float64)
     elif span <= _FLOAT_INDEX_MAX:
         ks = np.array([float(k) for k in range(lo, hi + 1)])
-    elif exact:
-        ks = np.zeros(hi - lo + 1)    # no float value: every entry is flagged below
     else:
-        raise OutOfRange("index beyond the float range: float angles have no coding "
-                         "pass there")
+        ks = np.zeros(hi - lo + 1)    # no float value: every entry is flagged below
     # the same operations, in the same order, as (theta + k*alpha) % 1.0
     t = np.mod(tf + ks * af, 1.0)
     margin = np.minimum(np.minimum(t, 1.0 - t), np.abs(t - af))
-    if exact:
-        # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of
-        # k, of the product, the sum and the wrap into [0, 1); alpha itself
-        # is off by err_a.  A margin above the bound fixes the symbol.  An
-        # infinite enclosure or an index beyond the float range (no float
-        # value) flags every entry.
-        bound = (_FILTER_SAFETY * (err_t + 2 * err_a + _UNIT * (abs(tf) + 2)
-                                   + np.abs(ks) * (err_a + 3 * _UNIT * abs(af)))
-                 if err_a + err_t < np.inf and span <= _FLOAT_INDEX_MAX else np.inf)
-    else:
-        # float angles are exact binary rationals, so the float pass errs
-        # only by its own rounding: u |k alpha| for k itself beyond 2**53,
-        # u |k alpha| for the product, u (|theta| + |k alpha|) for the sum
-        # and u for the wrap, with u = 2**-53 (the factors add the second
-        # order terms), and u for the margin's own rounding.  That bound
-        # passes GUARD_BAND once |k alpha| is beyond about 4500.
-        per_k = (2.000001 if span <= 2 ** 53 else 3.000001) * _UNIT * abs(af)
-        bound = np.maximum(GUARD_BAND, _UNIT * (abs(tf) + 2) + per_k * np.abs(ks))
+    # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of k,
+    # of the product, the sum and the wrap into [0, 1); alpha itself is
+    # off by err_a.  A margin above the bound fixes the symbol.  An
+    # infinite enclosure or an index beyond the float range (no float
+    # value) flags every entry.
+    bound = (_FILTER_SAFETY * (err_t + 2 * err_a + _UNIT * (abs(tf) + 2)
+                               + np.abs(ks) * (err_a + 3 * _UNIT * abs(af)))
+             if err_a + err_t < np.inf and span <= _FLOAT_INDEX_MAX else np.inf)
     syms = (t >= af).astype(np.int8)
     flagged = np.flatnonzero(~(margin > bound)).tolist()
     for i in flagged:
-        syms[i] = _symbol_exact(a, th, lo + i) if exact else _symbol_escalated(af, tf, lo + i)
+        syms[i] = _symbol_exact(a, th, lo + i)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("coding_block k=%d..%d symbols=%d flagged=%d exact=%d escalated=%d",
-                   lo, hi, len(t), len(flagged), len(flagged) if exact else 0,
-                   0 if exact else len(flagged))
+        _log.debug("coding_block k=%d..%d symbols=%d flagged=%d", lo, hi, len(t), len(flagged))
     return tuple(syms.tolist())
 
 

@@ -590,6 +590,17 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
     return frames
 
 
+def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> float:
+    """Trace of DF^q along the (q, 2) orbit; NotSaddle unless it is > 2."""
+    M = np.eye(2)
+    for x in orbit[:, 0]:
+        M = tm.jacobian(x) @ M
+    tr = float(np.trace(M))
+    if tr <= 2.0:
+        raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
+    return tr
+
+
 def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityReport:
     """Saddle eigen-data plus sampled cone-condition checks on the square
     of half-side BOX around each orbit point, a GRID x GRID grid with RAYS
@@ -600,12 +611,7 @@ def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityRepor
     cone_m, the three margins and which of the three conditions passed."""
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     q = len(orbit)
-    M = np.eye(2)
-    for x in orbit[:, 0]:
-        M = tm.jacobian(x) @ M
-    tr = float(np.trace(M))
-    if tr <= 2.0:
-        raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
+    tr = _saddle_trace(tm, orbit)
     disc = math.sqrt(tr * tr - 4.0)
     lam = (tr + disc) / 2.0
     mu = (tr - disc) / 2.0
@@ -721,7 +727,7 @@ def assemble_am_set(
     tm = TwistMapF(gf.K)
     per = minimize_periodic(gf, p, q)
     orbit = config_orbit(gf, per)
-    hyperbolicity_report(tm, orbit)  # raises NotSaddle when inapplicable
+    _saddle_trace(tm, orbit)  # raises NotSaddle when inapplicable
 
     shift = 1 if branch == "plus" else -1
     target = Configuration(per.x + shift, "periodic", p, q)
@@ -766,21 +772,17 @@ def irrational_am_set(
              if 1 <= q <= Q_CAP and math.gcd(abs(p), q) == 1]
     if not convs:
         raise NoConvergence("no convergent below the denominator cap")
-    prev_pts = None
+    pts = None
     drift = []
-    result = None
     for p, q in convs:
-        cfg = minimize_periodic(gf, p, q)
-        orbit = config_orbit(gf, cfg)
-        pts = np.column_stack([orbit[:, 0] % 1.0, orbit[:, 1]])
+        orbit = config_orbit(gf, minimize_periodic(gf, p, q))
+        prev_pts, pts = pts, np.column_stack([orbit[:, 0] % 1.0, orbit[:, 1]])
         if prev_pts is not None:
             drift.append(hausdorff_points(pts, prev_pts))
-        prev_pts = pts
-        result = AubryMatherApprox(
-            points=pts,
-            rotation=Fraction(p, q),
-            roles=tuple(["periodic"] * len(pts)),
-            lipschitz=_lipschitz_constant(pts),
-        )
-    result.drift = drift
-    return result
+    return AubryMatherApprox(
+        points=pts,
+        rotation=Fraction(p, q),
+        roles=("periodic",) * len(pts),
+        lipschitz=_lipschitz_constant(pts),
+        drift=drift,
+    )

@@ -1,8 +1,10 @@
 """Property tests for the filtered coding kernel `symbolic.coding_block`.
 
-The oracles are the two per-symbol paths the kernel replaced, copied
-here unchanged: the incremental QuadReal loop for exact angles and the
-per-symbol float evaluation with mpmath escalation for float angles.
+The oracles are two per-symbol paths that the kernel replaced, copied
+here: the incremental QuadReal loop for exact angles, and for float
+angles the per-symbol float evaluation with escalation to mpmath, which
+gives up near an arc end.  Where it gives up, the kernel must equal the
+symbol of the floats as the binary rationals they are.
 """
 
 import logging
@@ -14,11 +16,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from denshoe import symbolic as sy
-from denshoe.errors import BoundaryUndecidable
 from denshoe.exact import ALPHA_STAR, QuadReal, as_real
 
 FIELDS = (2, 3, 5, 7, 11, 13)
 PROPERTY = settings(max_examples=30, deadline=None)
+#: the float oracle: margins above GUARD_BAND are decided in float, the
+#: rest at ESCALATED_DPS digits, where a margin of ESCALATED_GUARD or less
+#: is undecidable
+GUARD_BAND, ESCALATED_DPS, ESCALATED_GUARD = 1e-12, 60, 1e-40
+
+
+class Undecidable(Exception):
+    """The float oracle cannot separate a point from an arc end."""
 
 
 def incremental_window(alpha: QuadReal, theta: QuadReal, radius: int) -> tuple[int, ...]:
@@ -34,23 +43,31 @@ def incremental_window(alpha: QuadReal, theta: QuadReal, radius: int) -> tuple[i
     return tuple(syms)
 
 
-def per_symbol_float(alpha: float, theta: float, k: int) -> tuple[int, bool]:
-    """The float symbol evaluated alone, and whether it was escalated."""
+def per_symbol_float(alpha: float, theta: float, k: int) -> int:
+    """The float symbol evaluated alone, escalated to mpmath near an arc end."""
     t = (theta + k * alpha) % 1.0
     margin = min(t, 1.0 - t, abs(t - alpha))
-    if margin > sy.GUARD_BAND:
-        return (0 if t < alpha else 1), False
-    with mpmath.workdps(sy.ESCALATED_DPS):
+    if margin > GUARD_BAND:
+        return 0 if t < alpha else 1
+    with mpmath.workdps(ESCALATED_DPS):
         a = mpmath.mpf(alpha)
         tt = mpmath.frac(mpmath.mpf(theta) + k * a)
         if tt == 0:
-            return 0, True
+            return 0
         if tt == a:
-            return 1, True
+            return 1
         margin = min(tt, 1 - tt, abs(tt - a))
-        if margin > sy.ESCALATED_GUARD:
-            return (0 if tt < a else 1), True
-    raise BoundaryUndecidable(f"k={k}")
+        if margin > ESCALATED_GUARD:
+            return 0 if tt < a else 1
+    raise Undecidable(f"k={k}")
+
+
+def binary_rational_point(alpha: float, theta: float, k: int) -> Fraction:
+    return (Fraction(theta) + k * Fraction(alpha)) % 1
+
+
+def binary_rational_symbol(alpha: float, theta: float, k: int) -> int:
+    return 0 if binary_rational_point(alpha, theta, k) < Fraction(alpha) else 1
 
 
 @st.composite
@@ -100,18 +117,24 @@ def test_float_kernel_matches_per_symbol_path(data, caplog):
         theta = (data.draw(st.integers(-radius, radius)) * alpha) % 1.0
     else:
         theta = data.draw(st.floats(-3, 3, allow_nan=False))
+    ks = range(-radius, radius + 1)
     try:
-        want = [per_symbol_float(alpha, theta, k) for k in range(-radius, radius + 1)]
-    except BoundaryUndecidable:
-        with pytest.raises(BoundaryUndecidable):
-            sy.sturmian_window(alpha, theta, radius)
-        return
+        want = tuple(per_symbol_float(alpha, theta, k) for k in ks)
+    except Undecidable:
+        want = tuple(binary_rational_symbol(alpha, theta, k) for k in ks)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         got = sy.sturmian_window(alpha, theta, radius).symbols
-    assert got == tuple(s for s, _ in want)
-    escalated = sum(e for _, e in want)
-    assert caplog.records[-1].getMessage().endswith(f"exact=0 escalated={escalated}")
+    assert got == want
+    # the entries settled exactly take in every exact hit of an arc end,
+    # and none whose float margin is clear of the float pass's rounding
+    # (its bound stays below 1e-10 up to radius 5000)
+    flagged = int(caplog.records[-1].getMessage().rpartition("flagged=")[2])
+    points = [binary_rational_point(alpha, theta, k) for k in ks]
+    hits = sum(t == 0 or t == Fraction(alpha) for t in points)
+    near = sum(min(t, 1 - t, abs(t - alpha)) <= 1e-9
+               for t in ((theta + k * alpha) % 1.0 for k in ks))
+    assert hits <= flagged <= near
 
 
 def test_orbit_offset_settles_exactly_two_entries(caplog):
@@ -122,7 +145,7 @@ def test_orbit_offset_settles_exactly_two_entries(caplog):
     assert block[307] == 0 and block[308] == 1
     (record,) = caplog.records
     assert record.getMessage() == (
-        "coding_block k=-300..300 symbols=601 flagged=2 exact=2 escalated=0")
+        "coding_block k=-300..300 symbols=601 flagged=2")
 
 
 def test_no_record_when_debug_is_off(caplog):
@@ -148,21 +171,15 @@ def test_indices_beyond_float_precision():
     k = 10 ** 20
     assert sy.coding_block(ALPHA_STAR, 0, k, k)[0] == sy._symbol_exact(ALPHA_STAR, QuadReal(0), k)
     af = float(ALPHA_STAR)
-    assert sy.coding_block(af, 0.25, k, k)[0] == per_symbol_float(af, 0.25, k)[0]
-
-
-def binary_rational_point(alpha: float, theta: float, k: int) -> Fraction:
-    return (Fraction(theta) + k * Fraction(alpha)) % 1
-
-
-def binary_rational_symbol(alpha: float, theta: float, k: int) -> int:
-    return 0 if binary_rational_point(alpha, theta, k) < Fraction(alpha) else 1
+    assert sy.coding_block(af, 0.25, k, k)[0] == per_symbol_float(af, 0.25, k)
 
 
 @pytest.mark.parametrize("alpha, theta, k", [
     (0.6874311291222428, 0.0, 793163261370336),   # float pass off by 0.025
     (0.3, 0.0, 3 ** 200),                         # k*alpha needs 140 digits
-], ids=["float-pass-off", "escalation-digits"])
+    (0.3, 1e-45, 0),                              # within 1e-40 of the arc end 0
+    (0.3, 0.0, 10 ** 400),                        # beyond the float range
+], ids=["float-pass-off", "escalation-digits", "near-arc-end", "beyond-float-range"])
 def test_float_angles_at_far_indices(alpha, theta, k):
     assert sy.coding_block(alpha, theta, k, k)[0] == binary_rational_symbol(alpha, theta, k)
 
@@ -172,14 +189,8 @@ def test_float_angles_at_far_indices(alpha, theta, k):
        k=st.integers(3, 308).flatmap(lambda e: st.integers(-10 ** e, 10 ** e)))
 def test_float_angles_match_binary_rationals_up_to_the_float_range(alpha, theta, k):
     # the float pass's rounding grows with |k|; the entries it cannot
-    # decide are escalated with enough digits for k*alpha
-    try:
-        got = sy.coding_block(alpha, theta, k, k)[0]
-    except BoundaryUndecidable:
-        t = binary_rational_point(alpha, theta, k)
-        assert 0 < min(t, 1 - t, abs(t - Fraction(alpha))) <= 2 * sy.ESCALATED_GUARD
-        return
-    assert got == binary_rational_symbol(alpha, theta, k)
+    # decide are settled in exact arithmetic
+    assert sy.coding_block(alpha, theta, k, k)[0] == binary_rational_symbol(alpha, theta, k)
 
 
 def test_offset_beyond_float_range():
@@ -191,3 +202,23 @@ def test_offset_beyond_float_range():
 def test_empty_and_single_blocks():
     assert sy.coding_block(ALPHA_STAR, 0, 3, 2) == ()
     assert sy.coding_block(ALPHA_STAR, 0, 1, 1) == (1,)
+
+
+finite_floats = st.one_of(st.floats(-1e3, 1e3), st.floats(-2.0 ** -1022, 2.0 ** -1022))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_float_angles_code_as_their_fractions(data):
+    # one kernel for both angle types: a float angle codes as the binary
+    # rational it is, also subnormal, above 1, negative, or on the orbit
+    alpha = data.draw(finite_floats)
+    lo = data.draw(st.one_of(st.integers(-300, 300), st.integers(-10 ** 20, 10 ** 20)))
+    hi = lo + data.draw(st.integers(-1, 300))
+    if data.draw(st.booleans()):
+        theta = data.draw(finite_floats)
+    else:
+        theta = -data.draw(st.integers(lo, max(lo, hi))) * alpha
+    want = tuple(binary_rational_symbol(alpha, theta, k) for k in range(lo, hi + 1))
+    assert sy.coding_block(alpha, theta, lo, hi) == want
+    assert sy.coding_block(Fraction(alpha), Fraction(theta), lo, hi) == want

@@ -1,17 +1,19 @@
 """The package declares nothing it does not use: every `DenshoeError`
 subclass in `errors.py` is raised somewhere in `src/denshoe`, every
-entry of `[project].dependencies` is imported there, and every public
-function, method and class it defines is referenced by name in the
-package, its tests, the benchmark or the scripts, and those that only
-the tests reach are the ones listed in KEPT.  Likewise every defaulted
-parameter of a public function or method is passed by some call in the
-package, the benchmark or the scripts, but the ones listed in
-KEPT_OPTIONS.  It also keeps one error contract: the package raises no
-builtin exception but the `AttributeError` of `QuadReal.__setattr__`."""
+entry of `[project].dependencies` is imported there, every third-party
+module the tests import is declared there or in the `test` extra, and
+every public function, method and class it defines is referenced by
+name in the package, its tests, the benchmark or the scripts, and those
+that only the tests reach are the ones listed in KEPT.  Likewise every
+defaulted parameter of a public function or method is passed by some
+call in the package, the benchmark or the scripts, but the ones listed
+in KEPT_OPTIONS.  It also keeps one error contract: the package raises
+no builtin exception but the `AttributeError` of `QuadReal.__setattr__`."""
 
 import ast
 import builtins
 import re
+import sys
 import tomllib
 from pathlib import Path
 
@@ -96,9 +98,10 @@ def builtin_raises():
     return found
 
 
-def imported_modules():
+def imported_modules(trees):
+    """The top-level modules that absolute imports in the trees name."""
     names = set()
-    for tree in trees():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
@@ -244,8 +247,27 @@ def test_only_denshoe_errors_are_raised():
     assert builtin_raises() == [("exact.py", "__setattr__", "AttributeError")]
 
 
+def requirement_names(requirements):
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+            for d in requirements}
+
+
 def test_every_dependency_is_imported():
     deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_") for d in deps}
+    names = requirement_names(deps)
     assert names, "no dependencies found"
-    assert sorted(names - imported_modules()) == []
+    assert sorted(names - imported_modules(trees())) == []
+
+
+def test_every_third_party_test_import_is_declared():
+    # a module that only the tests import, such as the mpmath oracles',
+    # belongs in the test extra
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = requirement_names(project["dependencies"]
+                                 + project["optional-dependencies"]["test"])
+    paths = sorted((ROOT / "tests").rglob("*.py"))
+    imported = imported_modules(ast.parse(p.read_text(), str(p)) for p in paths)
+    local = {"denshoe"} | {p.stem for p in paths}
+    third_party = imported - set(sys.stdlib_module_names) - local
+    assert {"numpy", "mpmath", "pytest"} <= third_party
+    assert sorted(third_party - declared) == []

@@ -82,6 +82,8 @@ def test_circle_entry_points(alpha, cutoff, x, radius, n):
     h = attempt(ci.denjoy_build, alpha, cutoff)
     if h is not None:
         attempt(h.gap_endpoints, n)
+        for f in (h.position_of_angle, h.locate_gap, h.angle_of_position, h, h.inverse):
+            attempt(f, x)
         attempt(ci.rotation_estimate, h, x, radius)
         attempt(ci.itinerary, h, ci.coding_intervals(h), x, radius)
 
@@ -126,6 +128,16 @@ def test_non_finite_floats_are_invalid(x):
             f(*args)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_denjoy_map_refuses_non_finite_points(x):
+    h = ci.denjoy_build(QuadReal(0, 1, 2).frac(), 1000)
+    for f in (h.position_of_angle, h.locate_gap, h.angle_of_position, h, h.inverse):
+        with pytest.raises(InvalidArgument, match="not finite"):
+            f(x)
+    with pytest.raises(InvalidArgument, match="not finite"):
+        h.position_of_angle(np.array([0.25, x]))
+
+
 @pytest.mark.parametrize("args", [(1, 1, 2.5), (1, 1, "2"), (1, 1, math.nan), (1, 1, math.inf),
                                   (math.nan,), (math.inf,), (-math.inf, 1, 2), (1, math.nan, 2),
                                   (None,), ("x",)])
@@ -155,8 +167,8 @@ def test_float_symbols_are_invalid(symbols):
 
 
 def test_indices_beyond_the_float_range():
-    # exact angles settle such entries in exact arithmetic; float angles
-    # have no float pass there
+    # such entries are settled in exact arithmetic; a float angle is the
+    # binary rational it is
     k = 10 ** 400
     with mpmath.workdps(500):
         alpha = (3 - mpmath.sqrt(5)) / 2
@@ -164,8 +176,7 @@ def test_indices_beyond_the_float_range():
         want = 0 if t < alpha else 1
     assert sy.coding_block(ALPHA_STAR, 0, k, k)[0] == want
     assert sy.coding_block(ALPHA_STAR, 0, k - 1, k + 1)[1] == want
-    with pytest.raises(OutOfRange):
-        sy.coding_block(0.3, 0, k, k)[0]
+    assert sy.coding_block(0.3, 0, k, k)[0] == (0 if k * Fraction(0.3) % 1 < Fraction(0.3) else 1)
 
 
 @pytest.mark.parametrize("alpha", [ALPHA_STAR, 0.3], ids=["exact", "float"])

@@ -230,6 +230,16 @@ class TestHyperbolicity:
         with pytest.raises(NotSaddle):
             tw.hyperbolicity_report(tm, [[0.0, 0.0]])
 
+    def test_assembly_refuses_what_the_report_refuses(self):
+        # at K = 0 the (0,1) minimizer is parabolic: trace 2
+        gf, tm = tw.standard_family(0.0)
+        orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, 0, 1))
+        with pytest.raises(NotSaddle) as report:
+            tw.hyperbolicity_report(tm, orbit)
+        with pytest.raises(NotSaddle) as assembly:
+            tw.assemble_am_set(gf, 0, 1)
+        assert str(assembly.value) == str(report.value)
+
     def test_periodic_orbit_report(self, family):
         gf, tm = family
         cfg = tw.minimize_periodic(gf, 1, 2)
