@@ -121,7 +121,7 @@ class DenjoyMap:
         theta must be finite."""
         if not np.isfinite(theta).all():
             raise InvalidArgument(f"angle {theta!r} is not finite")
-        theta %= 1.0
+        theta = theta % 1.0                # a new array: the caller's is left as it is
         theta = theta * (theta < 1.0)      # 1.0 -> 0.0; scalars stay scalars
         j = self._pos.searchsorted(theta, "right") - 1
         pos = np.where(self._pos[j] == theta, self._a[j],

@@ -4,15 +4,15 @@ Angles are carried as exact elements a + b*sqrt(d) of a real quadratic
 field (b = 0 gives plain rationals), stored as four integers (p, r, c, d)
 for (p + r*sqrt(d))/c.  The form is normal: c > 0, gcd(p, r, c) = 1, d is
 square-free and r = 0 exactly when d = 0, so equal numbers have equal
-integers.  The public constructor brings rational a, b and any integer d
-to this form; the operators build their results from integers with one
-gcd, and a comparison within a field takes the sign of x + y*sqrt(d)
-from x, y and the integer test x^2 against y^2 d.  Comparisons are exact
-also between different fields.  The coding kernel in denshoe.symbolic
-decides most symbols from float values and settles the rest in this
-arithmetic; `QuadReal.float_enclosure` gives the float value of an angle
-together with the certified bound 8u(|a| + |b|sqrt(d)), u = 2^-53, on its
-error that makes those float decisions safe.
+integers.  The public constructor brings rational a, b and an integer d
+up to MAX_DISCRIMINANT to this form; the operators build their results
+from integers with one gcd, and a comparison within a field takes the
+sign of x + y*sqrt(d) from x, y and the integer test x^2 against y^2 d.
+Comparisons are exact also between different fields.  The coding kernel
+in denshoe.symbolic decides most symbols from float values and settles
+the rest in this arithmetic; `QuadReal.float_enclosure` gives the float
+value of an angle together with the certified bound 8u(|a| + |b|sqrt(d)),
+u = 2^-53, on its error that makes those float decisions safe.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from .errors import InvalidArgument
 
 #: unit roundoff of float64
 _UNIT = 2.0 ** -53
+MAX_DISCRIMINANT = 2 ** 32  # largest d taken: trial division to sqrt(d) takes a few ms
 
 
 def _square_free(d: int) -> tuple[int, int]:
     """Return (s, d') with d = s^2 * d' and d' square-free."""
-    if d < 0:
-        raise InvalidArgument("negative discriminant")
+    if not 0 <= d <= MAX_DISCRIMINANT:
+        raise InvalidArgument(f"the discriminant {d} is negative or above {MAX_DISCRIMINANT}")
     s = 1
     f = 2
     while f * f <= d:

@@ -189,16 +189,17 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     else:
         ks = np.zeros(hi - lo + 1)    # no float value: every entry is flagged below
     # the same operations, in the same order, as (theta + k*alpha) % 1.0
-    t = np.mod(tf + ks * af, 1.0)
-    margin = np.minimum(np.minimum(t, 1.0 - t), np.abs(t - af))
-    # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of k,
-    # of the product, the sum and the wrap into [0, 1); alpha itself is
-    # off by err_a.  A margin above the bound fixes the symbol.  An
-    # infinite enclosure or an index beyond the float range (no float
-    # value) flags every entry.
-    bound = (_FILTER_SAFETY * (err_t + 2 * err_a + _UNIT * (abs(tf) + 2)
-                               + np.abs(ks) * (err_a + 3 * _UNIT * abs(af)))
-             if err_a + err_t < np.inf and span <= _FLOAT_INDEX_MAX else np.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: nan, flagged
+        t = np.mod(tf + ks * af, 1.0)
+        margin = np.minimum(np.minimum(t, 1.0 - t), np.abs(t - af))
+        # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of k,
+        # of the product, the sum and the wrap into [0, 1); alpha itself is
+        # off by err_a.  A margin above the bound fixes the symbol.  An
+        # infinite enclosure or an index beyond the float range (no float
+        # value) flags every entry.
+        bound = (_FILTER_SAFETY * (err_t + 2 * err_a + _UNIT * (abs(tf) + 2)
+                                   + np.abs(ks) * (err_a + 3 * _UNIT * abs(af)))
+                 if err_a + err_t < np.inf and span <= _FLOAT_INDEX_MAX else np.inf)
     syms = (t >= af).astype(np.int8)
     flagged = np.flatnonzero(~(margin > bound)).tolist()
     for i in flagged:

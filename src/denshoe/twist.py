@@ -15,11 +15,11 @@ every use of them: a single pass keeps the pivots d_i and the
 multipliers l_i = off_i / d_i and stops at the first nonpositive pivot.
 That pivot refuses a damped Newton step and fails the saddle test;
 otherwise both substitutions read the stored multipliers, so a solve
-divides by each pivot once.  Minimizers
-are found by damped Newton descent on the action, with multi-start for
-periodic orbits and three kink centerings for heteroclinic segments, each
-descended first on a central core of 50 q bonds and then finished on the
-full window (see `heteroclinic_minimizer`).
+divides by each pivot once.  Minimizers are found by damped Newton
+descent on the action, from two symmetric ramps for periodic orbits
+(the potential is even) and three kink centerings for heteroclinic
+segments, each descended first on a central core of 50 q bonds and then
+finished on the full window (see `heteroclinic_minimizer`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -46,7 +46,6 @@ TWO_PI = 2.0 * math.pi
 
 TOL = 1e-10              # Newton residual max|grad| that counts as converged
 NEGATIVE_CURVATURE = 1e-8  # Hessian eigenvalue at or below minus this: not a minimizer
-STARTS, SEED = 20, 0     # periodic multi-start: starts, seed of the random ones
 B_EXTRA = 2              # well-ordering: translates by |b| <= |p| + B_EXTRA
 TAIL_TOL = 1e-6          # largest drift of a segment's ends from its two orbits
 STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
@@ -338,6 +337,13 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     return e, f, res, steps, refused
 
 
+def _newton_step(gf, e, cyclic):
+    """Plain Newton step -H^-1 g in the unknown sites of the padded array
+    e, as an array; None unless H is positive definite."""
+    diag, off = _hessian(gf, e)
+    return _positive_solve(diag.tolist(), off.tolist(), (-_gradient(gf, e)).tolist(), cyclic)
+
+
 def _clearly_indefinite(gf, e) -> bool:
     """Whether the cyclic Hessian H at the padded array e has an eigenvalue
     at or below -NEGATIVE_CURVATURE, i.e. H + NEGATIVE_CURVATURE I is
@@ -348,69 +354,61 @@ def _clearly_indefinite(gf, e) -> bool:
 
 
 def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
-    """Action-minimizing critical (p,q)-configuration from STARTS starts
-    (half of them shifted ramps, the rest random with seed SEED), each
-    descended for at most 500 Newton iterations until its residual is
-    within TOL; NoConvergence, when no start converges to a well-ordered
-    minimizer, reports the best residual.  A start that takes no step
-    because its Hessian was refused, and whose Hessian has an eigenvalue
-    at or below -NEGATIVE_CURVATURE, is critical but not a minimizer
-    (the (0,1) start x = 0 is the potential's maximum, with H = -K), and
-    is skipped.
-    A start refused only for a singular Hessian is kept: at K = 0 every
-    start is a degenerate minimizer.  A DEBUG record gives the starts
-    tried and how many of them converged, were skipped as indefinite,
-    were well ordered and confirmed the final minimum."""
+    """Action-minimizing critical (p,q)-configuration from the two
+    symmetric ramps x_i = i p/q + c, c = 0 and 1/(2q).  They rely on an
+    even potential, as in `standard_family`, the only family: a descent
+    from a symmetric start stays symmetric, and the two reach the
+    symmetric minimizer and minimax (Greene, J. Math. Phys. 20, 1979).
+    Each start gets 500 Newton iterations, then, if it stalls above TOL,
+    up to 3 plain Newton steps while its Hessian is positive definite.
+    A result within TOL with a Hessian eigenvalue at or below
+    -NEGATIVE_CURVATURE is skipped (the (0,1) start x = 0 is a maximum);
+    a singular one is kept (at K = 0 the c = 0 ramp wins the tie).  The
+    well-ordered result of lower action is returned, else NoConvergence
+    with the best residual.  A DEBUG record gives the starts, how many
+    converged, were skipped and were well ordered, and the polish steps."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
         raise InvalidArgument("|p| must be below 2^53, where floats hold every integer")
     if math.gcd(abs(p), q) != 1:
         raise InvalidArgument("p/q must be in lowest terms")
-    rng = np.random.default_rng(SEED)
-    ramps = np.linspace(0.0, 1.0, max(2, STARTS // 2), endpoint=False)
     base = np.arange(q) * (p / q)
-    candidates = [s + base for s in ramps]
-    for _ in range(STARTS - len(candidates)):
-        candidates.append(rng.uniform(0, 1) + base + rng.normal(0, 0.05, size=q))
-
-    best = None
-    best_res = math.inf
-    starts = converged = skipped = ordered = confirmations = 0
-    for x0 in candidates:
+    best, best_res = None, math.inf
+    starts = converged = skipped = ordered = polished = 0
+    for c in (0.0, 0.5 / q):
         starts += 1
-        e, _, res, steps, refused = _newton_minimize(gf, lambda x: _pad(x, p), x0, 500,
-                                                     cyclic=True)
+        e, _, res, _, _ = _newton_minimize(gf, lambda x: _pad(x, p), base + c, 500, cyclic=True)
+        for _ in range(3):
+            step = _newton_step(gf, e, cyclic=True) if res > TOL else None
+            if step is None:
+                break
+            e = _pad(e[1:-1] + step, p)
+            res = float(np.max(np.abs(_gradient(gf, e))))
+            polished += 1
         best_res = min(best_res, res)
         if res > TOL:
             continue
         converged += 1
-        if steps == 0 and refused and _clearly_indefinite(gf, e):
+        if _clearly_indefinite(gf, e):
             skipped += 1
             continue
-        x = e[1:-1]
-        cfg = Configuration(x - math.floor(x[0]), "periodic", p, q)
+        cfg = Configuration(e[1:-1] - math.floor(e[1]), "periodic", p, q)
         if not check_well_ordered(cfg):
             continue
         ordered += 1
         a = action(gf, cfg)
         if best is None or a < best[0] - 1e-12:
             best = (a, cfg)
-            confirmations = 0
-        elif a < best[0] + 1e-12:
-            confirmations += 1
-            if confirmations >= 4:
-                break  # the same minimum keeps reappearing
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("minimize_periodic p=%d q=%d starts=%d converged=%d skipped=%d "
-                   "well_ordered=%d confirmations=%d", p, q, starts, converged, skipped,
-                   ordered, confirmations)
+                   "well_ordered=%d polished=%d", p, q, starts, converged, skipped,
+                   ordered, polished)
     if best is None:
         raise NoConvergence(f"no well-ordered critical ({p},{q}) configuration found",
                             residual=best_res)
-    cfg = best[1]
-    cfg.well_ordered = True
-    return cfg
+    best[1].well_ordered = True
+    return best[1]
 
 
 def heteroclinic_minimizer(
@@ -517,9 +515,7 @@ def heteroclinic_minimizer(
                 continue    # the kink does not fit the core: the window starts from the blend
             x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
             if core:
-                diag, off = _hessian(gf, x)
-                step = _positive_solve(diag.tolist(), off.tolist(),
-                                       (-_gradient(gf, x)).tolist(), cyclic=False)
+                step = _newton_step(gf, x, cyclic=False)
                 if step is not None:
                     x[1:-1] += step
         else:

@@ -5,7 +5,9 @@ checks raise `InvalidArgument` (a `ValueError`) or `OutOfRange` (an
 `IndexError`), so callers that catch the builtin types still work."""
 
 import math
+import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -19,7 +21,8 @@ from denshoe import symbolic as sy
 from denshoe import twist as tw
 from denshoe import wdsfamily as wf
 from denshoe.errors import DenshoeError, InvalidArgument, OutOfRange
-from denshoe.exact import ALPHA_STAR, QuadReal, as_real, continued_fraction, convergents
+from denshoe.exact import (ALPHA_STAR, MAX_DISCRIMINANT, QuadReal, as_real, continued_fraction,
+                           convergents)
 
 EDGE = settings(max_examples=60, deadline=None)
 
@@ -195,3 +198,31 @@ def test_blocks_beyond_the_cap_allocate_nothing(alpha):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_position_of_angle_leaves_the_callers_array():
+    h = ci.denjoy_build(QuadReal(0, 1, 2).frac(), 1000)
+    theta = np.array([1.25, -0.5, 2.75])
+    assert h.position_of_angle(theta).tolist() == h.position_of_angle(theta % 1.0).tolist()
+    assert theta.tolist() == [1.25, -0.5, 2.75]
+
+
+def test_a_product_beyond_the_float_range_warns_nothing():
+    # k * alpha = 1e310 overflows in the float pass; the entry is flagged
+    # and settled exactly
+    k, alpha = 10 ** 10, Fraction(1e300)
+    want = 0 if (Fraction(0.5) + k * alpha) % 1 < alpha else 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sy.coding_block(1e300, 0.5, k, k) == (want,)
+
+
+def test_a_discriminant_above_the_bound_is_refused_at_once():
+    # trial division would never finish on a 40-digit d
+    start = time.process_time()
+    for d in (MAX_DISCRIMINANT + 1, 10 ** 40 + 1, -2):
+        with pytest.raises(InvalidArgument, match="discriminant"):
+            QuadReal(0, 1, d)
+    assert time.process_time() - start < 0.5
+    # the largest prime below 2^32 is square-free and taken
+    assert QuadReal(0, 1, 4294967291).d == 4294967291

@@ -2,7 +2,11 @@
 
 import logging
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,6 +137,25 @@ class TestMinimizePeriodic:
             assert cfg.x == pytest.approx(np.arange(q) * (p / q), abs=1e-15)
             assert fields(caplog.records[-1].getMessage())[1]["skipped"] == "0"
 
+    def test_stalled_descent_is_polished(self, caplog):
+        # at K = 3 the (1,4) descents stall above TOL; plain Newton steps
+        # take the one with a positive definite Hessian within TOL, and
+        # without them no start converges
+        gf, _ = tw.standard_family(3.0)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            cfg = tw.minimize_periodic(gf, 1, 4)
+        *runs, (_, summary) = [fields(r.getMessage()) for r in caplog.records]
+        assert all(float(f["residual"]) > tw.TOL for _, f in runs)
+        assert int(summary["polished"]) >= 1 and summary["converged"] == "1"
+        assert cfg.well_ordered and tw.criticality_residual(gf, cfg) <= tw.TOL
+
+    def test_no_polish_no_convergence(self, monkeypatch):
+        gf, _ = tw.standard_family(3.0)
+        monkeypatch.setattr(tw, "_newton_step", lambda gf, e, cyclic: None)
+        with pytest.raises(NoConvergence) as err:
+            tw.minimize_periodic(gf, 1, 4)
+        assert err.value.residual > tw.TOL
+
     def test_one_two(self, family):
         gf, _ = family
         cfg = tw.minimize_periodic(gf, 1, 2)
@@ -169,6 +192,18 @@ class TestMinimizePeriodic:
         gf, _ = family
         cfg = tw.minimize_periodic(gf, 2, 5)
         assert tw.check_well_ordered(cfg)
+
+
+    def test_no_random_module(self):
+        # numpy imports numpy.random lazily, and nothing in twist needs it
+        code = ("import sys; from denshoe import twist as tw; gf = tw.standard_family(1.0)[0]; "
+                "tw.minimize_periodic(gf, 2, 5); tw.assemble_am_set(gf, 0, 1); "
+                "print('numpy.random' in sys.modules)")
+        src = str(Path(tw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestHeteroclinic:
@@ -367,16 +402,19 @@ class TestRecords:
         assert name == "minimize_periodic" and (summary["p"], summary["q"]) == ("2", "5")
         assert {n for n, _ in runs} == {"newton"}
         assert all(f["sites"] == "5" and f["cyclic"] == "1" for _, f in runs)
-        assert int(summary["starts"]) == len(runs)
+        assert int(summary["starts"]) == len(runs) == 2
         converged = sum(float(f["residual"]) <= tw.TOL for _, f in runs)
-        assert int(summary["converged"]) == converged
-        # at K = 1 a critical start refused before any step is a saddle or a
-        # maximum, never a degenerate minimizer, so every such start is skipped
-        skipped = sum(float(f["residual"]) <= tw.TOL and f["steps"] == "0" and f["refused"] != "0"
-                      for _, f in runs)
-        assert int(summary["skipped"]) == skipped
-        assert 1 <= int(summary["well_ordered"]) <= converged - skipped
-        assert int(summary["confirmations"]) <= int(summary["well_ordered"]) - 1
+        # both descents end within TOL, so neither is polished
+        assert int(summary["converged"]) == converged == 2 and summary["polished"] == "0"
+        # a converged result is skipped when its Hessian is clearly
+        # indefinite: at K = 1 one of the two ramps descends, with steps,
+        # to the minimax
+        ends = [tw._newton_minimize(gf, lambda x: tw._pad(x, 2), np.arange(5) * 0.4 + c, 500,
+                                    cyclic=True)[0] for c in (0.0, 0.1)]
+        skipped = sum(tw._clearly_indefinite(gf, e) for e in ends)
+        assert int(summary["skipped"]) == skipped == 1
+        assert all(f["steps"] != "0" for _, f in runs)
+        assert int(summary["well_ordered"]) == converged - skipped
 
     def test_start_on_the_potential_maximum_is_refused(self, family, caplog):
         # the first (0,1) start is x = 0: critical, with H = -K < 0, so its
