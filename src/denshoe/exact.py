@@ -170,7 +170,8 @@ class QuadReal:
         # q = -e sqrt(f).  When the signs differ, the larger square wins, and
         # p^2 - q^2 lies in the field of p; it is never 0 because 1, sqrt(d)
         # and sqrt(f) are linearly independent over Q.
-        p = QuadReal(self.a - o.a, self.b, self.d)
+        c1, c2 = self._c, o._c
+        p = _reduced(self._p * c2 - o._p * c1, self._r * c2, c1 * c2, self.d)
         sp, sq = p.sign(), (-o.b > 0) - (-o.b < 0)
         if sp in (0, sq):
             return sq

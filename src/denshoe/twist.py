@@ -17,9 +17,11 @@ That pivot refuses a damped Newton step and fails the saddle test;
 otherwise both substitutions read the stored multipliers, so a solve
 divides by each pivot once.  Minimizers are found by damped Newton
 descent on the action, from two symmetric ramps for periodic orbits
-(the potential is even) and three kink centerings for heteroclinic
-segments, each descended first on a central core of 50 q bonds and then
-finished on the full window (see `heteroclinic_minimizer`).
+(the potential is even) and two symmetric kink centerings for
+heteroclinic segments, with an asymmetric third only as a fallback, each
+descended first on a central core of 50 q bonds and then finished on the
+full window (see `heteroclinic_minimizer`).  Each descent computes
+cos 2 pi x and sin 2 pi x once per trial point (`_evaluate`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -67,16 +69,27 @@ class GeneratingFunction:
     K: float
 
     def h(self, x, xp):
-        return 0.5 * (xp - x) ** 2 + self.K / (4 * math.pi ** 2) * np.cos(TWO_PI * x)
+        return self._h(x, xp, np.cos(TWO_PI * x))
 
     def d1(self, x, xp):
-        return -(xp - x) - self.K / TWO_PI * np.sin(TWO_PI * x)
+        return self._d1(x, xp, np.sin(TWO_PI * x))
 
     def d2(self, x, xp):
         return xp - x
 
     def d11(self, x, xp):
-        return 1.0 - self.K * np.cos(TWO_PI * x)
+        return self._d11(np.cos(TWO_PI * x))
+
+    # h, d1 and d11 given cos 2 pi x or sin 2 pi x, so that one trig pass
+    # over a padded array serves all three (see `_evaluate`)
+    def _h(self, x, xp, cos):
+        return 0.5 * (xp - x) ** 2 + self.K / (4 * math.pi ** 2) * cos
+
+    def _d1(self, x, xp, sin):
+        return -(xp - x) - self.K / TWO_PI * sin
+
+    def _d11(self, cos):
+        return 1.0 - self.K * cos
 
     def d12(self, x, xp):
         return -1.0 * np.ones_like(np.asarray(x, dtype=float))
@@ -181,6 +194,17 @@ def _hessian(gf, e):
     """(diag, off) of the tridiagonal Hessian in the unknown sites of the
     padded array e; off[i] couples site i with site i + 1."""
     return gf.d22(e[:-2], e[1:-1]) + gf.d11(e[1:-1], e[2:]), gf.d12(e[1:-1], e[2:])
+
+
+def _evaluate(gf, e, cyclic):
+    """Action, gradient and Hessian diagonal at the padded array e, equal
+    to those of `action`, `_gradient` and `_hessian`, from one cos pass
+    over the bonds' left ends and one sin pass over the unknown sites."""
+    t = TWO_PI * e[:-1]
+    cos, sin = np.cos(t), np.sin(t[1:])
+    f = float(np.sum(gf._h(*_bonds(e, cyclic), cos[cyclic:])))
+    g = gf.d2(e[:-2], e[1:-1]) + gf._d1(e[1:-1], e[2:], sin)
+    return f, g, 1.0 + gf._d11(cos[1:])     # d22 = 1
 
 
 def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
@@ -305,14 +329,14 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     the steps rejected as uphill, the largest tau tried and the residual."""
     def evaluate(x):
         e = pad(x)
-        return e, float(np.sum(gf.h(*_bonds(e, cyclic)))), _gradient(gf, e)
+        return (e, *_evaluate(gf, e, cyclic))
 
-    e, f, g = evaluate(np.array(x0, dtype=float))
+    e, f, g, diag = evaluate(np.array(x0, dtype=float))
+    off = gf.d12(e[1:-1], e[2:]).tolist()   # constant in x
     tau = max_tau = 0.0
     steps = refused = uphill = 0
     for _ in range(max_iter):
-        diag, off = _hessian(gf, e)
-        off, rhs = off.tolist(), (-g).tolist()
+        rhs = (-g).tolist()
         gg = float(np.dot(g, g))
         for _ in range(1 if np.max(np.abs(g)) <= TOL else 40):
             max_tau = max(max_tau, tau)
@@ -320,14 +344,14 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
             if step is None:
                 refused += 1
             else:
-                e_new, f_new, g_new = evaluate(e[1:-1] + step)
+                e_new, f_new, g_new, diag_new = evaluate(e[1:-1] + step)
                 if f_new < f or (f_new == f and float(np.dot(g_new, g_new)) < gg):
                     break
                 uphill += 1
             tau = max(10.0 * tau, 1e-8)
         else:
             break
-        e, f, g = e_new, f_new, g_new
+        e, f, g, diag = e_new, f_new, g_new, diag_new
         steps += 1
         tau *= 0.25
     res = float(np.max(np.abs(g)))
@@ -419,9 +443,23 @@ def heteroclinic_minimizer(
 ) -> Configuration:
     """Clamped-segment action minimizer running from the left periodic
     orbit to the right one over `window` bonds.  Each kink centering
-    starts from a sigmoid blend of slope STEEPNESS and must reach a
-    residual within TOL; TailNotSettled when the segment's ends stray
-    more than TAIL_TOL from the orbits they connect.
+    starts from a sigmoid blend of slope STEEPNESS, centred on the middle
+    of the window plus an offset, and must reach a residual within TOL;
+    TailNotSettled when the segment's ends stray more than TAIL_TOL from
+    the orbits they connect.
+
+    Two offsets, 0.5 and 0, are descended.  Both blends are symmetric
+    about the window's middle, and for either parity of the window one
+    centres the kink on a bond and the other on a site; the potential is
+    even, so a descent from a symmetric start stays symmetric, and for
+    (0,1) the two reach the bond-centred minimizer and the site-centred
+    Peierls-Nabarro saddle.  The asymmetric offset 0.25 is descended only
+    when neither gives a minimizer: at (2,5), K = 1, from the orbit to
+    its retarded neighbour over 250 bonds, the offset-0.5 descent stalls
+    at a residual of 2.2e-10, the offset-0 one ends on a saddle, and the
+    0.25 one finds the minimizer.  The connections of
+    `assemble_am_set` reach, within 1e-12, the least action of a grid of
+    16 q offsets for K = 1, 2, 3 and p/q = 1/2, 1/3, 2/5.
 
     A minimal heteroclinic approaches its two orbits exponentially fast
     away from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert,
@@ -464,8 +502,9 @@ def heteroclinic_minimizer(
     The residual, saddle and tail tests and the action comparison all
     read the full window.
 
-    A DEBUG record gives the core size C, the winning offset, how many
-    centerings converged to a minimizer and to a saddle, how many of the
+    A DEBUG record gives the core size C, the centerings descended (2, or
+    3 with the fallback), the winning offset, how many centerings
+    converged to a minimizer and to a saddle, how many of the
     saddles were rejected on the core, how many cores were too narrow for
     their kink, the action gap from the winner to the next minimizer (inf
     when there is none) and the edge residual."""
@@ -491,12 +530,13 @@ def heteroclinic_minimizer(
         return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
-    # Both kink centerings are critical (site-centered is the
-    # Peierls-Nabarro saddle); keep the one with the smaller action.
     best = None
     actions = []    # of every converged minimizer, in offset order
-    saddles = core_saddles = core_skipped = 0
+    starts = saddles = core_saddles = core_skipped = 0
     for offset in (0.5, 0.0, 0.25):
+        if starts == 2 and best is not None:
+            break   # the asymmetric start is only the fallback
+        starts += 1
         blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x = base_l + (base_r - base_l) * blend
         for a, b in spans:
@@ -529,9 +569,9 @@ def heteroclinic_minimizer(
     tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
         others = actions[:best[3]] + actions[best[3] + 1:]
-        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s minimizers=%d "
+        _log.debug("heteroclinic_minimizer window=%d core=%d starts=%d offset=%s minimizers=%d "
                    "saddles=%d core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C,
-                   best[2], len(actions), saddles, core_saddles, core_skipped,
+                   starts, best[2], len(actions), saddles, core_saddles, core_skipped,
                    min(others, default=math.inf) - best[0], tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
@@ -687,17 +727,13 @@ def _circle_dist(a, b):
 
 
 def _lipschitz_constant(points: np.ndarray) -> float:
-    m = len(points)
-    if m < 2:
-        return 0.0
-    worst = 0.0
-    for i in range(m):
-        dx = _circle_dist(points[:, 0], points[i, 0])
-        dy = np.abs(points[:, 1] - points[i, 1])
-        mask = dx > 1e-12
-        if mask.any():
-            worst = max(worst, float(np.max(dy[mask] / dx[mask])))
-    return worst
+    """Largest |dy| / dx over the pairs of points more than 1e-12 apart in
+    the circle metric of x; 0 when there is no such pair."""
+    x, y = points[:, 0], points[:, 1]
+    dx = _circle_dist(x, x[:, None])
+    dy = np.abs(y - y[:, None])
+    return float(np.max(np.divide(dy, dx, out=np.zeros_like(dy), where=dx > 1e-12),
+                        initial=0.0))
 
 
 def hausdorff_points(a: np.ndarray, b: np.ndarray) -> float:
@@ -717,7 +753,11 @@ def assemble_am_set(
     """Maximal Aubry-Mather set at rotation number p/q, desk approximation:
     the minimizing periodic orbit plus a sampled minimizing connection,
     over max(50 q, 60) bonds, to its advanced (plus) or retarded (minus)
-    neighbor translate."""
+    neighbor translate.  That is x_{i+a} + b with a p + b q = 1 (plus) or
+    -1 (minus), which lies 1/q above or below the orbit: no other
+    translate lies between the two, so the connection is one kink.  The
+    translate by 1 would be a chain of q kinks, which crosses its own
+    translates for q >= 2."""
     if branch not in ("plus", "minus"):
         raise InvalidArgument("branch must be 'plus' or 'minus'")
     tm = TwistMapF(gf.K)
@@ -725,9 +765,9 @@ def assemble_am_set(
     orbit = config_orbit(gf, per)
     _saddle_trace(tm, orbit)  # raises NotSaddle when inapplicable
 
-    shift = 1 if branch == "plus" else -1
-    target = Configuration(per.x + shift, "periodic", p, q)
-    # plus: advancing connection per -> per+1; minus: retreating per -> per-1
+    s = 1 if branch == "plus" else -1
+    a = s * pow(p, -1, q) % q
+    target = Configuration(per.extended(np.arange(q) + a) + (s - a * p) // q, "periodic", p, q)
     seg = heteroclinic_minimizer(gf, per, target, max(50 * q, 60))
     seg_orbit = config_orbit(gf, seg)
 

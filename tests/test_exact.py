@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from denshoe import exact
 from denshoe.exact import (
     ALPHA_STAR,
     QuadReal,
@@ -72,6 +73,18 @@ def test_cross_field_comparisons():
     assert s2 != s5 and not (s2 == s5)
     assert s5 < s2 and s5 <= s2 and s2 > s5 and s2 >= s5
     assert QuadReal(0, 1, 2) < QuadReal(0, 1, 3)
+
+
+def test_cross_field_comparison_factors_no_discriminant(monkeypatch):
+    # both discriminants are already square-free, so a comparison has no
+    # trial division to run; at d = 4294967291, a prime, it would take
+    # about 65 000 steps
+    x, y = QuadReal(0, 1, 4294967291).frac(), QuadReal(0, 1, 2).frac()
+    calls = []
+    square_free = exact._square_free
+    monkeypatch.setattr(exact, "_square_free", lambda d: calls.append(d) or square_free(d))
+    assert not x < y    # 0.99996 against 0.414
+    assert calls == []
 
 
 field_elements = st.builds(

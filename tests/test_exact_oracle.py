@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Rational
 
 import mpmath
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from denshoe.errors import InvalidArgument
@@ -377,16 +377,19 @@ def test_cross_field_order_matches_the_oracle(xy, uv):
 
 @PROPERTY
 @given(pairs(small))
+@example((QuadReal(0, Fraction(127, 2), 7), OracleQuadReal(0, Fraction(127, 2), 7)))
 def test_continued_fraction_matches_the_oracle_and_mpmath(xy):
     x, y = xy
     terms = continued_fraction(x, 12)
     assert terms == oracle_continued_fraction(y, 12)
     if x.is_rational:      # its remainders hit integers exactly
         return
-    # the same quotients from a 60-digit float of x, as far as they are
-    # certain: stop once the remainder's error could reach a quotient
-    with mpmath.workdps(60):
-        v, err = mp_value(x), mpmath.mpf(10) ** -55
+    # the same quotients from a 150-digit float of x, as far as they are
+    # certain: stop once the remainder's error could reach a quotient.
+    # At 60 digits the error of 127/2 sqrt(7)'s 12th remainder, 0.003
+    # above 192, had grown past that 0.003
+    with mpmath.workdps(150):
+        v, err = mp_value(x), mpmath.mpf(10) ** -145
         for t in terms:
             assert mpmath.floor(v - err) == mpmath.floor(v + err) == t
             v -= t

@@ -44,6 +44,20 @@ def is_partial_graph(am):
     return bool(np.all(np.diff(np.sort(am.points[:, 0])) > 1e-12))
 
 
+def crossed_translates(x):
+    """The translates (a, b), a >= 1, of the segment x that cross it: over
+    the sites both cover, x_{i+a} + b - x_i exceeds 1e-12 at some i and
+    falls below -1e-12 at another.  A translate with a < 0 crosses iff
+    (-a, -b) does."""
+    found = []
+    for a in range(1, len(x)):
+        d = x[a:] - x[:-a]
+        hi, lo = d.max(), d.min()
+        found += [(a, b) for b in range(math.floor(-hi) - 1, math.ceil(-lo) + 2)
+                  if hi + b > 1e-12 and lo + b < -1e-12]
+    return found
+
+
 def pivots(gf, x):
     """LDL^T pivots of the Hessian of the segment x, up to and including
     the first nonpositive one."""
@@ -366,6 +380,22 @@ class TestAubryMather:
             x, y = per[(np.arange(q) + 1) % q].T
             assert np.allclose(fx % 1.0, x, atol=1e-8) and np.allclose(fy, y, atol=1e-8)
 
+    @pytest.mark.parametrize("branch", ["plus", "minus"])
+    @pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (2, 5)])
+    def test_assembled_segment_crosses_no_translate(self, p, q, branch, monkeypatch):
+        # the connection runs to the neighbouring translate, 1/q away; to
+        # the translate by 1 it is a chain of q kinks, and at K = 2 it
+        # crosses 22, 48 and 99 of its own translates (plus)
+        gf, _ = tw.standard_family(2.0)
+        segments = []
+        heteroclinic = tw.heteroclinic_minimizer
+        monkeypatch.setattr(tw, "heteroclinic_minimizer",
+                            lambda *args: segments.append(heteroclinic(*args)) or segments[-1])
+        tw.assemble_am_set(gf, p, q, branch)
+        (seg,) = segments
+        assert len(seg.x) == 50 * q + 1
+        assert crossed_translates(seg.x) == []
+
     def test_irrational_convergents(self, family):
         gf, _ = family
         omega = ALPHA_STAR * Fraction(1, 3)  # ~0.1273, q: 1, 7, 8, 47
@@ -442,7 +472,9 @@ class TestRecords:
         assert all(n == "newton" and g["sites"] in ("49", "59") and g["cyclic"] == "0"
                    for n, g in runs)
         # each centering descends its 49-site core; a core minimizer, or a
-        # core too narrow for its kink, is followed by the full 59 sites
+        # core too narrow for its kink, is followed by the full 59 sites;
+        # at (0,1) the two symmetric centerings give a minimizer, so the
+        # asymmetric one does not run
         centerings = []
         for _, g in runs:
             if g["sites"] == "49":
@@ -450,8 +482,8 @@ class TestRecords:
             else:
                 assert centerings and len(centerings[-1]) == 1
                 centerings[-1].append(g)
-        assert len(centerings) == 3
-        assert float(f["offset"]) in (0.5, 0.0, 0.25)
+        assert len(centerings) == int(f["starts"]) == 2
+        assert float(f["offset"]) in (0.5, 0.0)
         converged = sum(float(c[-1]["residual"]) <= tw.TOL for c in centerings)
         assert 1 <= int(f["minimizers"]) and int(f["minimizers"]) + int(f["saddles"]) == converged
         not_extended = sum(len(c) == 1 and float(c[0]["residual"]) <= tw.TOL for c in centerings)
@@ -461,6 +493,20 @@ class TestRecords:
         edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
                    np.max(np.abs(seg.x[-2:] - right.extended(idx[-2:]))))
         assert f["edge"] == f"{edge:.3e}"
+
+    @pytest.mark.parametrize("branch, starts, offset", [("plus", "2", "0.5"),
+                                                       ("minus", "3", "0.25")])
+    def test_asymmetric_start_is_the_fallback(self, branch, starts, offset, caplog):
+        # at (2,5), K = 1, the retreating connection over 250 bonds gets
+        # no minimizer from either symmetric start; the 0.25 start finds it
+        gf, _ = tw.standard_family(1.0)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            tw.assemble_am_set(gf, 2, 5, branch)
+        ((_, f),) = [fields(r.getMessage()) for r in caplog.records
+                     if r.getMessage().startswith("heteroclinic_minimizer ")]
+        assert f["window"] == "250" and f["starts"] == starts and f["offset"] == offset
+        if starts == "3":
+            assert f["minimizers"] == "1"
 
     @pytest.mark.parametrize("K, p, q", [(1.0, 1, 2), (0.95, 1, 3)])
     def test_hyperbolicity_record(self, K, p, q, caplog):

@@ -5,10 +5,12 @@ The oracles are the code the kernel replaced, copied here: the dense
 Hessian assembly loops, dense `np.linalg.solve` and `eigvalsh`, the
 LDL^T solve that recomputed each multiplier off[i] / piv[i] where it was
 used, the xi recursion of the discrete Jacobi test, the growth loop of
-`hyperbolicity_report` that rebuilt Df^m from scratch for every m, and
-the translate-by-translate loop of `check_well_ordered`, and the
-`heteroclinic_minimizer` that descended every kink centering over its
-full window.  The gradient is checked against central differences of
+`hyperbolicity_report` that rebuilt Df^m from scratch for every m, the
+translate-by-translate loop of `check_well_ordered`, the point-by-point
+loop of `_lipschitz_constant`, and the `heteroclinic_minimizer` that
+descended every kink centering over its full window.  A grid of 16 q
+kink offsets is the oracle of the two symmetric ones and their
+fallback.  The gradient is checked against central differences of
 `action`.
 """
 
@@ -283,6 +285,33 @@ def test_well_ordered_memory_does_not_grow_with_p():
         tw.Configuration(np.array([0.0, p / 2 + 0.6]), "periodic", p, 2))
 
 
+def loop_lipschitz_constant(points):
+    """One row of pairs per point, as `_lipschitz_constant` computed it."""
+    m = len(points)
+    if m < 2:
+        return 0.0
+    worst = 0.0
+    for i in range(m):
+        dx = tw._circle_dist(points[:, 0], points[i, 0])
+        dy = np.abs(points[:, 1] - points[i, 1])
+        mask = dx > 1e-12
+        if mask.any():
+            worst = max(worst, float(np.max(dy[mask] / dx[mask])))
+    return worst
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)), max_size=30),
+       st.sampled_from((0.0, 1e-13, 1e-9)))
+def test_lipschitz_constant_matches_point_loop(pts, dx):
+    # the last point repeats the first one's x mod 1, give or take dx,
+    # so some pairs fall below the 1e-12 cut
+    points = np.array(pts, dtype=float).reshape(-1, 2)
+    if len(points):
+        points = np.vstack([points, points[:1] + [1.0 + dx, 0.5]])
+    assert tw._lipschitz_constant(points) == loop_lipschitz_constant(points)
+
+
 GOLDEN_CONVERGENTS = ((0, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21),
                       (21, 34), (34, 55), (55, 89))
 GOLDEN_SQUARE_CONVERGENTS = ((1, 3), (2, 5), (3, 8), (5, 13), (8, 21), (13, 34),
@@ -481,7 +510,9 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
     from its blend ran into the iteration cap at window 300, while its
     core stalls at 4.5e-10 and is finished on the window.  At window =
     50 q the core is the window, so each centering runs exactly one Newton
-    descent, the one the old code ran."""
+    descent, the one the old code ran from the same offset; the old code
+    ran all three offsets, the new one the asymmetric 0.25 only when
+    neither symmetric offset gives a minimizer."""
     gf, left = minimizer(K, p, q)
     right = tw.Configuration(left.x + shift, "periodic", p, q)
     old, old_offset, old_runs = recorded_run(old_heteroclinic_minimizer, gf, left, right, window,
@@ -492,7 +523,7 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
         old_run = old_runs[("0.5", "0.0", "0.25").index(new_offset)]
         assert float(old_run.split("residual=")[1]) > tw.TOL
     if window == 50 * q:
-        assert len(new_runs) == 3 and new_runs == old_runs
+        assert len(new_runs) in (2, 3) and new_runs == old_runs[:len(new_runs)]
     if isinstance(old, tuple):
         # below K = 0.32 the (0,1) kink settles too slowly for 50 bonds,
         # and below K = 0.14 for 60: both refuse it
@@ -504,3 +535,48 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
         return
     assert np.max(np.abs(new.x - old.x)) <= 1e-9
     assert abs(gain) <= 1e-12
+
+
+def neighbour(per, s):
+    """The translate x_{i+a} + b of the periodic orbit per with
+    a p + b q = s, 0 <= a < q."""
+    p, q = per.p, per.q
+    a = next(a for a in range(q) if (s - a * p) % q == 0)
+    return tw.Configuration(per.extended(np.arange(q) + a) + (s - a * p) // q, "periodic", p, q)
+
+
+def offset_grid_minimum(gf, left, right, window):
+    """The least action of the minimizers that the full-window descent
+    reaches from the sigmoid blends of the 16 q offsets k / 16,
+    k = 0..16q-1, which cover q sites, the period of the orbits."""
+    idx = np.arange(-(window // 2), window - window // 2 + 1)
+    base_l, base_r = left.extended(idx), right.extended(idx)
+
+    def clamped(xi):
+        return np.concatenate([[base_l[0]], xi, [base_r[-1]]])
+
+    best = math.inf
+    for offset in np.arange(16 * left.q) / 16:
+        blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
+        x0 = base_l + (base_r - base_l) * blend
+        x, w, res, _, _ = tw._newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
+        diag, off = tw._hessian(gf, x)
+        if res <= tw.TOL and tw._ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] > 0.0:
+            best = min(best, w)
+    return best
+
+
+@pytest.mark.parametrize("K", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("p, q", [(1, 2), (1, 3), (2, 5)])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("s", [1, -1])
+def test_two_starts_reach_the_offset_grid_minimum(K, p, q, extra, s):
+    """The connection to the neighbouring translate, over the window of
+    `assemble_am_set` and one bond more (both parities), has the least
+    action that any of 16 q kink offsets reaches, within 1e-12; at (2,5),
+    K = 1, s = -1, window 250 only the fallback offset 0.25 reaches it."""
+    gf, left = minimizer(K, p, q)
+    right = neighbour(left, s)
+    window = max(50 * q, 60) + extra
+    seg = tw.heteroclinic_minimizer(gf, left, right, window)
+    assert abs(tw.action(gf, seg) - offset_grid_minimum(gf, left, right, window)) <= 1e-12
