@@ -1,17 +1,18 @@
-"""Time `graph_hausdorff` against the `np.unique` class sets it replaced.
+"""Time `graph_hausdorff` against the two bisections it replaced.
 
     PYTHONPATH=src python3 scripts/time_graph_hausdorff.py [--repeats 3]
 
 The angles are min({m sqrt d}, 1 - {m sqrt d}) for d in 2, 3, 5, 7, 11, 13
 and m = 1..40, each paired with itself moved by 10^-k for k = 3..6, as
 in the continuity-probe rows, at depths 4, 6, 8, 10 and 12.  The
-reference is the previous `graph_hausdorff`, which builds each level's
-set of block-class triples with `np.unique`; the new one scatters the
-same keys into a presence bitmap.  Both run on the same pair of order
-graphs in this process, each call timed as the best of `--repeats`, and
-every pair of outputs is asserted equal.  Prints the numpy version, since
-`np.unique` hashes its input from numpy 2 on and sorts it before, then
-per depth the median call of each and their ratio.
+reference is the previous `graph_hausdorff`, which bisects the matched
+level once for each orientation of g2, scattering each level's bitmaps
+anew and the reversed orientation from the reversed triples; the new one
+bisects the OR of the two orientations once, builds the two bitmaps of a
+level once and reads the reversed one as a transpose.  Both run on the
+same pair of order graphs in this process, each call timed as the best of
+`--repeats`, and every pair of outputs is asserted equal.  Prints per
+depth the median call of each and their ratio.
 """
 
 import argparse
@@ -29,16 +30,18 @@ FIELDS = (2, 3, 5, 7, 11, 13)
 DEPTHS = (4, 6, 8, 10, 12)
 
 
-def unique_graph_hausdorff(g1, g2):
-    """The replaced `graph_hausdorff`: class-triple sets from `np.unique`."""
+def two_bisection_graph_hausdorff(g1, g2):
+    """The replaced `graph_hausdorff`: one bisection per orientation of g2."""
     n = g1.depth
     words = g1.cylinders + g2.cylinders
     t1 = g1.index_triples()
     t2 = g2.index_triples()
 
     def classes(triples, labels, size):
-        return np.unique((labels[triples[:, 0]] * size + labels[triples[:, 1]]) * size
-                         + labels[triples[:, 2]])
+        present = np.zeros(size ** 3, dtype=bool)
+        present[(labels[triples[:, 0]] * size + labels[triples[:, 1]]) * size
+                + labels[triples[:, 2]]] = True
+        return present
 
     def matched(t2v, h):
         blocks = {}
@@ -83,7 +86,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeats", type=int, default=3)
     repeats = ap.parse_args().repeats
-    print(f"numpy {np.__version__}")
     angles = list(sweep())
     for depth in DEPTHS:
         old_ms, new_ms = [], []
@@ -91,14 +93,14 @@ def main():
             g0 = cylinder_order(build_wds(a, depth))
             for k in range(3, 7):
                 g1 = cylinder_order(build_wds(a + Fraction(1, 10 ** k), depth))
-                t_old, d_old = best_ms(unique_graph_hausdorff, g0, g1, repeats)
+                t_old, d_old = best_ms(two_bisection_graph_hausdorff, g0, g1, repeats)
                 t_new, d_new = best_ms(graph_hausdorff, g0, g1, repeats)
                 assert d_new == d_old, (a, depth, k)
                 old_ms.append(t_old)
                 new_ms.append(t_new)
         mo, mn = statistics.median(old_ms), statistics.median(new_ms)
-        print(f"depth {depth}: {len(old_ms)} calls, np.unique median {mo:.3f} ms, "
-              f"bitmap median {mn:.3f} ms, ratio {mo / mn:.1f}")
+        print(f"depth {depth}: {len(old_ms)} calls, two bisections median {mo:.3f} ms, "
+              f"one bisection median {mn:.3f} ms, ratio {mo / mn:.2f}")
 
 
 if __name__ == "__main__":

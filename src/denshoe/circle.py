@@ -290,4 +290,4 @@ def itinerary(
             raise NotInMinimalSet(f"{x} lies inside the gap ({a}, {b})")
     pos = h.orbit(x, -radius, radius)
     symbols = np.where((ci.mid0 <= pos) & (pos < ci.mid1), 0, 1)
-    return CentralWindow(radius, tuple(symbols.tolist()))
+    return CentralWindow(radius, symbols)

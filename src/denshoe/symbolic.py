@@ -15,6 +15,17 @@ e(k) = e_theta + |k| e_alpha plus the rounding of the product, the sum
 and the wrap, with e_alpha and e_theta from `QuadReal.float_enclosure`;
 the float decides every entry whose margin exceeds four times that
 bound, and exact arithmetic settles the rest.
+
+A window that `sturmian_window` returns carries a certificate, `_coded`:
+it is a rotation coding, so `estimate_rotation_interval` need not check
+it for balance.  Symbol 0 at k iff {theta + k*alpha} < alpha iff
+floor(theta + k*alpha) - floor(theta + (k-1)*alpha) = 1, so for alpha in
+(0, 1) the window is the complement of the lower mechanical word of slope
+alpha and intercept theta - alpha, and mechanical words are balanced at
+every length (Morse & Hedlund, Amer. J. Math. 62, 1940; Lothaire,
+"Algebraic Combinatorics on Words", Lemma 2.1.14); alpha outside (0, 1)
+gives a constant word.  Every other window (built by hand, by `from_word`,
+by `dataclasses.replace`, or by `circle.itinerary`) is validated.
 """
 
 from __future__ import annotations
@@ -56,31 +67,48 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class CentralWindow:
-    """Finite central block of a bi-infinite 0/1 coding, indices -N..N."""
+    """Finite central block of a bi-infinite 0/1 coding, indices -N..N.
+
+    `_coded` is set only on the windows `sturmian_window` returns, and
+    certifies that the window is a rotation coding, hence balanced at
+    every length (see the module docstring); `estimate_rotation_interval`
+    then skips its balance scan.  Like `_word` it is not part of the
+    value: `==`, `hash` and `repr` ignore it, and a `dataclasses.replace`
+    copy does not carry it."""
 
     radius: int
     symbols: tuple[int, ...]
     # the symbols as a '0'/'1' string, built once; not part of the value
     _word: str = field(init=False, repr=False, compare=False)
+    # the rotation-coding certificate; not part of the value
+    _coded: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius < 0:
             raise InvalidArgument("radius must be non-negative")
-        if not isinstance(self.symbols, tuple):
+        syms = self.symbols
+        if not isinstance(syms, tuple):
             # an ndarray's tolist() gives Python ints; bytes() of the array
             # itself would read its raw memory
-            syms = self.symbols.tolist() if isinstance(self.symbols, np.ndarray) else self.symbols
-            object.__setattr__(self, "symbols", tuple(syms))
+            object.__setattr__(self, "symbols", tuple(
+                syms.tolist() if isinstance(syms, np.ndarray) else syms))
         if len(self.symbols) != 2 * self.radius + 1:
             raise InvalidArgument("need exactly 2N+1 symbols")
-        # count() compares by ==, as `in` does: True and numpy integers pass,
-        # and so does a float equal to 0 or 1, which bytes() then refuses
-        if self.symbols.count(0) + self.symbols.count(1) != len(self.symbols):
-            raise InvalidArgument("symbols must be 0 or 1")
-        try:
-            raw = bytes(self.symbols)
-        except TypeError:
-            raise InvalidArgument("symbols must be the integers 0 or 1") from None
+        if isinstance(syms, np.ndarray) and syms.ndim == 1 and syms.dtype.kind in "iu":
+            # integers: x >> 1 is 0 iff x is 0 or 1, and the bytes are the word
+            if (syms >> 1).any():
+                raise InvalidArgument("symbols must be 0 or 1")
+            raw = syms.astype(np.uint8).tobytes()
+        else:
+            # count() compares by ==, as `in` does: True and numpy integers
+            # pass, and so does a float equal to 0 or 1, which bytes() then
+            # refuses
+            if self.symbols.count(0) + self.symbols.count(1) != len(self.symbols):
+                raise InvalidArgument("symbols must be 0 or 1")
+            try:
+                raw = bytes(self.symbols)
+            except TypeError:
+                raise InvalidArgument("symbols must be the integers 0 or 1") from None
         object.__setattr__(self, "_word", raw.translate(_DIGITS).decode())
 
     def __getitem__(self, k: int) -> int:
@@ -170,6 +198,11 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
     MAX_BLOCK symbols raises OutOfRange; the indices themselves may be any
     size.  A DEBUG record on this module's logger gives the block and the
     number of entries settled exactly (flagged)."""
+    return tuple(_coding_array(alpha, theta, lo, hi).tolist())
+
+
+def _coding_array(alpha, theta, lo: int, hi: int) -> np.ndarray:
+    """The symbols of `coding_block` as an int8 array."""
     if hi - lo + 1 > MAX_BLOCK:
         raise OutOfRange(f"block of {hi - lo + 1} symbols exceeds MAX_BLOCK = {MAX_BLOCK}")
     if not (is_exact(alpha) and is_exact(theta)):
@@ -206,12 +239,16 @@ def coding_block(alpha, theta, lo: int, hi: int) -> tuple[int, ...]:
         syms[i] = _symbol_exact(a, th, lo + i)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("coding_block k=%d..%d symbols=%d flagged=%d", lo, hi, len(t), len(flagged))
-    return tuple(syms.tolist())
+    return syms
 
 
 def sturmian_window(alpha, theta, radius: int) -> CentralWindow:
-    """Central coding window of radius N for the rotation by alpha, offset theta."""
-    return CentralWindow(radius, coding_block(alpha, theta, -radius, radius))
+    """Central coding window of radius N for the rotation by alpha, offset
+    theta.  The window carries the `_coded` certificate: it is a rotation
+    coding, balanced at every length (see the module docstring)."""
+    w = CentralWindow(radius, _coding_array(alpha, theta, -radius, radius))
+    object.__setattr__(w, "_coded", True)
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +564,18 @@ def estimate_rotation_interval(w: CentralWindow) -> FareyInterval:
     """Farey interval guaranteed to contain every slope whose Sturmian
     language includes all observed factors.
 
-    The window is first checked to be balanced at every factor length up
-    to VALIDATE_TO, which also bounds its complexity by n + 1 there (see
-    `_validate_sturmian`); NotSturmian names the first length that fails.
-    Then `_farey_walk` refines the interval."""
-    _validate_sturmian(w, VALIDATE_TO)
+    A window without the `_coded` certificate is first checked to be
+    balanced at every factor length up to VALIDATE_TO, which also bounds
+    its complexity by n + 1 there (see `_validate_sturmian`); NotSturmian
+    names the first length that fails.  A window from `sturmian_window`
+    carries the certificate and skips the check: a rotation coding is the
+    complement of a mechanical word, balanced at every length (see the
+    module docstring), so the check could not fail.  Then `_farey_walk`
+    refines the interval; its DEBUG record says whether the check ran
+    (validation=ran) or the certificate stood in for it
+    (validation=certified)."""
+    if not w._coded:
+        _validate_sturmian(w, VALIDATE_TO)
     return _farey_walk(w)
 
 
@@ -553,29 +597,36 @@ def _farey_walk(w: CentralWindow) -> FareyInterval:
     do not decide; every stop is sound (the interval only ever shrinks
     around the compatible-slope set).  While the interval is wider than
     TARGET_WIDTH, lo_q * hi_q < 1200, so every mediant has
-    q = lo_q + hi_q <= 1200.  A DEBUG record on this module's logger
-    gives the mediants tried, how each was decided, the stop reason and
-    the final interval."""
+    q = lo_q + hi_q <= 1200.  Every test is an integer cross-multiplication
+    (mediants and interval ends lie in [0, 1]).  A DEBUG record on this
+    module's logger gives the window's validation (see
+    `estimate_rotation_interval`), the mediants tried, how each was
+    decided, the stop reason and the final interval."""
     L = len(w)
     word = w.word()
     periodic = _is_periodic(word)
 
+    # the frequency bounds (c0 - 1)/L and (c0 + 1)/L, clipped to [0, 1]:
+    # p/q lies below the first iff p*L < (c0 - 1)*q, above the second iff
+    # p*L > (c0 + 1)*q
     c0 = word.count("0")
-    freq_lo = max(Fraction(0), Fraction(c0 - 1, L))
-    freq_hi = min(Fraction(1), Fraction(c0 + 1, L))
     zeros = np.concatenate(([0], np.cumsum(_symbol_array(w) == 0)))
     cap = min(L, LANGUAGE_CAP)
+    # the width 1/(lo_q*hi_q) exceeds TARGET_WIDTH = num/den iff lo_q*hi_q*num < den
+    width_num, width_den = TARGET_WIDTH.numerator, TARGET_WIDTH.denominator
 
     lo_p, lo_q = 0, 1
     hi_p, hi_q = 1, 1
     tried = by_frequency = by_counts = 0
     stop = "target_width"
-    while Fraction(1, lo_q * hi_q) > TARGET_WIDTH:
+    while lo_q * hi_q * width_num < width_den:
         mp, mq = lo_p + hi_p, lo_q + hi_q
         tried += 1
-        m = Fraction(mp, mq)
-        if m < freq_lo or m > freq_hi:
-            s = 1 if m < freq_lo else -1
+        if mp * L < (c0 - 1) * mq:
+            s = 1
+            by_frequency += 1
+        elif mp * L > (c0 + 1) * mq:
+            s = -1
             by_frequency += 1
         elif mq > cap:
             stop = "language_cap"
@@ -593,9 +644,11 @@ def _farey_walk(w: CentralWindow) -> FareyInterval:
 
     lo, hi = Fraction(lo_p, lo_q), Fraction(hi_p, hi_q)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("estimate_rotation_interval length=%d mediants=%d frequency=%d counts=%d "
-                   "stop=%s lo=%s hi=%s", L, tried, by_frequency, by_counts, stop, lo, hi)
-    if hi < freq_lo or lo > freq_hi:
+        _log.debug("estimate_rotation_interval validation=%s length=%d mediants=%d "
+                   "frequency=%d counts=%d stop=%s lo=%s hi=%s",
+                   "certified" if w._coded else "ran", L, tried, by_frequency, by_counts,
+                   stop, lo, hi)
+    if hi_p * L < (c0 - 1) * hi_q or lo_p * L > (c0 + 1) * lo_q:
         raise NotSturmian("frequency bound and factor refinement are inconsistent")
     return FareyInterval(lo, hi, periodic=periodic)
 

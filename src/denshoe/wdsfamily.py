@@ -57,10 +57,8 @@ from .exact import QuadReal, as_real
 from .symbolic import (
     CentralWindow,
     FactorSet,
-    _defect,
     _factor_levels,
     _factor_set,
-    _one_counts,
     agreement_radius,
     estimate_rotation_interval,
     sturmian_window,
@@ -154,8 +152,10 @@ class Equivalence(enum.Enum):
 
 def build_wds(alpha, depth: int) -> WdsSymbolic:
     """Factor family up to length 2*depth+1 from one coding window at
-    offset 0, checked for complexity n+1 and balance <= 1 (else
-    NotSturmian).  The window's radius is max(8(2n+1), 128), for
+    offset 0, checked for complexity n+1 (else NotSturmian).  Balance
+    needs no check: the window comes from `sturmian_window`, and a
+    rotation coding is balanced at every length (see the `symbolic` module
+    docstring).  The window's radius is max(8(2n+1), 128), for
     `rotation_class`; any radius >= 2n+1 holds the family (see the module
     docstring).  `reversed_wds` gives the inverse circular order."""
     a = as_real(alpha)
@@ -168,12 +168,9 @@ def build_wds(alpha, depth: int) -> WdsSymbolic:
     top = 2 * depth + 1
     w = sturmian_window(a, 0, max(8 * top, 128))
     levels = list(_factor_levels(w, top))
-    ones = _one_counts(w)
     for n, starts in levels:
         if len(starts) != n + 1:
             raise NotSturmian(f"{len(starts)} factors of length {n}, not {n + 1}")
-        if _defect(ones, n) > 1:
-            raise NotSturmian(f"balance defect exceeds 1 at length {n}")
     fam = {n: _factor_set(w.word(), n, starts) for n, starts in levels}
     return WdsSymbolic(a, depth, fam, w)
 
@@ -253,55 +250,59 @@ def graph_hausdorff(g1: CircularOrderGraph, g2: CircularOrderGraph) -> Fraction:
     each level agreement is an equivalence relation.  Every triple of g1
     then has a triple of g2 agreeing to level h in all three places, and
     the reverse, exactly when the two sets of block-class triples are
-    equal.  Matching is monotone in h, so the largest matched level, which
-    gives the distance 1/(h+1) (0 from n+1 on), is found by bisecting h
-    over 0..n+1 for each orientation of g2.  A level's set of class triples
-    is a presence bitmap of size^3 bytes, size <= 2m the distinct blocks
-    among the m = 2n+2 cylinders of each graph, set by one scatter of the
-    triples' keys; two sets are equal when their bitmaps are.  With
+    equal.  Matching is monotone in h for each orientation of g2: "direct
+    matches at h" holds for h <= h_d and "reversed matches at h" for
+    h <= h_r.  Their OR therefore holds exactly for h <= max(h_d, h_r), so
+    one bisection of the OR over 0..n+1 finds the largest level matched by
+    either orientation, which gives the distance 1/(h+1) (0 from n+1 on).
+    A level's set of class triples is a presence bitmap of size^3 bytes,
+    size <= 2m the distinct blocks among the m = 2n+2 cylinders of each
+    graph, set by one scatter of the triples' keys; two sets are equal
+    when their bitmaps are.  Each probed level builds the two graphs'
+    bitmaps once, and reads g2 reversed as the transpose (2, 1, 0) of its
+    bitmap, which maps class triple (a, b, c) to (c, b, a).  The triples
+    depend only on m, so graphs of equal length share one array.  With
     T = m(m-1)(m-2)/2 triples per graph this takes O(T log n) time and
     O(T) memory, since 8m^3 bytes of bitmap stay below the 24m^3 of the
     two graphs' triple arrays: nothing is sorted, hashed or compared pair
-    by pair."""
+    by pair.  A DEBUG record on this module's logger lists each probe as
+    (h, direct matched, reversed matched) and the matched level."""
     if g1.depth != g2.depth:
         raise DepthMismatch(f"depths {g1.depth} != {g2.depth}")
     n = g1.depth
     words = g1.cylinders + g2.cylinders
     t1 = g1.index_triples()
-    t2 = g2.index_triples()
+    t2 = t1 if len(g2) == len(g1) else g2.index_triples()
 
     def classes(triples, labels, size):
         present = np.zeros(size ** 3, dtype=bool)
         present[(labels[triples[:, 0]] * size + labels[triples[:, 1]]) * size
                 + labels[triples[:, 2]]] = True
-        return present
+        return present.reshape(size, size, size)
 
-    def matched(t2v, h):
+    def matched(h):
         # one label per distinct central (2h-1)-block, shared by both graphs
         blocks: dict[str, int] = {}
         labels = np.array([blocks.setdefault(w[n - h + 1:n + h], len(blocks)) for w in words],
                           dtype=np.int64)
         size = len(blocks)
-        return np.array_equal(classes(t1, labels[:len(g1)], size),
-                              classes(t2v, labels[len(g1):], size))
+        c1 = classes(t1, labels[:len(g1)], size)
+        c2 = classes(t2, labels[len(g1):], size)
+        return np.array_equal(c1, c2), np.array_equal(c1, c2.transpose(2, 1, 0))
 
-    levels = []
-    for t2v in (t2, t2[:, ::-1]):
-        lo, hi, probed = 0, n + 1, []       # level 0 always matches
-        while lo < hi:
-            h = (lo + hi + 1) // 2
-            probed.append(h)
-            if matched(t2v, h):
-                lo = h
-            else:
-                hi = h - 1
-        levels.append((probed, lo))
+    lo, hi, probes = 0, n + 1, []           # level 0 always matches
+    while lo < hi:
+        h = (lo + hi + 1) // 2
+        direct, reverse = matched(h)
+        probes.append((h, int(direct), int(reverse)))
+        if direct or reverse:
+            lo = h
+        else:
+            hi = h - 1
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("graph_hausdorff depth=%d triples=%d/%d direct probed=%s matched=%d "
-                   "reversed probed=%s matched=%d", n, len(t1), len(t2),
-                   *levels[0], *levels[1])
-    h = max(lo for _, lo in levels)
-    return Fraction(0) if h >= n + 1 else Fraction(1, h + 1)
+        _log.debug("graph_hausdorff depth=%d triples=%d/%d probes=%s matched=%d", n, len(t1),
+                   len(t2), ",".join("(%d,%d,%d)" % p for p in probes), lo)
+    return Fraction(0) if lo >= n + 1 else Fraction(1, lo + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ KEPT = {
     "gap_zero": "the gap at orbit index 0, whose ends code the gap pair across the cut 0",
     "angle_of_position": "the semi-conjugacy that collapses the Denjoy gaps to the rotation",
     "rotation_estimate": "the rotation number of a Denjoy map read from one orbit",
+    "coding_block": "the coding symbols of any block of indices, as a tuple; the package "
+                    "reads the same kernel as an array",
     "from_word": "a window from its '0'/'1' string",
     "factor_set": "the factors of one length, without the lengths below it",
     "complexity": "the factor count p(n), n + 1 on a Sturmian window",

@@ -526,6 +526,27 @@ def test_window_from_ndarray_list_and_tuple(dtype):
         assert all(type(s) is int for s in w.symbols)
 
 
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INT_DTYPES), st.integers(0, 3), st.data())
+def test_integer_array_path_matches_tuple_path(dtype, r, data):
+    """An integer ndarray is checked with one array comparison and its word
+    read from its bytes; the window, or the error, is the one its tuple of
+    Python ints gives, including values past 0/1 that wrap in a uint8."""
+    low = 0 if np.dtype(dtype).kind == "u" else -300
+    n = data.draw(st.sampled_from((2 * r + 1, 2 * r)))
+    values = data.draw(st.lists(st.one_of(st.integers(0, 1), st.integers(low, 300)),
+                                min_size=n, max_size=n))
+    arr = np.array(values).astype(dtype)
+    got = outcome(sy.CentralWindow, r, arr)
+    want = outcome(sy.CentralWindow, r, tuple(arr.tolist()))
+    assert got == want
+    if not isinstance(want, tuple):
+        assert got.word() == want.word() and repr(got) == repr(want)
+
+
 SYMBOL_VALUES = (0, 1, 2, -1, 0.5, None, "1", [1], True, False,
                  np.int64(0), np.int64(1), np.uint8(1), np.int8(0), np.int64(2))
 

@@ -171,13 +171,16 @@ def test_debug_record_reports_levels(caplog):
         value = wf.graph_hausdorff(g, g2)
     (record,) = caplog.records
     fields = re.fullmatch(
-        r"graph_hausdorff depth=6 triples=1092/1092 direct probed=\[([\d, ]+)\] matched=(\d+) "
-        r"reversed probed=\[([\d, ]+)\] matched=(\d+)", record.getMessage())
+        r"graph_hausdorff depth=6 triples=1092/1092 probes=((?:\(\d+,[01],[01]\),?)+) "
+        r"matched=(\d+)", record.getMessage())
     assert fields is not None
-    assert [int(fields[2]), int(fields[4])] == pairwise_levels(g, g2)
-    for probed in (fields[1], fields[3]):
-        assert 1 <= len(probed.split(",")) <= 3      # bisection of 0..7
-    assert value == Fraction(1, max(pairwise_levels(g, g2)) + 1)
+    probes = [tuple(map(int, p.split(","))) for p in re.findall(r"\(([\d,]+)\)", fields[1])]
+    direct, reverse = pairwise_levels(g, g2)
+    assert 1 <= len(probes) <= 3                     # bisection of 0..7
+    for h, d, r in probes:
+        assert (d, r) == (int(h <= direct), int(h <= reverse)), h
+    assert int(fields[2]) == max(direct, reverse)
+    assert value == Fraction(1, max(direct, reverse) + 1)
 
 
 def test_no_record_when_debug_is_off(caplog):
