@@ -6,9 +6,11 @@ The reference, `old_minimize_periodic`, is the previous search: ten
 shifted ramps, then ten random starts with seed 0, each descended for at
 most 500 Newton iterations, stopping after four confirmations of the
 best action.  The new one descends the two symmetric ramps only.  Both
-run on 225 cases: 25 rotation numbers p/q (the golden-mean and
-golden-square convergents with 2 <= q <= 144, and ten small p/q) at nine
-couplings K around the golden circle's breakup.
+share `_newton_minimize`, so both finish a descent that stalls above
+TOL with its plain Newton steps.  Both run on 225 cases: 25 rotation
+numbers p/q (the golden-mean and golden-square convergents with
+2 <= q <= 144, and ten small p/q) at nine couplings K around the golden
+circle's breakup.
 
 For every case the new result must be well ordered and of action at
 most the old one's + 1e-12 (asserted; tests/test_periodic_oracle.py

@@ -18,10 +18,10 @@ otherwise both substitutions read the stored multipliers, so a solve
 divides by each pivot once.  Minimizers are found by damped Newton
 descent on the action, from two symmetric ramps for periodic orbits
 (the potential is even) and two symmetric kink centerings for
-heteroclinic segments, with an asymmetric third only as a fallback, each
-descended first on a central core of 50 q bonds and then finished on the
-full window (see `heteroclinic_minimizer`).  Each descent computes
-cos 2 pi x and sin 2 pi x once per trial point (`_evaluate`).
+heteroclinic segments, each descended first on a central core of 50 q
+bonds and then finished on the full window (see
+`heteroclinic_minimizer`).  Each descent computes cos 2 pi x and sin
+2 pi x once per trial point (`_evaluate`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -322,11 +323,16 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     minimizer.  Once the residual max|g| is within TOL, each iteration
     tries one step only and the descent stops at the first one refused;
     this takes the residual to round-off, which keeps exponentially small
-    heteroclinic tails clean.  Returns the padded array of the last
-    accepted point, its action, its residual, the number of steps
-    accepted and the number of factorizations refused.  A DEBUG record on this
-    module's logger gives the steps accepted, the factorizations refused,
-    the steps rejected as uphill, the largest tau tried and the residual."""
+    heteroclinic tails clean.  Near a minimizer a step lowers the action
+    by about |g|^2, and below the rounding of the action sum rounding
+    alone decides the action test: at (2,5), K = 1, the offset-0.5 kink
+    to the retarded neighbour over 250 bonds stops at a residual of
+    2.2e-10 with tau past 1e41.  So a descent that stops above TOL takes
+    up to 3 plain Newton steps while its Hessian is positive definite.
+    Returns the padded array of the last point, its action, its residual,
+    the descent steps accepted and the factorizations refused.  A DEBUG
+    record on this module's logger also gives the steps rejected as
+    uphill, the largest tau tried and the plain steps taken."""
     def evaluate(x):
         e = pad(x)
         return (e, *_evaluate(gf, e, cyclic))
@@ -334,7 +340,7 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     e, f, g, diag = evaluate(np.array(x0, dtype=float))
     off = gf.d12(e[1:-1], e[2:]).tolist()   # constant in x
     tau = max_tau = 0.0
-    steps = refused = uphill = 0
+    steps = refused = uphill = polished = 0
     for _ in range(max_iter):
         rhs = (-g).tolist()
         gg = float(np.dot(g, g))
@@ -355,9 +361,17 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
         steps += 1
         tau *= 0.25
     res = float(np.max(np.abs(g)))
+    while res > TOL and polished < 3:
+        step = _positive_solve(diag.tolist(), off, (-g).tolist(), cyclic)
+        if step is None:
+            break
+        e, f, g, diag = evaluate(e[1:-1] + step)
+        res = float(np.max(np.abs(g)))
+        polished += 1
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("newton sites=%d cyclic=%d steps=%d refused=%d uphill=%d max_tau=%.3e "
-                   "residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau, res)
+                   "polished=%d residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau,
+                   polished, res)
     return e, f, res, steps, refused
 
 
@@ -383,14 +397,13 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     even potential, as in `standard_family`, the only family: a descent
     from a symmetric start stays symmetric, and the two reach the
     symmetric minimizer and minimax (Greene, J. Math. Phys. 20, 1979).
-    Each start gets 500 Newton iterations, then, if it stalls above TOL,
-    up to 3 plain Newton steps while its Hessian is positive definite.
+    Each start gets one `_newton_minimize` descent of 500 iterations.
     A result within TOL with a Hessian eigenvalue at or below
     -NEGATIVE_CURVATURE is skipped (the (0,1) start x = 0 is a maximum);
     a singular one is kept (at K = 0 the c = 0 ramp wins the tie).  The
     well-ordered result of lower action is returned, else NoConvergence
-    with the best residual.  A DEBUG record gives the starts, how many
-    converged, were skipped and were well ordered, and the polish steps."""
+    with the best residual.  A DEBUG record gives the starts, and how
+    many converged, were skipped and were well ordered."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
@@ -399,17 +412,10 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
         raise InvalidArgument("p/q must be in lowest terms")
     base = np.arange(q) * (p / q)
     best, best_res = None, math.inf
-    starts = converged = skipped = ordered = polished = 0
+    starts = converged = skipped = ordered = 0
     for c in (0.0, 0.5 / q):
         starts += 1
         e, _, res, _, _ = _newton_minimize(gf, lambda x: _pad(x, p), base + c, 500, cyclic=True)
-        for _ in range(3):
-            step = _newton_step(gf, e, cyclic=True) if res > TOL else None
-            if step is None:
-                break
-            e = _pad(e[1:-1] + step, p)
-            res = float(np.max(np.abs(_gradient(gf, e))))
-            polished += 1
         best_res = min(best_res, res)
         if res > TOL:
             continue
@@ -426,8 +432,7 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
             best = (a, cfg)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("minimize_periodic p=%d q=%d starts=%d converged=%d skipped=%d "
-                   "well_ordered=%d polished=%d", p, q, starts, converged, skipped,
-                   ordered, polished)
+                   "well_ordered=%d", p, q, starts, converged, skipped, ordered)
     if best is None:
         raise NoConvergence(f"no well-ordered critical ({p},{q}) configuration found",
                             residual=best_res)
@@ -453,13 +458,9 @@ def heteroclinic_minimizer(
     centres the kink on a bond and the other on a site; the potential is
     even, so a descent from a symmetric start stays symmetric, and for
     (0,1) the two reach the bond-centred minimizer and the site-centred
-    Peierls-Nabarro saddle.  The asymmetric offset 0.25 is descended only
-    when neither gives a minimizer: at (2,5), K = 1, from the orbit to
-    its retarded neighbour over 250 bonds, the offset-0.5 descent stalls
-    at a residual of 2.2e-10, the offset-0 one ends on a saddle, and the
-    0.25 one finds the minimizer.  The connections of
-    `assemble_am_set` reach, within 1e-12, the least action of a grid of
-    16 q offsets for K = 1, 2, 3 and p/q = 1/2, 1/3, 2/5.
+    Peierls-Nabarro saddle.  The connections of `assemble_am_set` reach,
+    within 1e-12, the least action of a grid of 16 q offsets for K = 1,
+    2, 3 and p/q = 1/2, 1/3, 2/5.
 
     A minimal heteroclinic approaches its two orbits exponentially fast
     away from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert,
@@ -470,12 +471,8 @@ def heteroclinic_minimizer(
     central core of C = min(window, 50 q) bonds, cut from the same orbit
     values and clamped to them; 50 q is the smallest window accepted.
     The core, with the orbit values on both sides, then starts the
-    descent of the full window, which only has the tails to settle.  A
-    core that stalls above TOL is finished the same way as a converged
-    one, and the full window's residual test decides: at (1,2), K = 2,
-    window 110, the offset-0.5 core stalls at 4.5e-10 with tau past 1e45,
-    and its finished window is the minimizer.  When C is the window, the
-    one descent is the full one.
+    descent of the full window, which only has the tails to settle.  When
+    C is the window, the one descent is the full one.
 
     The extended start's residual is the drift of the core's outermost
     sites, between TOL and about 1e-8 for K below 1.  A Newton step from
@@ -502,14 +499,17 @@ def heteroclinic_minimizer(
     The residual, saddle and tail tests and the action comparison all
     read the full window.
 
-    A DEBUG record gives the core size C, the centerings descended (2, or
-    3 with the fallback), the winning offset, how many centerings
-    converged to a minimizer and to a saddle, how many of the
-    saddles were rejected on the core, how many cores were too narrow for
-    their kink, the action gap from the winner to the next minimizer (inf
-    when there is none) and the edge residual."""
-    if window < 50 * left.q:
-        raise InvalidArgument("window must be at least 50 q")
+    The endpoints must be periodic configurations of one (p,q) and the
+    window an integer >= 50 q, else InvalidArgument.  A DEBUG record
+    gives the core size C, the winning offset, how many centerings
+    converged to a minimizer and to a saddle, how many of the saddles
+    were rejected on the core, how many cores were too narrow for their
+    kink, the action gap from the winner to the next minimizer (inf when
+    there is none) and the edge residual."""
+    if not (left.kind == right.kind == "periodic" and (left.p, left.q) == (right.p, right.q)):
+        raise InvalidArgument("the endpoints must be periodic configurations of one (p,q)")
+    if not isinstance(window, numbers.Integral) or window < 50 * left.q:
+        raise InvalidArgument(f"window must be an integer of at least 50 q, got {window!r}")
     L = window
     idx = np.arange(-(L // 2), L - L // 2 + 1)
     base_l, base_r = left.extended(idx), right.extended(idx)
@@ -532,19 +532,16 @@ def heteroclinic_minimizer(
 
     best = None
     actions = []    # of every converged minimizer, in offset order
-    starts = saddles = core_saddles = core_skipped = 0
-    for offset in (0.5, 0.0, 0.25):
-        if starts == 2 and best is not None:
-            break   # the asymmetric start is only the fallback
-        starts += 1
+    saddles = core_saddles = core_skipped = 0
+    for offset in (0.5, 0.0):
         blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x = base_l + (base_r - base_l) * blend
         for a, b in spans:
             e, w, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
                                                cyclic=False)
-            core = b - a < n
-            if res > TOL and not core:
+            if res > TOL:
                 break
+            core = b - a < n
             diag, off = _hessian(gf, e)
             if _ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
                 saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
@@ -569,9 +566,9 @@ def heteroclinic_minimizer(
     tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
         others = actions[:best[3]] + actions[best[3] + 1:]
-        _log.debug("heteroclinic_minimizer window=%d core=%d starts=%d offset=%s minimizers=%d "
-                   "saddles=%d core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C,
-                   starts, best[2], len(actions), saddles, core_saddles, core_skipped,
+        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s minimizers=%d saddles=%d "
+                   "core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C, best[2],
+                   len(actions), saddles, core_saddles, core_skipped,
                    min(others, default=math.inf) - best[0], tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
@@ -627,12 +624,14 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
 
 
 def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> float:
-    """Trace of DF^q along the (q, 2) orbit; NotSaddle unless it is > 2."""
+    """Trace of DF^q along the finite (q, 2) orbit; NotSaddle unless it is > 2."""
+    if not np.all(np.isfinite(orbit)):
+        raise InvalidArgument("orbit points must be finite")
     M = np.eye(2)
     for x in orbit[:, 0]:
         M = tm.jacobian(x) @ M
     tr = float(np.trace(M))
-    if tr <= 2.0:
+    if not tr > 2.0:
         raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
     return tr
 

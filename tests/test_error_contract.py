@@ -101,6 +101,31 @@ def test_twist_entry_points(K, p, q, omega, depth):
         attempt(tw.irrational_am_set, fam[0], omega, depth)
 
 
+@pytest.mark.parametrize("x, y", [(math.nan, 0.0), (math.inf, 0.0), (0.5, math.nan)])
+def test_saddle_test_refuses_non_finite_orbits(x, y):
+    # a nan trace passed the old test tr <= 2, and np.linalg.eig then
+    # raised numpy's LinAlgError
+    _, tm = tw.standard_family(1.0)
+    with pytest.raises(InvalidArgument, match="finite"):
+        tw.hyperbolicity_report(tm, [[x, y]])
+
+
+def test_heteroclinic_refuses_what_it_cannot_connect():
+    gf, _ = tw.standard_family(1.0)
+    left = tw.minimize_periodic(gf, 0, 1)
+    right = tw.Configuration(left.x + 1, "periodic", 0, 1)
+    # a non-integral window made a stray IndexError; endpoints of different
+    # (p, q) ran every descent and then raised NoConvergence
+    for window in (60.5, 60.0, math.nan, "60"):
+        with pytest.raises(InvalidArgument, match="window"):
+            tw.heteroclinic_minimizer(gf, left, right, window)
+    other = tw.minimize_periodic(gf, 1, 2)
+    segment = tw.Configuration(np.zeros(62), "segment")
+    for a, b in ((left, other), (other, left), (left, segment), (segment, right)):
+        with pytest.raises(InvalidArgument, match="endpoints"):
+            tw.heteroclinic_minimizer(gf, a, b, 100)
+
+
 def test_argument_errors_and_edge_answers():
     w = sy.CentralWindow.from_word("010")
     with pytest.raises(OutOfRange):
