@@ -7,11 +7,10 @@ descent, copied here: it descended each of three kink centerings
 (offsets 0.5, 0 and 0.25) over the whole window from its sigmoid blend.
 The new one descends the two symmetric centerings, 0.5 and 0, each on
 the central core of min(window, 50 q) bonds first, finishing a core
-minimizer on the full window.  Both share `_newton_minimize`, so both
-finish a descent that stalls above TOL with its plain Newton steps.
-Both connect the (0,1) orbit to its translate by 1 at
-K = 0.7 and 1.0, over windows of 60, 200 and 1000 bonds; the two
-segments are asserted equal within 1e-9.
+minimizer on the full window.  Both share `_newton_minimize`.  Both
+connect the (0,1) orbit to its translate by 1 at K = 0.7 and 1.0, over
+windows of 60, 200 and 1000 bonds; the two segments are asserted equal
+within 1e-9.
 
 Prints, per case, the median wall time of each over `--repeats` calls
 and the pivots each call factored: the summed lengths of the pivot

@@ -6,8 +6,7 @@ The reference, `old_minimize_periodic`, is the previous search: ten
 shifted ramps, then ten random starts with seed 0, each descended for at
 most 500 Newton iterations, stopping after four confirmations of the
 best action.  The new one descends the two symmetric ramps only.  Both
-share `_newton_minimize`, so both finish a descent that stalls above
-TOL with its plain Newton steps.  Both run on 225 cases: 25 rotation
+share `_newton_minimize`.  Both run on 225 cases: 25 rotation
 numbers p/q (the golden-mean and golden-square convergents with
 2 <= q <= 144, and ten small p/q) at nine couplings K around the golden
 circle's breakup.
@@ -48,7 +47,8 @@ def old_minimize_periodic(gf, p, q):
     for x0 in candidates:
         e, _, res, steps, refused = tw._newton_minimize(gf, lambda x: tw._pad(x, p), x0, 500,
                                                         cyclic=True)
-        if res > tw.TOL or (steps == 0 and refused and tw._clearly_indefinite(gf, e)):
+        if res > tw.TOL or (steps == 0 and refused
+                            and tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)):
             continue
         x = e[1:-1]
         cfg = tw.Configuration(x - math.floor(x[0]), "periodic", p, q)

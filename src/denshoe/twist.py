@@ -21,7 +21,9 @@ descent on the action, from two symmetric ramps for periodic orbits
 heteroclinic segments, each descended first on a central core of 50 q
 bonds and then finished on the full window (see
 `heteroclinic_minimizer`).  Each descent computes cos 2 pi x and sin
-2 pi x once per trial point (`_evaluate`).
+2 pi x once per trial point (`_evaluate`), with a bound on the rounding
+of the action sum; a step whose action change lies within that bound is
+judged by the residual instead (see `_newton_minimize`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -49,6 +51,7 @@ TWO_PI = 2.0 * math.pi
 
 TOL = 1e-10              # Newton residual max|grad| that counts as converged
 NEGATIVE_CURVATURE = 1e-8  # Hessian eigenvalue at or below minus this: not a minimizer
+SADDLE_CURVATURE = 1e-10  # segment Hessian eigenvalue at or below minus this: a saddle
 B_EXTRA = 2              # well-ordering: translates by |b| <= |p| + B_EXTRA
 TAIL_TOL = 1e-6          # largest drift of a segment's ends from its two orbits
 STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
@@ -200,12 +203,15 @@ def _hessian(gf, e):
 def _evaluate(gf, e, cyclic):
     """Action, gradient and Hessian diagonal at the padded array e, equal
     to those of `action`, `_gradient` and `_hessian`, from one cos pass
-    over the bonds' left ends and one sin pass over the unknown sites."""
+    over the bonds' left ends and one sin pass over the unknown sites;
+    then a bound on the rounding error of the action's pairwise sum over
+    its n bond terms h_i, ceil(log2 n) 2^-53 sum |h_i|."""
     t = TWO_PI * e[:-1]
     cos, sin = np.cos(t), np.sin(t[1:])
-    f = float(np.sum(gf._h(*_bonds(e, cyclic), cos[cyclic:])))
+    h = gf._h(*_bonds(e, cyclic), cos[cyclic:])
     g = gf.d2(e[:-2], e[1:-1]) + gf._d1(e[1:-1], e[2:], sin)
-    return f, g, 1.0 + gf._d11(cos[1:])     # d22 = 1
+    noise = (h.size - 1).bit_length() * 2.0 ** -53 * float(np.sum(np.abs(h)))
+    return float(np.sum(h)), g, 1.0 + gf._d11(cos[1:]), noise     # d22 = 1
 
 
 def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
@@ -317,30 +323,30 @@ def _positive_solve(diag, off, rhs, cyclic: bool):
 def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     """Damped Newton descent on the action of the padded array pad(x),
     over the unknown sites x.  Each step solves (H + tau I) s = -g,
-    raising tau until H + tau I is positive definite and the step lowers
-    the action (or, leaving it equal, lowers |g|^2); tau shrinks after each
-    accepted step, so the iteration turns into full Newton near a
-    minimizer.  Once the residual max|g| is within TOL, each iteration
-    tries one step only and the descent stops at the first one refused;
-    this takes the residual to round-off, which keeps exponentially small
-    heteroclinic tails clean.  Near a minimizer a step lowers the action
-    by about |g|^2, and below the rounding of the action sum rounding
-    alone decides the action test: at (2,5), K = 1, the offset-0.5 kink
-    to the retarded neighbour over 250 bonds stops at a residual of
-    2.2e-10 with tau past 1e41.  So a descent that stops above TOL takes
-    up to 3 plain Newton steps while its Hessian is positive definite.
-    Returns the padded array of the last point, its action, its residual,
-    the descent steps accepted and the factorizations refused.  A DEBUG
-    record on this module's logger also gives the steps rejected as
-    uphill, the largest tau tried and the plain steps taken."""
+    raising tau until H + tau I is positive definite and the step is
+    accepted; tau shrinks after each accepted step, so the iteration turns
+    into full Newton near a minimizer.  A step is accepted when it lowers
+    the action by more than the rounding bounds of the two action sums
+    (see `_evaluate`) together.  A change within those bounds is rounding
+    noise, and the step is accepted only if it lowers |g|^2 (the
+    approximate-Wolfe idea of Hager & Zhang, SIAM J. Optim. 16, 2005).
+    Near a minimizer a step changes the action by about |g|^2, far below
+    the rounding of the sum, so there the residual decides.  Once the
+    residual max|g| is within TOL, each iteration tries one step only and
+    the descent stops at the first one refused; this takes the residual
+    to round-off, which keeps exponentially small heteroclinic tails
+    clean.  Returns the padded array of the last point, its action, its
+    residual, the descent steps accepted and the factorizations refused.
+    A DEBUG record on this module's logger also gives the steps rejected
+    as uphill and the largest tau tried."""
     def evaluate(x):
         e = pad(x)
         return (e, *_evaluate(gf, e, cyclic))
 
-    e, f, g, diag = evaluate(np.array(x0, dtype=float))
+    e, f, g, diag, noise = evaluate(np.array(x0, dtype=float))
     off = gf.d12(e[1:-1], e[2:]).tolist()   # constant in x
     tau = max_tau = 0.0
-    steps = refused = uphill = polished = 0
+    steps = refused = uphill = 0
     for _ in range(max_iter):
         rhs = (-g).tolist()
         gg = float(np.dot(g, g))
@@ -350,45 +356,31 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
             if step is None:
                 refused += 1
             else:
-                e_new, f_new, g_new, diag_new = evaluate(e[1:-1] + step)
-                if f_new < f or (f_new == f and float(np.dot(g_new, g_new)) < gg):
+                e_new, f_new, g_new, diag_new, noise_new = evaluate(e[1:-1] + step)
+                rise, band = f_new - f, noise + noise_new
+                if rise < -band or (rise <= band and float(np.dot(g_new, g_new)) < gg):
                     break
                 uphill += 1
             tau = max(10.0 * tau, 1e-8)
         else:
             break
-        e, f, g, diag = e_new, f_new, g_new, diag_new
+        e, f, g, diag, noise = e_new, f_new, g_new, diag_new, noise_new
         steps += 1
         tau *= 0.25
     res = float(np.max(np.abs(g)))
-    while res > TOL and polished < 3:
-        step = _positive_solve(diag.tolist(), off, (-g).tolist(), cyclic)
-        if step is None:
-            break
-        e, f, g, diag = evaluate(e[1:-1] + step)
-        res = float(np.max(np.abs(g)))
-        polished += 1
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("newton sites=%d cyclic=%d steps=%d refused=%d uphill=%d max_tau=%.3e "
-                   "polished=%d residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau,
-                   polished, res)
+                   "residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau, res)
     return e, f, res, steps, refused
 
 
-def _newton_step(gf, e, cyclic):
-    """Plain Newton step -H^-1 g in the unknown sites of the padded array
-    e, as an array; None unless H is positive definite."""
+def _clearly_indefinite(gf, e, shift, cyclic) -> bool:
+    """Whether the Hessian H at the padded array e has an eigenvalue at or
+    below -shift, i.e. H + shift I is refused too; with cyclic, H is that
+    of a periodic configuration."""
     diag, off = _hessian(gf, e)
-    return _positive_solve(diag.tolist(), off.tolist(), (-_gradient(gf, e)).tolist(), cyclic)
-
-
-def _clearly_indefinite(gf, e) -> bool:
-    """Whether the cyclic Hessian H at the padded array e has an eigenvalue
-    at or below -NEGATIVE_CURVATURE, i.e. H + NEGATIVE_CURVATURE I is
-    refused too."""
-    diag, off = _hessian(gf, e)
-    return _positive_solve((diag + NEGATIVE_CURVATURE).tolist(), off.tolist(),
-                           [0.0] * len(diag), cyclic=True) is None
+    return _positive_solve((diag + shift).tolist(), off.tolist(), [0.0] * len(diag),
+                           cyclic) is None
 
 
 def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
@@ -420,7 +412,7 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
         if res > TOL:
             continue
         converged += 1
-        if _clearly_indefinite(gf, e):
+        if _clearly_indefinite(gf, e, NEGATIVE_CURVATURE, cyclic=True):
             skipped += 1
             continue
         cfg = Configuration(e[1:-1] - math.floor(e[1]), "periodic", p, q)
@@ -471,33 +463,25 @@ def heteroclinic_minimizer(
     central core of C = min(window, 50 q) bonds, cut from the same orbit
     values and clamped to them; 50 q is the smallest window accepted.
     The core, with the orbit values on both sides, then starts the
-    descent of the full window, which only has the tails to settle.  When
-    C is the window, the one descent is the full one.
+    descent of the full window, which only has the tails to settle: its
+    steps change the action by far less than the rounding of the sum, so
+    the residual decides them.  When C is the window, the one descent is
+    the full one.
 
-    The extended start's residual is the drift of the core's outermost
-    sites, between TOL and about 1e-8 for K below 1.  A Newton step from
-    there lowers the action by about 1e-19, far below the rounding of a
-    sum over the window, so the descent's action test would accept or
-    refuse it by rounding alone; at K = 0.8 over 1000 bonds one
-    centering would raise tau for all 400 iterations.  So one plain
-    Newton step on the full window, when its Hessian is positive
-    definite, first settles the tails, and the descent starts within
-    TOL.
-
-    A core critical point whose Hessian plus 1e-10 I is refused is a
-    saddle and is not extended.  The Hessian's diagonal is
-    2 - K cos 2 pi x_i and its off-diagonal is -1, so the core's Hessian
-    is the principal submatrix, over the core sites, of the full
-    window's Hessian at the extended start; by Cauchy interlacing the
-    full Hessian has an eigenvalue at or below the core's lowest, and is
-    indefinite there too.  A core minimizer whose ends stray more than
-    TAIL_TOL from the orbits has a kink too wide for the core (below
-    K = 0.32 for (0,1)): the clamps, not the lattice, then decide where
-    the kink sits, and between K = 0.1 and 0.14 every centering's core
-    converges to the site-centered kink, a saddle of the full window.
-    Such a centering descends the full window from its blend instead.
-    The residual, saddle and tail tests and the action comparison all
-    read the full window.
+    A core critical point whose Hessian has an eigenvalue at or below
+    -SADDLE_CURVATURE is a saddle and is not extended.  The Hessian's
+    diagonal is 2 - K cos 2 pi x_i and its off-diagonal is -1, so the
+    core's Hessian is the principal submatrix, over the core sites, of
+    the full window's Hessian at the extended start; by Cauchy
+    interlacing the full Hessian has an eigenvalue at or below the core's
+    lowest, and is indefinite there too.  A core minimizer whose ends
+    stray more than TAIL_TOL from the orbits has a kink too wide for the
+    core (below K = 0.32 for (0,1)): the clamps, not the lattice, then
+    decide where the kink sits, and between K = 0.1 and 0.14 every
+    centering's core converges to the site-centered kink, a saddle of the
+    full window.  Such a centering descends the full window from its
+    blend instead.  The residual, saddle and tail tests and the action
+    comparison all read the full window.
 
     The endpoints must be periodic configurations of one (p,q) and the
     window an integer >= 50 q, else InvalidArgument.  A DEBUG record
@@ -542,19 +526,14 @@ def heteroclinic_minimizer(
             if res > TOL:
                 break
             core = b - a < n
-            diag, off = _hessian(gf, e)
-            if _ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
-                saddles += 1  # lowest eigenvalue below -1e-10: a saddle, not a minimizer
+            if _clearly_indefinite(gf, e, SADDLE_CURVATURE, cyclic=False):
+                saddles += 1
                 core_saddles += core
                 break
             if core and edge(e, a, b) > TAIL_TOL:
                 core_skipped += 1
                 continue    # the kink does not fit the core: the window starts from the blend
             x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
-            if core:
-                step = _newton_step(gf, x, cyclic=False)
-                if step is not None:
-                    x[1:-1] += step
         else:
             if best is None or w < best[0] - 1e-14:
                 best = (w, x, offset, len(actions))
@@ -756,7 +735,12 @@ def assemble_am_set(
     -1 (minus), which lies 1/q above or below the orbit: no other
     translate lies between the two, so the connection is one kink.  The
     translate by 1 would be a chain of q kinks, which crosses its own
-    translates for q >= 2."""
+    translates for q >= 2.
+
+    The window is fixed, and at K <= 0.7 the kink's tails often do not
+    settle within it: at K = 0.5 and 0.7, 18 of the 28 calls over p/q =
+    0/1, 1/2, 1/3, 2/5, 3/8, 2/7, 1/4 and both branches raise
+    TailNotSettled."""
     if branch not in ("plus", "minus"):
         raise InvalidArgument("branch must be 'plus' or 'minus'")
     tm = TwistMapF(gf.K)

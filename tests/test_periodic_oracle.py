@@ -37,7 +37,8 @@ def multi_start(gf, p, q):
     for x0 in candidates:
         e, _, res, steps, refused = tw._newton_minimize(gf, lambda x: tw._pad(x, p), x0, 500,
                                                         cyclic=True)
-        if res > tw.TOL or (steps == 0 and refused and tw._clearly_indefinite(gf, e)):
+        if res > tw.TOL or (steps == 0 and refused
+                            and tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)):
             continue
         x = e[1:-1]
         cfg = tw.Configuration(x - math.floor(x[0]), "periodic", p, q)

@@ -11,7 +11,7 @@ loop of `_lipschitz_constant`, and the `heteroclinic_minimizer` that
 descended every kink centering over its full window.  A grid of 16 q
 kink offsets is the oracle of the two symmetric ones.  The gradient is
 checked against central differences of `action`.  The oracles that
-descend share `_newton_minimize`, with its stall repair.
+descend share `_newton_minimize`.
 """
 
 import functools
@@ -573,14 +573,11 @@ def offset_grid_minimum(gf, left, right, window):
 def test_two_starts_reach_the_offset_grid_minimum(K, p, q, extra, s):
     """The connection to the neighbouring translate, over the window of
     `assemble_am_set` and one bond more (both parities), has the least
-    action that any of 16 q kink offsets reaches, within 1e-12.  At (2,5),
-    K = 1, s = -1, window 250 the offset-0.5 descent stalls at 2.2e-10,
-    and at (2,7), K = 1.2 and (1,4), K = 3, both with s = 1, every kink
-    descent stalls between 1e-10 and 2.3e-8; each is polished to
-    round-off.  Without the polish no centering converged in the last
-    two, and the call raised NoConvergence; in the last five, s = -1,
-    neither symmetric centering gave a minimizer, and an asymmetric
-    offset 0.25 was descended."""
+    action that any of 16 q kink offsets reaches, within 1e-12.  The
+    cases after the grid are those whose descents end where a step
+    changes the action by less than the rounding of its sum: (2,7),
+    K = 1.2 and (1,4), K = 3, both with s = 1, and five with s = -1,
+    where neither symmetric centering once gave a minimizer."""
     gf, left = minimizer(K, p, q)
     right = neighbour(left, s)
     window = max(50 * q, 60) + extra
