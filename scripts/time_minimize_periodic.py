@@ -5,8 +5,9 @@
 The reference, `old_minimize_periodic`, is the previous search: ten
 shifted ramps, then ten random starts with seed 0, each descended for at
 most 500 Newton iterations, stopping after four confirmations of the
-best action.  The new one descends the two symmetric ramps only.  Both
-share `_newton_minimize`.  Both run on 225 cases: 25 rotation
+best action.  The new one descends the symmetric ramp c = 1/(2q), and
+the ramp c = 0 only when the first result does not pass.  Both share
+`_newton_minimize`.  Both run on 225 cases: 25 rotation
 numbers p/q (the golden-mean and golden-square convergents with
 2 <= q <= 144, and ten small p/q) at nine couplings K around the golden
 circle's breakup.

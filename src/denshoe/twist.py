@@ -16,14 +16,15 @@ multipliers l_i = off_i / d_i and stops at the first nonpositive pivot.
 That pivot refuses a damped Newton step and fails the saddle test;
 otherwise both substitutions read the stored multipliers, so a solve
 divides by each pivot once.  Minimizers are found by damped Newton
-descent on the action, from two symmetric ramps for periodic orbits
-(the potential is even) and two symmetric kink centerings for
-heteroclinic segments, each descended first on a central core of 50 q
-bonds and then finished on the full window (see
-`heteroclinic_minimizer`).  Each descent computes cos 2 pi x and sin
-2 pi x once per trial point (`_evaluate`), with a bound on the rounding
-of the action sum; a step whose action change lies within that bound is
-judged by the residual instead (see `_newton_minimize`).
+descent on the action from symmetric starts (the potential is even),
+tried in a fixed order until one passes, with no actions compared: two
+ramps for periodic orbits and two kink centerings for heteroclinic
+segments, each descended first on a central core of 50 q bonds and then
+finished on the full window (see `heteroclinic_minimizer`).  Each
+descent computes cos 2 pi x and sin 2 pi x once per trial point
+(`_evaluate`), with a bound on the rounding of the action sum; a step
+whose action change lies within that bound is judged by the residual
+instead (see `_newton_minimize`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -384,18 +385,19 @@ def _clearly_indefinite(gf, e, shift, cyclic) -> bool:
 
 
 def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
-    """Action-minimizing critical (p,q)-configuration from the two
-    symmetric ramps x_i = i p/q + c, c = 0 and 1/(2q).  They rely on an
-    even potential, as in `standard_family`, the only family: a descent
-    from a symmetric start stays symmetric, and the two reach the
-    symmetric minimizer and minimax (Greene, J. Math. Phys. 20, 1979).
-    Each start gets one `_newton_minimize` descent of 500 iterations.
-    A result within TOL with a Hessian eigenvalue at or below
-    -NEGATIVE_CURVATURE is skipped (the (0,1) start x = 0 is a maximum);
-    a singular one is kept (at K = 0 the c = 0 ramp wins the tie).  The
-    well-ordered result of lower action is returned, else NoConvergence
-    with the best residual.  A DEBUG record gives the starts, and how
-    many converged, were skipped and were well ordered."""
+    """Action-minimizing critical (p,q)-configuration.  The potential of
+    `standard_family`, the only family, is even with its maximum at the
+    integers, and a descent from a symmetric start stays symmetric: the
+    ramp x_i = i p/q + 1/(2q), whose sites avoid the maximum, reaches the
+    symmetric minimizer and the ramp x_i = i p/q the minimax (Greene,
+    J. Math. Phys. 20, 1979).  Each gets one `_newton_minimize` descent
+    of 500 iterations, in that order, and the first result that passes is
+    returned: within TOL, with no Hessian eigenvalue at or below
+    -NEGATIVE_CURVATURE (a singular one, as at K = 0, passes) and well
+    ordered.  The second ramp is needed: at K = 7 the (13,28) descent
+    from the first is not well ordered.  Else NoConvergence with the best
+    residual.  A DEBUG record gives the starts descended and the offset
+    of the ramp returned (None when there is none)."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
@@ -403,33 +405,24 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     if math.gcd(abs(p), q) != 1:
         raise InvalidArgument("p/q must be in lowest terms")
     base = np.arange(q) * (p / q)
-    best, best_res = None, math.inf
-    starts = converged = skipped = ordered = 0
-    for c in (0.0, 0.5 / q):
-        starts += 1
+    best_res = math.inf
+    for starts, c in enumerate((0.5 / q, 0.0), 1):
         e, _, res, _, _ = _newton_minimize(gf, lambda x: _pad(x, p), base + c, 500, cyclic=True)
         best_res = min(best_res, res)
-        if res > TOL:
-            continue
-        converged += 1
-        if _clearly_indefinite(gf, e, NEGATIVE_CURVATURE, cyclic=True):
-            skipped += 1
+        if res > TOL or _clearly_indefinite(gf, e, NEGATIVE_CURVATURE, cyclic=True):
             continue
         cfg = Configuration(e[1:-1] - math.floor(e[1]), "periodic", p, q)
-        if not check_well_ordered(cfg):
-            continue
-        ordered += 1
-        a = action(gf, cfg)
-        if best is None or a < best[0] - 1e-12:
-            best = (a, cfg)
+        if check_well_ordered(cfg):
+            break
+    else:
+        c = None    # no start passed
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("minimize_periodic p=%d q=%d starts=%d converged=%d skipped=%d "
-                   "well_ordered=%d", p, q, starts, converged, skipped, ordered)
-    if best is None:
+        _log.debug("minimize_periodic p=%d q=%d starts=%d offset=%s", p, q, starts, c)
+    if c is None:
         raise NoConvergence(f"no well-ordered critical ({p},{q}) configuration found",
                             residual=best_res)
-    best[1].well_ordered = True
-    return best[1]
+    cfg.well_ordered = True
+    return cfg
 
 
 def heteroclinic_minimizer(
@@ -445,14 +438,16 @@ def heteroclinic_minimizer(
     TailNotSettled when the segment's ends stray more than TAIL_TOL from
     the orbits they connect.
 
-    Two offsets, 0.5 and 0, are descended.  Both blends are symmetric
-    about the window's middle, and for either parity of the window one
-    centres the kink on a bond and the other on a site; the potential is
-    even, so a descent from a symmetric start stays symmetric, and for
-    (0,1) the two reach the bond-centred minimizer and the site-centred
-    Peierls-Nabarro saddle.  The connections of `assemble_am_set` reach,
-    within 1e-12, the least action of a grid of 16 q offsets for K = 1,
-    2, 3 and p/q = 1/2, 1/3, 2/5.
+    The offsets 0.5 and 0 are tried in that order, and the first
+    centering whose descent ends within TOL and is not a saddle is
+    returned; no actions are compared.  Both blends are symmetric about
+    the window's middle, and for either parity of the window one centres
+    the kink on a bond and the other on a site; the potential is even, so
+    a descent from a symmetric start stays symmetric, and for (0,1) the
+    two reach the bond-centred minimizer and the site-centred
+    Peierls-Nabarro saddle.  The connections of `assemble_am_set` reach, within 1e-12, the least
+    action of a grid of 16 q offsets for K = 1, 2, 3 and p/q = 1/2, 1/3,
+    2/5.
 
     A minimal heteroclinic approaches its two orbits exponentially fast
     away from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert,
@@ -480,16 +475,16 @@ def heteroclinic_minimizer(
     decide where the kink sits, and between K = 0.1 and 0.14 every
     centering's core converges to the site-centered kink, a saddle of the
     full window.  Such a centering descends the full window from its
-    blend instead.  The residual, saddle and tail tests and the action
-    comparison all read the full window.
+    blend instead.  The residual, saddle and tail tests all read the full
+    window.
 
     The endpoints must be periodic configurations of one (p,q) and the
-    window an integer >= 50 q, else InvalidArgument.  A DEBUG record
-    gives the core size C, the winning offset, how many centerings
-    converged to a minimizer and to a saddle, how many of the saddles
-    were rejected on the core, how many cores were too narrow for their
-    kink, the action gap from the winner to the next minimizer (inf when
-    there is none) and the edge residual."""
+    window an integer >= 50 q, else InvalidArgument; NoConvergence when
+    neither centering passes.  A DEBUG record gives the core size C, the
+    centerings descended, the offset returned, how many centerings
+    converged to a saddle, how many of the saddles were rejected on the
+    core, how many cores were too narrow for their kink and the edge
+    residual."""
     if not (left.kind == right.kind == "periodic" and (left.p, left.q) == (right.p, right.q)):
         raise InvalidArgument("the endpoints must be periodic configurations of one (p,q)")
     if not isinstance(window, numbers.Integral) or window < 50 * left.q:
@@ -514,15 +509,13 @@ def heteroclinic_minimizer(
         return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
-    best = None
-    actions = []    # of every converged minimizer, in offset order
     saddles = core_saddles = core_skipped = 0
-    for offset in (0.5, 0.0):
-        blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
+    for starts, offset in enumerate((0.5, 0.0), 1):
+        with np.errstate(over="ignore"):   # from 1780 bonds on; 1 / (1 + inf) = 0 is the limit
+            blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x = base_l + (base_r - base_l) * blend
         for a, b in spans:
-            e, w, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
-                                               cyclic=False)
+            e, _, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400, cyclic=False)
             if res > TOL:
                 break
             core = b - a < n
@@ -535,20 +528,15 @@ def heteroclinic_minimizer(
                 continue    # the kink does not fit the core: the window starts from the blend
             x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
         else:
-            if best is None or w < best[0] - 1e-14:
-                best = (w, x, offset, len(actions))
-            actions.append(w)
-    if best is None:
+            break           # this centering passed
+    else:
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
-    x = best[1]
     tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
-        others = actions[:best[3]] + actions[best[3] + 1:]
-        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s minimizers=%d saddles=%d "
-                   "core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C, best[2],
-                   len(actions), saddles, core_saddles, core_skipped,
-                   min(others, default=math.inf) - best[0], tail)
+        _log.debug("heteroclinic_minimizer window=%d core=%d starts=%d offset=%s saddles=%d "
+                   "core_saddles=%d core_skipped=%d edge=%.3e", window, C, starts, offset,
+                   saddles, core_saddles, core_skipped, tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - left.p, left.q)
@@ -585,20 +573,25 @@ class HyperbolicityReport:
 
 
 def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
-    """Per-point [stable, unstable] eigenbasis of the cycled Jacobian product."""
+    """Per-point [stable, unstable] unit eigenvectors of the cycled
+    Jacobian product, up to sign: those of DF^q at the first point, the
+    unstable one carried forward by DF and the stable one backward by
+    DF^-1, normalised at each step."""
     q = len(orbit)
+    jac = tm.jacobian(orbit[:, 0])
+    M = np.eye(2)
+    for J in jac:
+        M = J @ M
+    evals, evecs = np.linalg.eig(M)
+    vs, vu = np.real(evecs[:, np.argsort(np.real(evals))]).T    # [mu, lam]
+    inv = np.linalg.inv(jac)
     frames = np.empty((q, 2, 2))
     for j in range(q):
-        M = np.eye(2)
-        for i in range(q):
-            M = tm.jacobian(orbit[(j + i) % q, 0]) @ M
-        evals, evecs = np.linalg.eig(M)
-        evals = np.real(evals)
-        evecs = np.real(evecs)
-        order = np.argsort(evals)  # [mu, lam]
-        vs = evecs[:, order[0]] / np.linalg.norm(evecs[:, order[0]])
-        vu = evecs[:, order[1]] / np.linalg.norm(evecs[:, order[1]])
-        frames[j] = np.column_stack([vs, vu])
+        frames[j, :, 1] = vu = vu / np.linalg.norm(vu)
+        vu = jac[j] @ vu
+    for j in range(q, 0, -1):
+        frames[j % q, :, 0] = vs = vs / np.linalg.norm(vs)
+        vs = inv[j - 1] @ vs
     return frames
 
 

@@ -6,10 +6,13 @@ ten shifted ramps, then ten random starts with seed 0, each descended by
 confirmations of the best action.  On a grid of 25 rotation numbers p/q
 (the golden-mean and golden-square convergents with 2 <= q <= 144, and
 ten small p/q) at nine couplings K around the golden circle's breakup,
-the two symmetric starts must return a well-ordered configuration within
-TOL whose action is at most the search's + 1e-12.
+`minimize_periodic`, which descends the symmetric ramp c = 1/(2q) and
+the ramp c = 0 only when the first result does not pass, must return a
+well-ordered configuration within TOL whose action is at most the
+search's + 1e-12.
 """
 
+import logging
 import math
 
 import numpy as np
@@ -67,3 +70,21 @@ def test_symmetric_starts_reach_the_multi_start_minimum(K):
         assert cfg.well_ordered and tw.check_well_ordered(cfg), (p, q)
         assert tw.criticality_residual(gf, cfg) <= tw.TOL, (p, q)
         assert tw.action(gf, cfg) <= tw.action(gf, multi_start(gf, p, q)) + 1e-12, (p, q)
+
+
+def test_first_ramp_passes_without_a_stall(caplog):
+    """On every case of the grid the first ramp, c = 1/(2q), passes, so it
+    is the only descent, and no descent raises tau past 10.  The ramp
+    c = 0, with a site on the potential's maximum, descends towards the
+    minimax; there 18 of its 225 descents stalled with tau past 1e38."""
+    with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+        for K in COUPLINGS:
+            gf, _ = tw.standard_family(K)
+            for p, q in PERIODS:
+                tw.minimize_periodic(gf, p, q)
+    records = [r.getMessage().split() for r in caplog.records]
+    calls = [dict(f.split("=") for f in r[1:]) for r in records if r[0] == "minimize_periodic"]
+    runs = [dict(f.split("=") for f in r[1:]) for r in records if r[0] == "newton"]
+    assert len(calls) == len(runs) == len(COUPLINGS) * len(PERIODS)
+    assert all(c["starts"] == "1" for c in calls)
+    assert max(float(r["max_tau"]) for r in runs) <= 10.0
