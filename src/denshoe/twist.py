@@ -16,15 +16,15 @@ multipliers l_i = off_i / d_i and stops at the first nonpositive pivot.
 That pivot refuses a damped Newton step and fails the saddle test;
 otherwise both substitutions read the stored multipliers, so a solve
 divides by each pivot once.  Minimizers are found by damped Newton
-descent on the action from symmetric starts (the potential is even),
-tried in a fixed order until one passes, with no actions compared: two
-ramps for periodic orbits and two kink centerings for heteroclinic
-segments, each descended first on a central core of 50 q bonds and then
-finished on the full window (see `heteroclinic_minimizer`).  Each
-descent computes cos 2 pi x and sin 2 pi x once per trial point
-(`_evaluate`), with a bound on the rounding of the action sum; a step
-whose action change lies within that bound is judged by the residual
-instead (see `_newton_minimize`).
+descent on the action from symmetric starts (the potential is even):
+two ramps for periodic orbits, the first that passes returned, and two
+kink centerings for heteroclinic segments, the lower action returned,
+each descended first on a central core of 50 q bonds and then finished
+on the full window (see `heteroclinic_minimizer`).  Each descent
+computes cos 2 pi x and sin 2 pi x once per trial point (`_evaluate`),
+with a bound on the rounding of the action sum; a step whose action
+change lies within that bound is judged by the residual instead (see
+`_newton_minimize`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -388,16 +388,15 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     """Action-minimizing critical (p,q)-configuration.  The potential of
     `standard_family`, the only family, is even with its maximum at the
     integers, and a descent from a symmetric start stays symmetric: the
-    ramp x_i = i p/q + 1/(2q), whose sites avoid the maximum, reaches the
-    symmetric minimizer and the ramp x_i = i p/q the minimax (Greene,
-    J. Math. Phys. 20, 1979).  Each gets one `_newton_minimize` descent
-    of 500 iterations, in that order, and the first result that passes is
-    returned: within TOL, with no Hessian eigenvalue at or below
-    -NEGATIVE_CURVATURE (a singular one, as at K = 0, passes) and well
-    ordered.  The second ramp is needed: at K = 7 the (13,28) descent
-    from the first is not well ordered.  Else NoConvergence with the best
+    ramp x_i = i p/q + 1/(2q), clear of the maximum, reaches the symmetric
+    minimizer and x_i = i p/q the minimax (Greene, J. Math. Phys. 20,
+    1979).  They get one 500-iteration `_newton_minimize` descent each, in
+    that order, and the first result within TOL, with no Hessian
+    eigenvalue at or below -NEGATIVE_CURVATURE (a singular one, as at
+    K = 0, passes) and well ordered is returned; at K = 7 the (13,28)
+    descent from the first is not.  Else NoConvergence with the best
     residual.  A DEBUG record gives the starts descended and the offset
-    of the ramp returned (None when there is none)."""
+    returned (None when there is none)."""
     if q < 1:
         raise InvalidArgument("q must be >= 1")
     if abs(p) >= 2 ** 53:
@@ -438,16 +437,19 @@ def heteroclinic_minimizer(
     TailNotSettled when the segment's ends stray more than TAIL_TOL from
     the orbits they connect.
 
-    The offsets 0.5 and 0 are tried in that order, and the first
-    centering whose descent ends within TOL and is not a saddle is
-    returned; no actions are compared.  Both blends are symmetric about
-    the window's middle, and for either parity of the window one centres
-    the kink on a bond and the other on a site; the potential is even, so
-    a descent from a symmetric start stays symmetric, and for (0,1) the
-    two reach the bond-centred minimizer and the site-centred
-    Peierls-Nabarro saddle.  The connections of `assemble_am_set` reach, within 1e-12, the least
-    action of a grid of 16 q offsets for K = 1, 2, 3 and p/q = 1/2, 1/3,
-    2/5.
+    Two offsets, 0.5 and 0, are descended.  Both blends are symmetric
+    about the window's middle, and for either parity of the window one
+    centres the kink on a bond and the other on a site; the potential is
+    even, so a descent from a symmetric start stays symmetric, and for
+    (0,1) the two reach the bond-centred minimizer and the site-centred
+    Peierls-Nabarro saddle.  The connections of `assemble_am_set` reach,
+    within 1e-12, the least action of a grid of 16 q offsets for K = 1,
+    2, 3 and p/q = 1/2, 1/3, 2/5.  Both are compared, not tried in turn
+    as the periodic ramps are: the lower action wins, offset 0.5 on a tie
+    within 1e-14.  Moving the kink along the lattice can be a soft mode;
+    at (7,10), K = 0.8, over 500 bonds its Hessian eigenvalue is 1.1e-7,
+    and offset 0.5 stops within TOL at residual 7e-11, 3.8e-4 from where
+    offset 0 ends at 5.6e-14.
 
     A minimal heteroclinic approaches its two orbits exponentially fast
     away from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert,
@@ -475,16 +477,16 @@ def heteroclinic_minimizer(
     decide where the kink sits, and between K = 0.1 and 0.14 every
     centering's core converges to the site-centered kink, a saddle of the
     full window.  Such a centering descends the full window from its
-    blend instead.  The residual, saddle and tail tests all read the full
-    window.
+    blend instead.  The residual, saddle and tail tests and the action
+    comparison all read the full window.
 
     The endpoints must be periodic configurations of one (p,q) and the
-    window an integer >= 50 q, else InvalidArgument; NoConvergence when
-    neither centering passes.  A DEBUG record gives the core size C, the
-    centerings descended, the offset returned, how many centerings
-    converged to a saddle, how many of the saddles were rejected on the
-    core, how many cores were too narrow for their kink and the edge
-    residual."""
+    window an integer >= 50 q, else InvalidArgument.  A DEBUG record
+    gives the core size C, the winning offset, how many centerings
+    converged to a minimizer and to a saddle, how many of the saddles
+    were rejected on the core, how many cores were too narrow for their
+    kink, the action gap from the winner to the next minimizer (inf when
+    there is none) and the edge residual."""
     if not (left.kind == right.kind == "periodic" and (left.p, left.q) == (right.p, right.q)):
         raise InvalidArgument("the endpoints must be periodic configurations of one (p,q)")
     if not isinstance(window, numbers.Integral) or window < 50 * left.q:
@@ -509,13 +511,16 @@ def heteroclinic_minimizer(
         return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
+    best = None
+    actions = []    # of every converged minimizer, in offset order
     saddles = core_saddles = core_skipped = 0
-    for starts, offset in enumerate((0.5, 0.0), 1):
+    for offset in (0.5, 0.0):
         with np.errstate(over="ignore"):   # from 1780 bonds on; 1 / (1 + inf) = 0 is the limit
             blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x = base_l + (base_r - base_l) * blend
         for a, b in spans:
-            e, _, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400, cyclic=False)
+            e, w, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
+                                               cyclic=False)
             if res > TOL:
                 break
             core = b - a < n
@@ -528,15 +533,20 @@ def heteroclinic_minimizer(
                 continue    # the kink does not fit the core: the window starts from the blend
             x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
         else:
-            break           # this centering passed
-    else:
+            if best is None or w < best[0] - 1e-14:
+                best = (w, x, offset, len(actions))
+            actions.append(w)
+    if best is None:
         raise NoConvergence("heteroclinic segment did not converge",
                             residual=math.inf)
+    x = best[1]
     tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("heteroclinic_minimizer window=%d core=%d starts=%d offset=%s saddles=%d "
-                   "core_saddles=%d core_skipped=%d edge=%.3e", window, C, starts, offset,
-                   saddles, core_saddles, core_skipped, tail)
+        others = actions[:best[3]] + actions[best[3] + 1:]
+        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s minimizers=%d saddles=%d "
+                   "core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C, best[2],
+                   len(actions), saddles, core_saddles, core_skipped,
+                   min(others, default=math.inf) - best[0], tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - left.p, left.q)
@@ -572,18 +582,14 @@ class HyperbolicityReport:
         return all(self.passed)
 
 
-def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
-    """Per-point [stable, unstable] unit eigenvectors of the cycled
-    Jacobian product, up to sign: those of DF^q at the first point, the
-    unstable one carried forward by DF and the stable one backward by
-    DF^-1, normalised at each step."""
+def _orbit_frames(tm: TwistMapF, orbit: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Per-point [stable, unstable] unit eigenvectors of the cycled Jacobian
+    product, up to sign: those of M = DF^q at the first point, the unstable
+    one carried forward by DF, the stable one backward by DF^-1."""
     q = len(orbit)
-    jac = tm.jacobian(orbit[:, 0])
-    M = np.eye(2)
-    for J in jac:
-        M = J @ M
     evals, evecs = np.linalg.eig(M)
     vs, vu = np.real(evecs[:, np.argsort(np.real(evals))]).T    # [mu, lam]
+    jac = tm.jacobian(orbit[:, 0])
     inv = np.linalg.inv(jac)
     frames = np.empty((q, 2, 2))
     for j in range(q):
@@ -595,8 +601,8 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray) -> np.ndarray:
     return frames
 
 
-def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> float:
-    """Trace of DF^q along the finite (q, 2) orbit; NotSaddle unless it is > 2."""
+def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> tuple[float, np.ndarray]:
+    """Trace of M = DF^q along the finite (q, 2) orbit, and M; NotSaddle unless it is > 2."""
     if not np.all(np.isfinite(orbit)):
         raise InvalidArgument("orbit points must be finite")
     M = np.eye(2)
@@ -605,7 +611,7 @@ def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> float:
     tr = float(np.trace(M))
     if not tr > 2.0:
         raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
-    return tr
+    return tr, M
 
 
 def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityReport:
@@ -618,12 +624,12 @@ def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityRepor
     cone_m, the three margins and which of the three conditions passed."""
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     q = len(orbit)
-    tr = _saddle_trace(tm, orbit)
+    tr, M = _saddle_trace(tm, orbit)
     disc = math.sqrt(tr * tr - 4.0)
     lam = (tr + disc) / 2.0
     mu = (tr - disc) / 2.0
 
-    frames = _orbit_frames(tm, orbit)
+    frames = _orbit_frames(tm, orbit, M)
     # the GRID x GRID samples around each orbit point, as columns (x, y);
     # owner[s] is the orbit index of sample s
     offsets = np.linspace(-BOX, BOX, GRID)

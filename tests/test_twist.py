@@ -507,12 +507,12 @@ class TestRecords:
             else:
                 assert centerings and len(centerings[-1]) == 1
                 centerings[-1].append(g)
-        # the first centering, offset 0.5, reaches a minimizer on its core
-        # and on the window, so the second is not descended
-        ((core, full),) = centerings
-        assert f["starts"] == "1" and f["offset"] == "0.5"
-        assert float(core["residual"]) <= tw.TOL and float(full["residual"]) <= tw.TOL
-        assert f["saddles"] == f["core_saddles"] == "0"
+        assert len(centerings) == 2
+        assert float(f["offset"]) in (0.5, 0.0)
+        converged = sum(float(c[-1]["residual"]) <= tw.TOL for c in centerings)
+        assert 1 <= int(f["minimizers"]) and int(f["minimizers"]) + int(f["saddles"]) == converged
+        not_extended = sum(len(c) == 1 and float(c[0]["residual"]) <= tw.TOL for c in centerings)
+        assert int(f["core_saddles"]) == not_extended <= int(f["saddles"])
         assert f["core_skipped"] == "0"     # the K = 1 kink fits in 50 bonds
         idx = np.arange(-30, 31)
         edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
@@ -521,36 +521,54 @@ class TestRecords:
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_offset_half_wins_after_polishing(self, branch, caplog):
-        # at (2,5), K = 1, over 250 bonds (the core is the window) the
-        # offset-0.5 descent reaches a minimizer on both branches, so the
-        # offset-0 one, which ends on a saddle on the retarded branch
-        # (minus), is not descended
+        # at (2,5), K = 1, over 250 bonds offset 0.5 wins both branches;
+        # on the retarded one (minus) the offset-0 descent ends on a saddle
         gf, _ = tw.standard_family(1.0)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, 2, 5, branch)
-        *_, (periodic, _), (_, half), (name, f) = [fields(r.getMessage())
-                                                    for r in caplog.records]
-        assert periodic == "minimize_periodic"
+        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
         assert name == "heteroclinic_minimizer" and f["window"] == "250" and f["offset"] == "0.5"
-        assert half["sites"] == "249" and float(half["residual"]) <= tw.TOL
-        assert (f["starts"], f["saddles"]) == ("1", "0")
+        assert half["sites"] == zero["sites"] == "249"
+        assert float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= tw.TOL
+        if branch == "minus":
+            assert (f["minimizers"], f["saddles"]) == ("1", "1")
+        else:
+            assert f["minimizers"] == "2"
 
     @pytest.mark.parametrize("K, p, q", [(1.2, 2, 7), (3.0, 1, 4)])
     def test_kink_descents_settle_before_the_cap(self, K, p, q, caplog):
         # the advanced connections over 350 and 200 bonds: near the
         # minimizer each step changes the action by less than the rounding
         # of its sum, and the residual decides it, so each kink descent
-        # ends within TOL in a few steps, without raising tau past 10; the
-        # windows are 50 q, so the first centering's one descent passes
+        # ends within TOL in a few steps, without raising tau past 10
         gf, _ = tw.standard_family(K)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, p, q, "plus")
         kinks = [f for name, f in map(fields, (r.getMessage() for r in caplog.records))
                  if name == "newton" and f["cyclic"] == "0"]
-        assert len(kinks) == 1
+        assert len(kinks) == 2
         for f in kinks:
             assert float(f["residual"]) <= tw.TOL and int(f["steps"]) < 400
             assert int(f["uphill"]) <= 2 and float(f["max_tau"]) <= 10.0
+
+    def test_lower_action_settles_a_soft_kink(self, caplog):
+        # the plus connection of `assemble_am_set` at (7,10), K = 0.8, over
+        # 500 bonds (the core is the window): moving the kink is a soft
+        # mode, so the offset-0.5 descent stops within TOL but far from the
+        # critical point, which offset 0 reaches at a lower action
+        gf, _ = tw.standard_family(0.8)
+        per = tw.minimize_periodic(gf, 7, 10)
+        target = tw.Configuration(per.extended(np.arange(10) + 3) - 2, "periodic", 7, 10)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            seg = tw.heteroclinic_minimizer(gf, per, target, 500)
+        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "499"
+        assert 1e-12 < float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= 1e-12
+        assert (f["offset"], f["minimizers"]) == ("0.0", "2") and float(f["gap"]) > 1e-14
+        assert tw.criticality_residual(gf, seg) <= 1e-12
+        hessian = (np.diag(2 - 0.8 * np.cos(2 * np.pi * seg.x[1:-1]))
+                   - np.eye(499, k=1) - np.eye(499, k=-1))
+        assert 0 < np.linalg.eigvalsh(hessian)[0] < 1e-6
 
     @pytest.mark.parametrize("K, p, q", [(1.0, 1, 2), (0.95, 1, 3)])
     def test_hyperbolicity_record(self, K, p, q, caplog):
