@@ -226,12 +226,15 @@ def check_well_ordered(cfg: Configuration) -> bool:
     configuration when x_{i+a} + b - x_i exceeds 1e-12 at some i and falls
     below -1e-12 at another.  Row a of the (q, q) table x_{i+a} - x_i holds
     the differences of every b at once, so one row max and one row min per
-    shift a decide all of them, in O(q^2) time and memory whatever p is.
+    shift a decide all of them, in O(q^2) time whatever p is.
     With hi and lo the row's max and min, hi + b > 1e-12 holds from the
     smallest such b on and lo + b < -1e-12 up to the largest such b, so
     the row crosses for some b in range iff the second holds at the first
     b in range where the first does.  The row a = 0 is exactly 0, so the
-    configuration itself never crosses.
+    configuration itself never crosses.  The rows come in blocks of
+    max(1, 2^20 // q) shifts, so a table holds about 2^20 entries at any
+    q (one block for q <= 1024), and the first block with a crossing ends
+    the scan.
 
     b is added after the reduction, (x_{i+a} - x_i) + b, where a translate
     loop forms (x_{i+a} + b) - x_i.  For b = 0 the two are equal; otherwise
@@ -242,15 +245,19 @@ def check_well_ordered(cfg: Configuration) -> bool:
     decides either way."""
     q, p = cfg.q, cfg.p
     ext = cfg.extended(np.arange(2 * q))
-    d = ext[np.add.outer(np.arange(q), np.arange(q))] - ext[:q]
-    hi, lo = d.max(axis=1), d.min(axis=1)
     top = float(abs(p) + B_EXTRA)
-    # the smallest integer b with hi + b > 1e-12: the ceiling of 1e-12 - hi,
-    # or one more where hi + b lands on 1e-12 or rounds to it
-    b = np.ceil(1e-12 - hi)
-    b = np.where(hi + b > 1e-12, b, b + 1.0)
-    b = np.maximum(b, -top)
-    return not np.any((b <= top) & (lo + b < -1e-12))
+    rows = max(1, 2 ** 20 // q)
+    for a in range(0, q, rows):
+        d = ext[np.add.outer(np.arange(a, min(a + rows, q)), np.arange(q))] - ext[:q]
+        hi, lo = d.max(axis=1), d.min(axis=1)
+        # the smallest integer b with hi + b > 1e-12: the ceiling of 1e-12 - hi,
+        # or one more where hi + b lands on 1e-12 or rounds to it
+        b = np.ceil(1e-12 - hi)
+        b = np.where(hi + b > 1e-12, b, b + 1.0)
+        b = np.maximum(b, -top)
+        if np.any((b <= top) & (lo + b < -1e-12)):
+            return False
+    return True
 
 
 def _ldl(diag, off) -> tuple[list[float], list[float]]:
@@ -424,6 +431,14 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     return cfg
 
 
+def _neighbour(per: Configuration, s: int) -> np.ndarray:
+    """The sites of the translate x_{i+a} + b of the periodic (p,q)-
+    configuration per with a p + b q = s, 0 <= a < q; p/q in lowest terms."""
+    p, q, x = per.p, per.q, per.x
+    a = s * pow(p, -1, q) % q
+    return np.concatenate([x[a:], x[:a] + p]) + (s - a * p) // q
+
+
 def heteroclinic_minimizer(
     gf: GeneratingFunction,
     left: Configuration,
@@ -480,22 +495,28 @@ def heteroclinic_minimizer(
     blend instead.  The residual, saddle and tail tests and the action
     comparison all read the full window.
 
-    The endpoints must be periodic configurations of one (p,q) and the
-    window an integer >= 50 q, else InvalidArgument.  A DEBUG record
+    The right endpoint must be a neighbouring translate of the left
+    periodic configuration, x_{i+a} + b with a p + b q = +-1 within 1e-12
+    (see `assemble_am_set`; a farther translate is a chain of kinks), and
+    the window an integer >= 50 q, else InvalidArgument.  A DEBUG record
     gives the core size C, the winning offset, how many centerings
     converged to a minimizer and to a saddle, how many of the saddles
     were rejected on the core, how many cores were too narrow for their
     kink, the action gap from the winner to the next minimizer (inf when
     there is none) and the edge residual."""
-    if not (left.kind == right.kind == "periodic" and (left.p, left.q) == (right.p, right.q)):
-        raise InvalidArgument("the endpoints must be periodic configurations of one (p,q)")
-    if not isinstance(window, numbers.Integral) or window < 50 * left.q:
+    p, q = left.p, left.q
+    if not (left.kind == right.kind == "periodic" and (p, q) == (right.p, right.q) and q >= 1
+            and math.gcd(abs(p), q) == 1 and np.shape(left.x) == np.shape(right.x) == (q,)
+            and any(np.abs(right.x - _neighbour(left, s)).max() <= 1e-12 for s in (1, -1))):
+        raise InvalidArgument("the endpoints must be a periodic (p,q)-configuration and its "
+                              "neighbouring translate x_{i+a} + b, a p + b q = +-1")
+    if not isinstance(window, numbers.Integral) or window < 50 * q:
         raise InvalidArgument(f"window must be an integer of at least 50 q, got {window!r}")
     L = window
     idx = np.arange(-(L // 2), L - L // 2 + 1)
     base_l, base_r = left.extended(idx), right.extended(idx)
     n = len(idx) - 1            # bonds of the padded array
-    C = min(n, 50 * left.q)
+    C = min(n, 50 * q)
     lo = (n - C) // 2
     # (first, last) sites of each descent's padded array: core, then full
     spans = [(lo, lo + C), (0, n)] if C < n else [(0, n)]
@@ -503,7 +524,7 @@ def heteroclinic_minimizer(
     def clamped(a, b):
         return lambda xi: np.concatenate([[base_l[a]], xi, [base_r[b]]])
 
-    m = left.q + 1
+    m = q + 1
 
     def edge(e, a, b):
         """Largest drift of the first and last q+1 sites of the padded
@@ -549,7 +570,7 @@ def heteroclinic_minimizer(
                    min(others, default=math.inf) - best[0], tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
-    return Configuration(x, "segment", right.p - left.p, left.q)
+    return Configuration(x, "segment", right.p - p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +623,16 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray, M: np.ndarray) -> np.ndarray
 
 
 def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> tuple[float, np.ndarray]:
-    """Trace of M = DF^q along the finite (q, 2) orbit, and M; NotSaddle unless it is > 2."""
+    """Trace of M = DF^q along the finite (q, 2) orbit, and M; NotSaddle
+    unless it is > 2, InvalidArgument when M leaves the float range."""
     if not np.all(np.isfinite(orbit)):
         raise InvalidArgument("orbit points must be finite")
     M = np.eye(2)
-    for x in orbit[:, 0]:
-        M = tm.jacobian(x) @ M
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in orbit[:, 0]:
+            M = tm.jacobian(x) @ M
+    if not np.all(np.isfinite(M)):
+        raise InvalidArgument(f"DF^q along the {len(orbit)}-point orbit overflows")
     tr = float(np.trace(M))
     if not tr > 2.0:
         raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
@@ -625,9 +650,11 @@ def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityRepor
     orbit = np.atleast_2d(np.asarray(orbit, dtype=float))
     q = len(orbit)
     tr, M = _saddle_trace(tm, orbit)
-    disc = math.sqrt(tr * tr - 4.0)
-    lam = (tr + disc) / 2.0
-    mu = (tr - disc) / 2.0
+    # tr^2 - 4 as a product, so that no square overflows; mu = 1 / lam
+    # (det M = 1), where tr - disc would cancel
+    disc = math.sqrt(tr - 2.0) * math.sqrt(tr + 2.0)
+    lam = tr / 2.0 + disc / 2.0
+    mu = 1.0 / lam
 
     frames = _orbit_frames(tm, orbit, M)
     # the GRID x GRID samples around each orbit point, as columns (x, y);
@@ -745,30 +772,21 @@ def assemble_am_set(
     tm = TwistMapF(gf.K)
     per = minimize_periodic(gf, p, q)
     orbit = config_orbit(gf, per)
-    _saddle_trace(tm, orbit)  # raises NotSaddle when inapplicable
+    _saddle_trace(tm, orbit)  # raises NotSaddle (or InvalidArgument) when inapplicable
 
-    s = 1 if branch == "plus" else -1
-    a = s * pow(p, -1, q) % q
-    target = Configuration(per.extended(np.arange(q) + a) + (s - a * p) // q, "periodic", p, q)
+    target = Configuration(_neighbour(per, 1 if branch == "plus" else -1), "periodic", p, q)
     seg = heteroclinic_minimizer(gf, per, target, max(50 * q, 60))
-    seg_orbit = config_orbit(gf, seg)
 
-    pts = [np.column_stack([orbit[:, 0] % 1.0, orbit[:, 1]])]
-    roles = ["periodic"] * len(orbit)
-    interior = seg_orbit[1:-1]
-    keep = []
-    for x, y in interior:
-        xm = x % 1.0
-        if _circle_dist(np.array([xm]), orbit[:, 0] % 1.0).min() > 1e-7:
-            keep.append((xm, y))
-    if keep:
-        pts.append(np.array(keep))
-        roles += [f"heteroclinic-{branch}"] * len(keep)
-    points = np.vstack(pts)
+    # the segment's interior points farther than 1e-7 from the orbit
+    per_pts = np.column_stack([orbit[:, 0] % 1.0, orbit[:, 1]])
+    interior = config_orbit(gf, seg)[1:-1]
+    interior[:, 0] %= 1.0
+    new = interior[_circle_dist(interior[:, :1], per_pts[:, 0]).min(axis=1) > 1e-7]
+    points = np.vstack([per_pts, new])
     return AubryMatherApprox(
         points=points,
         rotation=Fraction(p, q),
-        roles=tuple(roles),
+        roles=("periodic",) * len(per_pts) + (f"heteroclinic-{branch}",) * len(new),
         lipschitz=_lipschitz_constant(points),
     )
 

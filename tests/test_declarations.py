@@ -39,6 +39,7 @@ KEPT = {
     "in_order": "the ternary circular order of the cylinders",
     "overlaps": "whether two rotation classes can hold the same rotation number",
     "continuity_probe": "the paper's continuity in rotation number, a planned benchmark scenario",
+    "action": "the action sum that the minimizers lower, which the descent oracles compare",
     "criticality_residual": "how far a configuration is from an orbit",
     "is_saddle": "the verdict of a hyperbolicity report",
 }

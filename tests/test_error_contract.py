@@ -126,6 +126,28 @@ def test_heteroclinic_refuses_what_it_cannot_connect():
             tw.heteroclinic_minimizer(gf, a, b, 100)
 
 
+def test_heteroclinic_refuses_a_translate_that_is_not_a_neighbour():
+    # the translate by 1 of a (1,2) orbit and the translate by 2 of the
+    # (0,1) orbit each lie two kinks away
+    for K, p, q, b in ((2.0, 1, 2, 1), (1.0, 0, 1, 2)):
+        gf, _ = tw.standard_family(K)
+        left = tw.minimize_periodic(gf, p, q)
+        right = tw.Configuration(left.x + b, "periodic", p, q)
+        with pytest.raises(InvalidArgument, match="endpoints"):
+            tw.heteroclinic_minimizer(gf, left, right, 100)
+
+
+def test_saddle_test_refuses_a_product_beyond_the_float_range():
+    # DF^q of the (1,601) orbit at K = 2 overflows: the product warned in
+    # matmul, and numpy's eig then raised LinAlgError
+    gf, tm = tw.standard_family(2.0)
+    orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, 1, 601))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="overflows"):
+            tw.hyperbolicity_report(tm, orbit)
+
+
 def test_argument_errors_and_edge_answers():
     w = sy.CentralWindow.from_word("010")
     with pytest.raises(OutOfRange):

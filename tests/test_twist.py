@@ -322,6 +322,16 @@ class TestHyperbolicity:
         rep = tw.hyperbolicity_report(tm, tw.config_orbit(gf, cfg))
         assert rep.trace > 2 and abs(rep.lam * rep.mu - 1) <= 1e-8
 
+    def test_eigenvalues_at_large_traces(self):
+        # mu = (tr - disc) / 2 cancelled: lam mu - 1 was -4.8e-4 at a
+        # trace of 3.7e6, mu was 0.0 from about 1e8 on, and tr^2
+        # overflowed past 1.3e154, giving lam = inf and mu = -inf
+        for K, q in ((2.0, 21), (4.0, 401)):
+            gf, tm = tw.standard_family(K)
+            rep = tw.hyperbolicity_report(tm, tw.config_orbit(gf, tw.minimize_periodic(gf, 1, q)))
+            assert math.isfinite(rep.lam) and 0.0 < rep.mu < 1.0
+            assert abs(rep.lam * rep.mu - 1.0) <= 1e-12
+
 
 class TestJacobi:
     """A segment has no conjugate points iff every LDL^T pivot of its
