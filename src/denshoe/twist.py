@@ -17,14 +17,14 @@ That pivot refuses a damped Newton step and fails the saddle test;
 otherwise both substitutions read the stored multipliers, so a solve
 divides by each pivot once.  Minimizers are found by damped Newton
 descent on the action from symmetric starts (the potential is even):
-two ramps for periodic orbits, the first that passes returned, and two
-kink centerings for heteroclinic segments, the lower action returned,
-each descended first on a central core of 50 q bonds and then finished
-on the full window (see `heteroclinic_minimizer`).  Each descent
-computes cos 2 pi x and sin 2 pi x once per trial point (`_evaluate`),
-with a bound on the rounding of the action sum; a step whose action
-change lies within that bound is judged by the residual instead (see
-`_newton_minimize`).
+two ramps for periodic orbits and two kink centerings for heteroclinic
+segments, the first that passes returned, a kink once its last Newton
+step has settled; a kink is descended first on a central core of 50 q
+bonds and then on the full window (see `heteroclinic_minimizer`).  Each
+descent computes cos 2 pi x and sin 2 pi x once per trial point
+(`_evaluate`), with a bound on the rounding of the action sum; a step
+whose action change lies within that bound is judged by the residual
+instead (see `_newton_minimize`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
@@ -297,34 +297,42 @@ def _substitute(piv, mult, rhs) -> list[float]:
     return xs
 
 
-def _positive_solve(diag, off, rhs, cyclic: bool):
-    """Solution of H y = rhs, as an array, for the symmetric tridiagonal H
-    given by the lists diag and off, with rhs a list; None when H is not
-    positive definite.  With cyclic, off[-1] couples the last site with the
-    first.  The last site is then bordered off, H = [[T, u], [u^T, c]],
-    and H is positive definite iff T is and the Schur complement
-    c - u^T T^-1 u is positive; for q = 2 both wrap-around bonds fall on
-    u, and for q = 1 H is the number diag[0] + 2 off[0]."""
+def _factor(diag, off, cyclic: bool):
+    """(piv, mult, border), or None when the symmetric tridiagonal H given
+    by the lists diag and off is not positive definite.  With cyclic,
+    off[-1] couples the last site with the first, H = [[T, u], [u^T, c]],
+    (piv, mult) are the `_ldl` factors of T, and H is positive definite
+    iff T is and s = c - u^T T^-1 u > 0; border is (u, T^-1 u, s).  Else
+    they factor H and border is None, as for q = 1, where H is the number
+    diag[0] + 2 off[0].  For q = 2 both wrap-around bonds fall on u."""
+    if cyclic and len(diag) == 1:
+        diag, cyclic = [diag[0] + 2.0 * off[0]], False
     if cyclic:
-        n = len(diag)
-        if n == 1:
-            c = diag[0] + 2.0 * off[0]
-            return None if c <= 0.0 else np.array([rhs[0] / c])
-        c, r, diag, rhs = diag[-1], rhs[-1], diag[:-1], rhs[:-1]
-        u = [0.0] * (n - 1)
+        c, diag = diag[-1], diag[:-1]
+        u = [0.0] * len(diag)
         u[0] += off[-1]
         u[-1] += off[-2]
     piv, mult = _ldl(diag, off)
     if piv[-1] <= 0.0:
         return None
-    y = _substitute(piv, mult, rhs)
     if not cyclic:
-        return np.array(y)
+        return piv, mult, None
     z = _substitute(piv, mult, u)
     schur = c - sum(a * b for a, b in zip(u, z))
-    if schur <= 0.0:
+    return None if schur <= 0.0 else (piv, mult, (u, z, schur))
+
+
+def _positive_solve(diag, off, rhs, cyclic: bool):
+    """H^-1 rhs as an array (rhs a list, H as in `_factor`); None if H is not positive definite."""
+    factors = _factor(diag, off, cyclic)
+    if factors is None:
         return None
-    t = (r - sum(a * b for a, b in zip(u, y))) / schur
+    piv, mult, border = factors
+    y = _substitute(piv, mult, rhs)     # reads rhs[:len(piv)]
+    if border is None:
+        return np.array(y)
+    u, z, schur = border
+    t = (rhs[-1] - sum(a * b for a, b in zip(u, y))) / schur
     return np.array([a - b * t for a, b in zip(y, z)] + [t])
 
 
@@ -344,16 +352,16 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     the descent stops at the first one refused; this takes the residual
     to round-off, which keeps exponentially small heteroclinic tails
     clean.  Returns the padded array of the last point, its action, its
-    residual, the descent steps accepted and the factorizations refused.
-    A DEBUG record on this module's logger also gives the steps rejected
-    as uphill and the largest tau tried."""
+    residual, the descent steps accepted, the factorizations refused and
+    the reach max|s| of the last step s solved for (inf if none).  A DEBUG
+    record also gives the steps rejected as uphill and the largest tau."""
     def evaluate(x):
         e = pad(x)
         return (e, *_evaluate(gf, e, cyclic))
 
     e, f, g, diag, noise = evaluate(np.array(x0, dtype=float))
     off = gf.d12(e[1:-1], e[2:]).tolist()   # constant in x
-    tau = max_tau = 0.0
+    tau, max_tau, reach = 0.0, 0.0, math.inf
     steps = refused = uphill = 0
     for _ in range(max_iter):
         rhs = (-g).tolist()
@@ -364,6 +372,7 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
             if step is None:
                 refused += 1
             else:
+                reach = float(np.max(np.abs(step)))
                 e_new, f_new, g_new, diag_new, noise_new = evaluate(e[1:-1] + step)
                 rise, band = f_new - f, noise + noise_new
                 if rise < -band or (rise <= band and float(np.dot(g_new, g_new)) < gg):
@@ -378,8 +387,9 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     res = float(np.max(np.abs(g)))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("newton sites=%d cyclic=%d steps=%d refused=%d uphill=%d max_tau=%.3e "
-                   "residual=%.3e", len(g), cyclic, steps, refused, uphill, max_tau, res)
-    return e, f, res, steps, refused
+                   "residual=%.3e reach=%.3e", len(g), cyclic, steps, refused, uphill, max_tau,
+                   res, reach)
+    return e, f, res, steps, refused, reach
 
 
 def _clearly_indefinite(gf, e, shift, cyclic) -> bool:
@@ -387,8 +397,7 @@ def _clearly_indefinite(gf, e, shift, cyclic) -> bool:
     below -shift, i.e. H + shift I is refused too; with cyclic, H is that
     of a periodic configuration."""
     diag, off = _hessian(gf, e)
-    return _positive_solve((diag + shift).tolist(), off.tolist(), [0.0] * len(diag),
-                           cyclic) is None
+    return _factor((diag + shift).tolist(), off.tolist(), cyclic) is None
 
 
 def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
@@ -413,7 +422,7 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     base = np.arange(q) * (p / q)
     best_res = math.inf
     for starts, c in enumerate((0.5 / q, 0.0), 1):
-        e, _, res, _, _ = _newton_minimize(gf, lambda x: _pad(x, p), base + c, 500, cyclic=True)
+        e, _, res, *_ = _newton_minimize(gf, lambda x: _pad(x, p), base + c, 500, cyclic=True)
         best_res = min(best_res, res)
         if res > TOL or _clearly_indefinite(gf, e, NEGATIVE_CURVATURE, cyclic=True):
             continue
@@ -446,64 +455,58 @@ def heteroclinic_minimizer(
     window: int,
 ) -> Configuration:
     """Clamped-segment action minimizer running from the left periodic
-    orbit to the right one over `window` bonds.  Each kink centering
-    starts from a sigmoid blend of slope STEEPNESS, centred on the middle
-    of the window plus an offset, and must reach a residual within TOL;
-    TailNotSettled when the segment's ends stray more than TAIL_TOL from
-    the orbits they connect.
+    orbit to the right one over `window` bonds; TailNotSettled when its
+    ends stray more than TAIL_TOL from the orbits they connect.  Each kink
+    centering starts from a sigmoid blend of slope STEEPNESS centred on
+    the window's middle plus an offset, 0.5 and then 0.  The sites run
+    from -(L//2) to L - L//2, so for an even window offset 0 centres the
+    kink on the middle site and 0.5 on the bond (0,1), half a site off the
+    middle; for an odd window, on the middle bond (0,1) and on site 1.  The
+    potential is even, so a descent from a symmetric start stays symmetric
+    up to the clamped ends: for (0,1) the bond-centred start reaches the
+    minimizer and the site-centred one the Peierls-Nabarro saddle.
 
-    Two offsets, 0.5 and 0, are descended.  Both blends are symmetric
-    about the window's middle, and for either parity of the window one
-    centres the kink on a bond and the other on a site; the potential is
-    even, so a descent from a symmetric start stays symmetric, and for
-    (0,1) the two reach the bond-centred minimizer and the site-centred
-    Peierls-Nabarro saddle.  The connections of `assemble_am_set` reach,
-    within 1e-12, the least action of a grid of 16 q offsets for K = 1,
-    2, 3 and p/q = 1/2, 1/3, 2/5.  Both are compared, not tried in turn
-    as the periodic ramps are: the lower action wins, offset 0.5 on a tie
-    within 1e-14.  Moving the kink along the lattice can be a soft mode;
-    at (7,10), K = 0.8, over 500 bonds its Hessian eigenvalue is 1.1e-7,
-    and offset 0.5 stops within TOL at residual 7e-11, 3.8e-4 from where
-    offset 0 ends at 5.6e-14.
+    A centering passes when its residual is within TOL and its Hessian has
+    no eigenvalue at or below -SADDLE_CURVATURE; it has settled when its
+    reach, the largest entry of its last Newton step, is within TAIL_TOL
+    too.  The first settled one is returned, else the passing one with the
+    shortest reach, the nearest to its critical point.  A descent can stop
+    within TOL on the soft mode that moves the kink: at (7,10), K = 0.8,
+    window 500, its eigenvalue is 1.1e-7, and offset 0.5 stops with reach
+    2.5e-5 while offset 0 settles.  In `scripts/kink_survey.py`, 657 of the
+    709 calls with a passing centering descend one only; in 5 of the 612
+    returns none settles.  At K = 1, 2, 3, p/q = 1/2, 1/3, 2/5, the kinks of
+    `assemble_am_set` have the least action of 16 q offsets within 1e-12.
 
-    A minimal heteroclinic approaches its two orbits exponentially fast
-    away from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert,
-    Dynamics Reported 1, 1988).  For (0,1) the distance shrinks per site
-    by the saddle's eigenvalue, lam + 1/lam = 2 + K: at K = 0.7 by about
-    2.26, so every site more than about 45 from the kink sits on its
-    orbit to double precision.  So each centering first descends the
-    central core of C = min(window, 50 q) bonds, cut from the same orbit
-    values and clamped to them; 50 q is the smallest window accepted.
-    The core, with the orbit values on both sides, then starts the
-    descent of the full window, which only has the tails to settle: its
-    steps change the action by far less than the rounding of the sum, so
-    the residual decides them.  When C is the window, the one descent is
-    the full one.
+    A minimal heteroclinic approaches its two orbits exponentially fast away
+    from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert, Dynamics
+    Reported 1, 1988): for (0,1) by the saddle's eigenvalue per site, with
+    lam + 1/lam = 2 + K, about 2.26 at K = 0.7, so every site more than 45
+    from the kink sits on its orbit to double precision.  So each centering
+    first descends the central core of C = min(window, 50 q) bonds, clamped
+    to the same orbit values.  The core, with the orbit values on both
+    sides, then starts the descent of the full window, which has only the
+    tails to settle, in steps too small for the action sum to resolve; when
+    C is the window, the one descent is the full one.
 
-    A core critical point whose Hessian has an eigenvalue at or below
-    -SADDLE_CURVATURE is a saddle and is not extended.  The Hessian's
-    diagonal is 2 - K cos 2 pi x_i and its off-diagonal is -1, so the
-    core's Hessian is the principal submatrix, over the core sites, of
-    the full window's Hessian at the extended start; by Cauchy
-    interlacing the full Hessian has an eigenvalue at or below the core's
-    lowest, and is indefinite there too.  A core minimizer whose ends
+    A core saddle is not extended: the Hessian's diagonal is
+    2 - K cos 2 pi x_i and its off-diagonal -1, so the core's Hessian is a
+    principal submatrix of the full window's at the extended start, which
+    by Cauchy interlacing is indefinite too.  A core minimizer whose ends
     stray more than TAIL_TOL from the orbits has a kink too wide for the
     core (below K = 0.32 for (0,1)): the clamps, not the lattice, then
-    decide where the kink sits, and between K = 0.1 and 0.14 every
-    centering's core converges to the site-centered kink, a saddle of the
-    full window.  Such a centering descends the full window from its
-    blend instead.  The residual, saddle and tail tests and the action
-    comparison all read the full window.
+    decide where it sits, and between K = 0.1 and 0.14 every centering's
+    core converges to the site-centred kink, a saddle of the full window.
+    Such a centering descends the full window from its blend instead.  The
+    residual, saddle and tail tests and the reach all read the full window.
 
-    The right endpoint must be a neighbouring translate of the left
-    periodic configuration, x_{i+a} + b with a p + b q = +-1 within 1e-12
-    (see `assemble_am_set`; a farther translate is a chain of kinks), and
-    the window an integer >= 50 q, else InvalidArgument.  A DEBUG record
-    gives the core size C, the winning offset, how many centerings
-    converged to a minimizer and to a saddle, how many of the saddles
-    were rejected on the core, how many cores were too narrow for their
-    kink, the action gap from the winner to the next minimizer (inf when
-    there is none) and the edge residual."""
+    The right endpoint must be a neighbouring translate of the left periodic
+    configuration, x_{i+a} + b with a p + b q = +-1 within 1e-12 (see
+    `assemble_am_set`; a farther translate is a chain of kinks), and the
+    window an integer >= 50 q, else InvalidArgument.  A DEBUG record gives
+    the core size C, the offset returned, the centerings descended, how many
+    ended on a saddle and how many of those on the core, how many cores were
+    too narrow for their kink, the reach returned and the edge residual."""
     p, q = left.p, left.q
     if not (left.kind == right.kind == "periodic" and (p, q) == (right.p, right.q) and q >= 1
             and math.gcd(abs(p), q) == 1 and np.shape(left.x) == np.shape(right.x) == (q,)
@@ -532,16 +535,15 @@ def heteroclinic_minimizer(
         return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
-    best = None
-    actions = []    # of every converged minimizer, in offset order
+    best = None     # (reach, sites, offset) of the passing centering with the shortest reach
     saddles = core_saddles = core_skipped = 0
-    for offset in (0.5, 0.0):
+    for centerings, offset in enumerate((0.5, 0.0), 1):
         with np.errstate(over="ignore"):   # from 1780 bonds on; 1 / (1 + inf) = 0 is the limit
             blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x = base_l + (base_r - base_l) * blend
         for a, b in spans:
-            e, w, res, _, _ = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
-                                               cyclic=False)
+            e, _, res, _, _, reach = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
+                                                      cyclic=False)
             if res > TOL:
                 break
             core = b - a < n
@@ -554,20 +556,18 @@ def heteroclinic_minimizer(
                 continue    # the kink does not fit the core: the window starts from the blend
             x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
         else:
-            if best is None or w < best[0] - 1e-14:
-                best = (w, x, offset, len(actions))
-            actions.append(w)
+            if best is None or reach < best[0]:
+                best = (reach, x, offset)
+            if reach <= TAIL_TOL:
+                break       # settled
     if best is None:
-        raise NoConvergence("heteroclinic segment did not converge",
-                            residual=math.inf)
-    x = best[1]
+        raise NoConvergence("heteroclinic segment did not converge", residual=math.inf)
+    reach, x, offset = best
     tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
-        others = actions[:best[3]] + actions[best[3] + 1:]
-        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s minimizers=%d saddles=%d "
-                   "core_saddles=%d core_skipped=%d gap=%.3e edge=%.3e", window, C, best[2],
-                   len(actions), saddles, core_saddles, core_skipped,
-                   min(others, default=math.inf) - best[0], tail)
+        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s centerings=%d saddles=%d "
+                   "core_saddles=%d core_skipped=%d reach=%.3e edge=%.3e", window, C, offset,
+                   centerings, saddles, core_saddles, core_skipped, reach, tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - p, q)

@@ -47,7 +47,6 @@ KEPT = {
 #: the defaulted parameters of public functions and methods that no call in
 #: the package, the benchmark or the scripts passes; the tests pass each
 KEPT_OPTIONS = {
-    "branch": "assemble_am_set's advancing (plus) or retreating (minus) connection",
     "depth": "continuity_probe at depths 6, 8 and 12, a planned benchmark scenario",
 }
 

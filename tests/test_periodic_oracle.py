@@ -38,8 +38,8 @@ def multi_start(gf, p, q):
     best = None
     confirmations = 0
     for x0 in candidates:
-        e, _, res, steps, refused = tw._newton_minimize(gf, lambda x: tw._pad(x, p), x0, 500,
-                                                        cyclic=True)
+        e, _, res, steps, refused, _ = tw._newton_minimize(gf, lambda x: tw._pad(x, p), x0,
+                                                           500, cyclic=True)
         if res > tw.TOL or (steps == 0 and refused
                             and tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)):
             continue

@@ -164,8 +164,8 @@ class TestMinimizePeriodic:
         assert caplog.records[-1].getMessage() == "minimize_periodic p=13 q=28 starts=2 offset=0.0"
         assert cfg.well_ordered and tw.check_well_ordered(cfg)
         assert tw.criticality_residual(gf, cfg) <= tw.TOL
-        e, _, res, _, _ = tw._newton_minimize(gf, lambda x: tw._pad(x, p),
-                                              np.arange(q) * (p / q) + 0.5 / q, 500, cyclic=True)
+        e, _, res, _, _, _ = tw._newton_minimize(gf, lambda x: tw._pad(x, p),
+                                                 np.arange(q) * (p / q) + 0.5 / q, 500, cyclic=True)
         assert res <= tw.TOL
         assert not tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)
         assert not tw.check_well_ordered(tw.Configuration(e[1:-1], "periodic", p, q))
@@ -476,8 +476,8 @@ class TestRecords:
         assert float(run["residual"]) <= tw.TOL and run["steps"] != "0"
         # the second ramp, c = 0, descends with steps to the minimax, which
         # would not pass: its Hessian is clearly indefinite
-        e, _, res, steps, _ = tw._newton_minimize(gf, lambda x: tw._pad(x, 2), np.arange(5) * 0.4,
-                                                  500, cyclic=True)
+        e, _, res, steps, _, _ = tw._newton_minimize(gf, lambda x: tw._pad(x, 2),
+                                                     np.arange(5) * 0.4, 500, cyclic=True)
         assert res <= tw.TOL and steps > 0
         assert tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)
 
@@ -492,7 +492,7 @@ class TestRecords:
             e = tw._newton_minimize(gf, lambda x: tw._pad(x, 0), [0.0], 500, cyclic=True)[0]
         run, summary, maximum = [r.getMessage() for r in caplog.records]
         assert maximum == ("newton sites=1 cyclic=1 steps=0 refused=1 uphill=0 "
-                           "max_tau=0.000e+00 residual=0.000e+00")
+                           "max_tau=0.000e+00 residual=0.000e+00 reach=inf")
         assert tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)
         assert run.startswith("newton sites=1 ") and summary == (
             "minimize_periodic p=0 q=1 starts=1 offset=0.5")
@@ -509,7 +509,8 @@ class TestRecords:
         assert all(n == "newton" and g["sites"] in ("49", "59") and g["cyclic"] == "0"
                    for n, g in runs)
         # each centering descends its 49-site core; a core minimizer, or a
-        # core too narrow for its kink, is followed by the full 59 sites
+        # core too narrow for its kink, is followed by the full 59 sites.
+        # The first centering, offset 0.5, settles, so it is the only one
         centerings = []
         for _, g in runs:
             if g["sites"] == "49":
@@ -517,10 +518,8 @@ class TestRecords:
             else:
                 assert centerings and len(centerings[-1]) == 1
                 centerings[-1].append(g)
-        assert len(centerings) == 2
-        assert float(f["offset"]) in (0.5, 0.0)
-        converged = sum(float(c[-1]["residual"]) <= tw.TOL for c in centerings)
-        assert 1 <= int(f["minimizers"]) and int(f["minimizers"]) + int(f["saddles"]) == converged
+        assert len(centerings) == int(f["centerings"]) == 1 and f["offset"] == "0.5"
+        assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == centerings[-1][-1]["reach"]
         not_extended = sum(len(c) == 1 and float(c[0]["residual"]) <= tw.TOL for c in centerings)
         assert int(f["core_saddles"]) == not_extended <= int(f["saddles"])
         assert f["core_skipped"] == "0"     # the K = 1 kink fits in 50 bonds
@@ -531,32 +530,29 @@ class TestRecords:
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_offset_half_wins_after_polishing(self, branch, caplog):
-        # at (2,5), K = 1, over 250 bonds offset 0.5 wins both branches;
-        # on the retarded one (minus) the offset-0 descent ends on a saddle
+        # at (2,5), K = 1, over 250 bonds offset 0.5 settles on both
+        # branches, so offset 0 (a saddle on the retarded one) is not descended
         gf, _ = tw.standard_family(1.0)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, 2, 5, branch)
-        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        *_, (_, half), (name, f) = [fields(r.getMessage()) for r in caplog.records]
         assert name == "heteroclinic_minimizer" and f["window"] == "250" and f["offset"] == "0.5"
-        assert half["sites"] == zero["sites"] == "249"
-        assert float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= tw.TOL
-        if branch == "minus":
-            assert (f["minimizers"], f["saddles"]) == ("1", "1")
-        else:
-            assert f["minimizers"] == "2"
+        assert half["sites"] == "249" and f["centerings"] == "1"
+        assert float(half["residual"]) <= tw.TOL and float(half["reach"]) <= tw.TAIL_TOL
 
     @pytest.mark.parametrize("K, p, q", [(1.2, 2, 7), (3.0, 1, 4)])
     def test_kink_descents_settle_before_the_cap(self, K, p, q, caplog):
         # the advanced connections over 350 and 200 bonds: near the
         # minimizer each step changes the action by less than the rounding
         # of its sum, and the residual decides it, so each kink descent
-        # ends within TOL in a few steps, without raising tau past 10
+        # ends within TOL in a few steps, without raising tau past 10; the
+        # first centering settles, so it is the only kink descent
         gf, _ = tw.standard_family(K)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, p, q, "plus")
         kinks = [f for name, f in map(fields, (r.getMessage() for r in caplog.records))
                  if name == "newton" and f["cyclic"] == "0"]
-        assert len(kinks) == 2
+        assert len(kinks) == 1
         for f in kinks:
             assert float(f["residual"]) <= tw.TOL and int(f["steps"]) < 400
             assert int(f["uphill"]) <= 2 and float(f["max_tau"]) <= 10.0
@@ -564,8 +560,8 @@ class TestRecords:
     def test_lower_action_settles_a_soft_kink(self, caplog):
         # the plus connection of `assemble_am_set` at (7,10), K = 0.8, over
         # 500 bonds (the core is the window): moving the kink is a soft
-        # mode, so the offset-0.5 descent stops within TOL but far from the
-        # critical point, which offset 0 reaches at a lower action
+        # mode, so the offset-0.5 descent stops within TOL but with a last
+        # step of about 2.5e-5, unsettled, and offset 0 settles (9.9e-10)
         gf, _ = tw.standard_family(0.8)
         per = tw.minimize_periodic(gf, 7, 10)
         target = tw.Configuration(per.extended(np.arange(10) + 3) - 2, "periodic", 7, 10)
@@ -574,11 +570,43 @@ class TestRecords:
         *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
         assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "499"
         assert 1e-12 < float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= 1e-12
-        assert (f["offset"], f["minimizers"]) == ("0.0", "2") and float(f["gap"]) > 1e-14
+        assert float(half["reach"]) > tw.TAIL_TOL and float(zero["reach"]) <= tw.TAIL_TOL
+        assert (f["offset"], f["centerings"], f["reach"]) == ("0.0", "2", zero["reach"])
         assert tw.criticality_residual(gf, seg) <= 1e-12
         hessian = (np.diag(2 - 0.8 * np.cos(2 * np.pi * seg.x[1:-1]))
                    - np.eye(499, k=1) - np.eye(499, k=-1))
         assert 0 < np.linalg.eigvalsh(hessian)[0] < 1e-6
+
+    @pytest.mark.parametrize("window", [60, 1000])
+    @pytest.mark.parametrize("K", [0.7, 1.0, 2.0])
+    def test_first_centering_settles_a_period_one_kink(self, K, window, caplog):
+        # over an even window offset 0.5 centres the (0,1) kink on a bond,
+        # where the minimizer sits; it settles, so offset 0 is not descended
+        gf, _ = tw.standard_family(K)
+        left = tw.minimize_periodic(gf, 0, 1)
+        right = tw.Configuration(left.x + 1, "periodic", 0, 1)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            tw.heteroclinic_minimizer(gf, left, right, window)
+        *runs, (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "heteroclinic_minimizer"
+        assert [g["sites"] for _, g in runs] == ["49", str(window - 1)]
+        assert (f["centerings"], f["offset"], f["saddles"]) == ("1", "0.5", "0")
+        assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == runs[-1][1]["reach"]
+
+    def test_shortest_reach_wins_when_no_centering_settles(self, caplog):
+        # the plus connection at (2,7), K = 0.75, over 350 bonds (the core
+        # is the window): both centerings pass, neither settles, and offset
+        # 0, whose last step is the shorter, is returned, as the lower
+        # action once picked it
+        gf, _ = tw.standard_family(0.75)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            tw.assemble_am_set(gf, 2, 7, "plus")
+        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "349"
+        assert float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= tw.TOL
+        assert tw.TAIL_TOL < float(zero["reach"]) < float(half["reach"])
+        assert (f["offset"], f["centerings"], f["saddles"]) == ("0.0", "2", "0")
+        assert f["reach"] == zero["reach"]
 
     @pytest.mark.parametrize("K, p, q", [(1.0, 1, 2), (0.95, 1, 3)])
     def test_hyperbolicity_record(self, K, p, q, caplog):

@@ -21,6 +21,7 @@ import logging
 import math
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ def test_kernel_matches_old_kernel_bit_for_bit(matrix):
         piv, mult = tw._ldl(t.tolist(), off.tolist())
         assert piv == old_ldl_pivots(t.tolist(), off.tolist())
         assert mult == [b / d for b, d in zip(off.tolist(), piv[:-1])]
+
+
+@PROPERTY
+@given(large_tridiagonals())
+def test_inertia_verdict_matches_positive_solve(matrix):
+    # the saddle test reads the factorization's inertia only, and refuses
+    # exactly the matrices that the solve refuses
+    diag, off, rhs, cyclic = matrix
+    with mock.patch.object(tw, "_hessian", lambda gf, e: (diag, off)):
+        indefinite = tw._clearly_indefinite(None, None, 0.0, cyclic)
+    assert indefinite == (tw._positive_solve(diag.tolist(), off.tolist(), rhs.tolist(),
+                                             cyclic) is None)
 
 
 @PROPERTY
@@ -516,7 +529,7 @@ def old_heteroclinic_minimizer(gf, left, right, window):
     for offset in (0.5, 0.0, 0.25):
         blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
-        x, w, res, _, _ = tw._newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
+        x, w, res, _, _, _ = tw._newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
         if res > tw.TOL:
             continue
         diag, off = tw._hessian(gf, x)
@@ -568,24 +581,26 @@ def recorded_run(fn, gf, left, right, window, caplog):
 def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
     """The core-then-window descent from an orbit to its neighbouring
     translate reaches the old full-window minimizer: the same sites within
-    1e-9, the same action within 1e-12 and the same winning offset.  At
-    window = 50 q the core is the window, so each centering runs exactly
-    one Newton descent, the one the old code ran from the same offset; the
-    old code ran all three offsets, the new one the two symmetric ones."""
+    1e-9, the same action within 1e-12 and the same offset.  At
+    window = 50 q the core is the window, and offset 0.5 settles, so the
+    one Newton descent run is the first the old code ran; the old code
+    ran all three offsets."""
     gf, left = minimizer(K, p, q)
     right = neighbour(left, shift)
     old, old_offset, old_runs = recorded_run(old_heteroclinic_minimizer, gf, left, right, window,
                                              caplog)
     new, new_offset, new_runs = recorded_run(tw.heteroclinic_minimizer, gf, left, right, window,
                                              caplog)
-    assert new_offset == old_offset
     if window == 50 * q:
-        assert len(new_runs) == 2 and new_runs == old_runs[:2]
+        assert new_runs == old_runs[:1]
     if isinstance(old, tuple):
         # below K = 0.32 the (0,1) kink settles too slowly for 50 bonds,
-        # and below K = 0.14 for 60: both refuse it
-        assert new == old and K <= 0.3 and window <= 60
+        # and below K = 0.14 for 60: both refuse it.  At K = 0.12 over 60
+        # bonds no centering settles, and the new code quotes the edge of
+        # offset 0, whose last step is the shorter
+        assert isinstance(new, tuple) and new[0] is old[0] and K <= 0.3 and window <= 60
         return
+    assert new_offset == old_offset
     assert np.max(np.abs(new.x - old.x)) <= 1e-9
     assert abs(tw.action(gf, old) - tw.action(gf, new)) <= 1e-12
 
@@ -612,7 +627,7 @@ def offset_grid_minimum(gf, left, right, window):
     for offset in np.arange(16 * left.q) / 16:
         blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
-        x, w, res, _, _ = tw._newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
+        x, w, res, _, _, _ = tw._newton_minimize(gf, clamped, x0[1:-1], 400, cyclic=False)
         diag, off = tw._hessian(gf, x)
         if res <= tw.TOL and tw._ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] > 0.0:
             best = min(best, w)
