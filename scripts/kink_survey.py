@@ -5,12 +5,14 @@
 Calls `twist.assemble_am_set(gf, p, q, branch)` for every K in KS, every
 p/q in RATIONALS and both branches, 720 calls in all, and prints one
 line per call: K, p/q, the branch, the outcome (`ok` or the exception's
-type), the kink offset chosen (for TailNotSettled, the one whose tails
-were checked), the centerings descended, the `reach` of the chosen
-centering (the largest entry of its last Newton step) and the sha256 of
-the assembled point set.  Offset, centerings and reach are read from
-the `heteroclinic_minimizer` DEBUG record and print as `-` when the call
-left none (no centering passed, say) or the record lacks the field.  The last lines give the count of each outcome
+type), the core size in bonds, the kink offset chosen (for
+TailNotSettled, the one whose tails were checked), the centerings
+descended, the full-window descents that ran after a core, the `reach`
+of the chosen centering (the largest entry of its last Newton step) and
+the sha256 of the assembled point set.  Core, offset, centerings, full
+and reach are read from the `heteroclinic_minimizer` DEBUG record and
+print as `-` when the call left none (no centering passed, say) or the
+record lacks the field.  The last lines give the count of each outcome
 and the summed `time.process_time` of the calls, DEBUG records
 included.  Two trees whose lines agree gave the same outcome, offset and
 point set on every call.  It writes no bytecode, so the checkout it
@@ -76,7 +78,8 @@ def main():
                 outcomes[outcome] += 1
                 f = kink.fields
                 print(f"{K:<5} {p}/{q:<3} {branch:<5} {outcome:<15} "
-                      f"offset={f.get('offset', '-')} centerings={f.get('centerings', '-')} "
+                      f"core={f.get('core', '-')} offset={f.get('offset', '-')} "
+                      f"centerings={f.get('centerings', '-')} full={f.get('full', '-')} "
                       f"reach={f.get('reach', '-')} points={digest}")
     for outcome, n in sorted(outcomes.items()):
         print(f"{outcome:<15} {n:4d}")

@@ -19,8 +19,11 @@ divides by each pivot once.  Minimizers are found by damped Newton
 descent on the action from symmetric starts (the potential is even):
 two ramps for periodic orbits and two kink centerings for heteroclinic
 segments, the first that passes returned, a kink once its last Newton
-step has settled; a kink is descended first on a central core of 50 q
-bonds and then on the full window (see `heteroclinic_minimizer`).  Each
+step has settled.  A kink is descended on a central core sized from the
+saddle multiplier of its orbits, so that its tails have decayed below
+float64 rounding at the clamps; the full window is descended only when
+that core, padded with the orbit values, is not already within TOL over
+it, or when the core does not fit (see `heteroclinic_minimizer`).  Each
 descent computes cos 2 pi x and sin 2 pi x once per trial point
 (`_evaluate`), with a bound on the rounding of the action sum; a step
 whose action change lies within that bound is judged by the residual
@@ -59,6 +62,7 @@ STEEPNESS = 0.8          # slope of the sigmoid blend that starts a kink
 GRID, RAYS, M_CAP = 5, 9, 20  # cone samples per box side, rays per cone, iterate cap
 BOX = 0.02               # half-side of the sampled box around each orbit point
 Q_CAP = 200              # largest convergent denominator in irrational_am_set
+WINDOW_CAP = 2 ** 20     # largest window of heteroclinic_minimizer, in bonds
 
 _log = logging.getLogger(__name__)
 
@@ -448,6 +452,28 @@ def _neighbour(per: Configuration, s: int) -> np.ndarray:
     return np.concatenate([x[a:], x[:a] + p]) + (s - a * p) // q
 
 
+def _approach_rate(tr: float, q: int) -> float:
+    """ln lam / q, the rate per site at which a minimal heteroclinic
+    approaches a (p,q) orbit whose DF^q has trace tr = lam + 1/lam
+    (Aubry & Le Daeron, Physica D 8, 1983); 0 when tr <= 2, where the
+    orbit is not a saddle and the approach is not geometric, and inf when
+    DF^q left the float range (tr inf or nan)."""
+    if not math.isfinite(tr):
+        return math.inf
+    return math.acosh(tr / 2.0) / q if tr > 2.0 else 0.0
+
+
+def _core_bonds(rate: float, q: int, n: int) -> int:
+    """Bonds C of the central core that a kink over n bonds descends
+    first: ceil(2 ln(2^53) / rate), so that an approach at `rate` per site
+    decays by 2^53, the float64 rounding unit, from the middle to either
+    clamp; at least 50 q and at most n, and rounded up to n's parity, so
+    that the core sits centred in the window.  A rate of 0 gives n."""
+    span = 2.0 * 53.0 * math.log(2.0)
+    c = n if rate * n <= span else max(50 * q, math.ceil(span / rate))
+    return min(n, c + (n - c) % 2)
+
+
 def heteroclinic_minimizer(
     gf: GeneratingFunction,
     left: Configuration,
@@ -478,48 +504,62 @@ def heteroclinic_minimizer(
     returns none settles.  At K = 1, 2, 3, p/q = 1/2, 1/3, 2/5, the kinks of
     `assemble_am_set` have the least action of 16 q offsets within 1e-12.
 
-    A minimal heteroclinic approaches its two orbits exponentially fast away
+    A minimal heteroclinic approaches its two orbits geometrically away
     from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert, Dynamics
-    Reported 1, 1988): for (0,1) by the saddle's eigenvalue per site, with
-    lam + 1/lam = 2 + K, about 2.26 at K = 0.7, so every site more than 45
-    from the kink sits on its orbit to double precision.  So each centering
-    first descends the central core of C = min(window, 50 q) bonds, clamped
-    to the same orbit values.  The core, with the orbit values on both
-    sides, then starts the descent of the full window, which has only the
-    tails to settle, in steps too small for the action sum to resolve; when
-    C is the window, the one descent is the full one.
+    Reported 1, 1988), by lam^(1/q) per site, where lam + 1/lam is the
+    trace of DF^q along the left orbit: 2 + K for (0,1), so lam is about
+    2.26 at K = 0.7.  So each centering first descends a central core of
+    C bonds, clamped to the same orbit values, where C is the width over
+    which that approach decays by 2^53, the float64 rounding unit, from
+    the middle to either clamp (`_core_bonds`): C = ceil(2 ln(2^53) q /
+    ln lam), at least 50 q and at most the window, rounded up to the
+    window's parity so that the core stays centred.  For (0,1) that is 91,
+    79 and 71 bonds at K = 0.7, 0.95 and 1.2 before the rounding.  A trace
+    of at most 2 (K = 0, no saddle) makes C the window, and one whose DF^q
+    overflows gives 50 q.  Beyond its clamps the core minimizer's sites
+    then sit on their orbits to round-off, so the core, padded with the
+    orbit values, is the full window's critical point: when its
+    full-window residual is within TOL it is returned as it is, with the
+    core's reach, and no full-window descent runs.  Only a padded core
+    above TOL starts a descent of the full window, which has only the
+    tails to settle; when C is the window, the one descent is the full one.
 
     A core saddle is not extended: the Hessian's diagonal is
     2 - K cos 2 pi x_i and its off-diagonal -1, so the core's Hessian is a
     principal submatrix of the full window's at the extended start, which
     by Cauchy interlacing is indefinite too.  A core minimizer whose ends
     stray more than TAIL_TOL from the orbits has a kink too wide for the
-    core (below K = 0.32 for (0,1)): the clamps, not the lattice, then
-    decide where it sits, and between K = 0.1 and 0.14 every centering's
-    core converges to the site-centred kink, a saddle of the full window.
-    Such a centering descends the full window from its blend instead.  The
-    residual, saddle and tail tests and the reach all read the full window.
+    core (below K = 0.32 for (0,1) when the core has 50 bonds): the clamps,
+    not the lattice, then decide where it sits, and between K = 0.1 and
+    0.14 every centering's core converges to the site-centred kink, a
+    saddle of the full window.  Such a centering descends the full window
+    from its blend instead.  The residual, saddle and tail tests read the
+    full window.
 
     The right endpoint must be a neighbouring translate of the left periodic
     configuration, x_{i+a} + b with a p + b q = +-1 within 1e-12 (see
     `assemble_am_set`; a farther translate is a chain of kinks), and the
-    window an integer >= 50 q, else InvalidArgument.  A DEBUG record gives
-    the core size C, the offset returned, the centerings descended, how many
-    ended on a saddle and how many of those on the core, how many cores were
-    too narrow for their kink, the reach returned and the edge residual."""
+    window an integer from 50 q to WINDOW_CAP, else InvalidArgument.  A
+    DEBUG record gives the core size C, the approach rate ln lam / q per
+    site, the offset returned, the centerings descended, how many ended on
+    a saddle and how many of those on the core, how many cores were too
+    narrow for their kink, how many full-window descents ran after a core,
+    the reach returned and the edge residual."""
     p, q = left.p, left.q
     if not (left.kind == right.kind == "periodic" and (p, q) == (right.p, right.q) and q >= 1
             and math.gcd(abs(p), q) == 1 and np.shape(left.x) == np.shape(right.x) == (q,)
             and any(np.abs(right.x - _neighbour(left, s)).max() <= 1e-12 for s in (1, -1))):
         raise InvalidArgument("the endpoints must be a periodic (p,q)-configuration and its "
                               "neighbouring translate x_{i+a} + b, a p + b q = +-1")
-    if not isinstance(window, numbers.Integral) or window < 50 * q:
-        raise InvalidArgument(f"window must be an integer of at least 50 q, got {window!r}")
+    if not isinstance(window, numbers.Integral) or not 50 * q <= window <= WINDOW_CAP:
+        raise InvalidArgument(f"window must be an integer from 50 q to WINDOW_CAP = "
+                              f"{WINDOW_CAP} bonds, got {window!r}")
     L = window
     idx = np.arange(-(L // 2), L - L // 2 + 1)
     base_l, base_r = left.extended(idx), right.extended(idx)
     n = len(idx) - 1            # bonds of the padded array
-    C = min(n, 50 * q)
+    rate = _approach_rate(_monodromy(TwistMapF(gf.K), left.x)[0], q)
+    C = _core_bonds(rate, q, n)
     lo = (n - C) // 2
     # (first, last) sites of each descent's padded array: core, then full
     spans = [(lo, lo + C), (0, n)] if C < n else [(0, n)]
@@ -536,17 +576,21 @@ def heteroclinic_minimizer(
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
     best = None     # (reach, sites, offset) of the passing centering with the shortest reach
-    saddles = core_saddles = core_skipped = 0
+    saddles = core_saddles = core_skipped = full = 0
     for centerings, offset in enumerate((0.5, 0.0), 1):
         with np.errstate(over="ignore"):   # from 1780 bonds on; 1 / (1 + inf) = 0 is the limit
             blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
         x = base_l + (base_r - base_l) * blend
         for a, b in spans:
-            e, _, res, _, _, reach = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
-                                                      cyclic=False)
-            if res > TOL:
-                break
             core = b - a < n
+            if core or np.max(np.abs(_gradient(gf, x))) > TOL:
+                e, _, res, _, _, reach = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
+                                                          cyclic=False)
+                full += not core and C < n
+                if res > TOL:
+                    break
+            else:
+                e = x       # the padded core is critical over the full window
             if _clearly_indefinite(gf, e, SADDLE_CURVATURE, cyclic=False):
                 saddles += 1
                 core_saddles += core
@@ -565,9 +609,10 @@ def heteroclinic_minimizer(
     reach, x, offset = best
     tail = edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("heteroclinic_minimizer window=%d core=%d offset=%s centerings=%d saddles=%d "
-                   "core_saddles=%d core_skipped=%d reach=%.3e edge=%.3e", window, C, offset,
-                   centerings, saddles, core_saddles, core_skipped, reach, tail)
+        _log.debug("heteroclinic_minimizer window=%d core=%d rate=%.3e offset=%s centerings=%d "
+                   "saddles=%d core_saddles=%d core_skipped=%d full=%d reach=%.3e edge=%.3e",
+                   window, C, rate, offset, centerings, saddles, core_saddles, core_skipped, full,
+                   reach, tail)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - p, q)
@@ -622,18 +667,25 @@ def _orbit_frames(tm: TwistMapF, orbit: np.ndarray, M: np.ndarray) -> np.ndarray
     return frames
 
 
+def _monodromy(tm: TwistMapF, xs) -> tuple[float, np.ndarray]:
+    """Trace of M = DF^q along the orbit through the sites xs (DF depends
+    on x alone), and M; entries that leave the float range are inf or nan,
+    and so may the trace be."""
+    M = np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs:
+            M = tm.jacobian(x) @ M
+        return float(np.trace(M)), M
+
+
 def _saddle_trace(tm: TwistMapF, orbit: np.ndarray) -> tuple[float, np.ndarray]:
     """Trace of M = DF^q along the finite (q, 2) orbit, and M; NotSaddle
     unless it is > 2, InvalidArgument when M leaves the float range."""
     if not np.all(np.isfinite(orbit)):
         raise InvalidArgument("orbit points must be finite")
-    M = np.eye(2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in orbit[:, 0]:
-            M = tm.jacobian(x) @ M
+    tr, M = _monodromy(tm, orbit[:, 0])
     if not np.all(np.isfinite(M)):
         raise InvalidArgument(f"DF^q along the {len(orbit)}-point orbit overflows")
-    tr = float(np.trace(M))
     if not tr > 2.0:
         raise NotSaddle(f"trace of DF^q is {tr:.6f} <= 2 (not a positive saddle)")
     return tr, M

@@ -126,6 +126,23 @@ def test_heteroclinic_refuses_what_it_cannot_connect():
             tw.heteroclinic_minimizer(gf, a, b, 100)
 
 
+def test_heteroclinic_refuses_a_window_beyond_the_cap():
+    # a window of 10^9 bonds asked numpy for 7.45 GiB and raised a stray
+    # MemoryError; a window above WINDOW_CAP is refused before its arrays exist
+    gf, _ = tw.standard_family(1.0)
+    left = tw.minimize_periodic(gf, 0, 1)
+    right = tw.Configuration(left.x + 1, "periodic", 0, 1)
+    tracemalloc.start()
+    try:
+        for window in (10 ** 9, tw.WINDOW_CAP + 1):
+            with pytest.raises(InvalidArgument, match=f"WINDOW_CAP = {tw.WINDOW_CAP}"):
+                tw.heteroclinic_minimizer(gf, left, right, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_heteroclinic_refuses_a_translate_that_is_not_a_neighbour():
     # the translate by 1 of a (1,2) orbit and the translate by 2 of the
     # (0,1) orbit each lie two kinks away
@@ -139,13 +156,16 @@ def test_heteroclinic_refuses_a_translate_that_is_not_a_neighbour():
 
 def test_saddle_test_refuses_a_product_beyond_the_float_range():
     # DF^q of the (1,601) orbit at K = 2 overflows: the product warned in
-    # matmul, and numpy's eig then raised LinAlgError
+    # matmul, and numpy's eig then raised LinAlgError.  The kink's core
+    # sizing reads the same product and falls back to 50 q bonds
     gf, tm = tw.standard_family(2.0)
     orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, 1, 601))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidArgument, match="overflows"):
             tw.hyperbolicity_report(tm, orbit)
+        rate = tw._approach_rate(tw._monodromy(tm, orbit[:, 0])[0], 601)
+    assert rate == math.inf and tw._core_bonds(rate, 601, 40000) == 30050
 
 
 def test_argument_errors_and_edge_answers():

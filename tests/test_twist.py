@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from denshoe import twist as tw
-from denshoe.errors import NoConvergence, NotSaddle
+from denshoe.errors import NoConvergence, NotSaddle, TailNotSettled
 from denshoe.exact import ALPHA_STAR
 
 GOLDEN_SQ = (3 + math.sqrt(5)) / 2  # expanding eigenvalue at trace 3
@@ -286,6 +286,32 @@ class TestHeteroclinic:
         with pytest.raises(ValueError):
             tw.heteroclinic_minimizer(gf, left, right, 10)
 
+    @pytest.mark.parametrize("tr, q, n, core", [
+        (2.7, 1, 1000, 92), (2.7, 1, 1001, 91), (3.0, 1, 60, 60), (4.0, 1, 60, 56),
+        (math.inf, 1, 1000, 50), (math.inf, 3, 1001, 151), (math.nan, 2, 1000, 100),
+        (2.0, 1, 1000, 1000), (1.5, 1, 1001, 1001), (2.0 + 2e-15, 1, 60, 60)])
+    def test_core_is_sized_from_the_trace(self, tr, q, n, core):
+        # ceil(2 ln(2^53) q / ln lam): 90.3 -> 91 bonds at K = 0.7 (trace
+        # 2.7), 92 over an even window; a trace of at most 2 is no saddle
+        # and leaves the window, one that overflowed leaves 50 q
+        assert tw._core_bonds(tw._approach_rate(tr, q), q, n) == core
+
+    @pytest.mark.parametrize("K", [0.0, 1e-9])
+    def test_kink_without_a_saddle_descends_the_window(self, K, caplog):
+        # at K = 0 the (0,1) orbit is no saddle (trace 2) and at K = 1e-9
+        # its kink decays by 3.2e-5 per site, so the core is the window;
+        # the chain's minimizer there is close to the straight ramp, whose
+        # ends stray 1/60 from the orbits, as when a 50-bond core came first
+        gf, _ = tw.standard_family(K)
+        left = tw.minimize_periodic(gf, 0, 1)
+        right = tw.Configuration(left.x + 1, "periodic", 0, 1)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            with pytest.raises(TailNotSettled, match="1.67e-02"):
+                tw.heteroclinic_minimizer(gf, left, right, 60)
+        (_, run), (name, f) = [fields(r.getMessage()) for r in caplog.records][-2:]
+        assert name == "heteroclinic_minimizer" and run["sites"] == "59"
+        assert (f["core"], f["full"], f["centerings"]) == ("60", "0", "1")
+
 
 class TestHyperbolicity:
     def test_saddle_eigenvalues(self, family):
@@ -502,31 +528,28 @@ class TestRecords:
         gf, _ = family
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
-        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
-            seg = tw.heteroclinic_minimizer(gf, left, right, 60)
-        *runs, (name, f) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "heteroclinic_minimizer" and f["window"] == "60" and f["core"] == "50"
-        assert all(n == "newton" and g["sites"] in ("49", "59") and g["cyclic"] == "0"
-                   for n, g in runs)
-        # each centering descends its 49-site core; a core minimizer, or a
-        # core too narrow for its kink, is followed by the full 59 sites.
-        # The first centering, offset 0.5, settles, so it is the only one
-        centerings = []
-        for _, g in runs:
-            if g["sites"] == "49":
-                centerings.append([g])
-            else:
-                assert centerings and len(centerings[-1]) == 1
-                centerings[-1].append(g)
-        assert len(centerings) == int(f["centerings"]) == 1 and f["offset"] == "0.5"
-        assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == centerings[-1][-1]["reach"]
-        not_extended = sum(len(c) == 1 and float(c[0]["residual"]) <= tw.TOL for c in centerings)
-        assert int(f["core_saddles"]) == not_extended <= int(f["saddles"])
-        assert f["core_skipped"] == "0"     # the K = 1 kink fits in 50 bonds
-        idx = np.arange(-30, 31)
-        edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
-                   np.max(np.abs(seg.x[-2:] - right.extended(idx[-2:]))))
-        assert f["edge"] == f"{edge:.3e}"
+        # at K = 1 the saddle's multiplier has lam + 1/lam = 3, and the core
+        # of 2 ln(2^53) / ln lam = 76.3 bonds rounds up to 78 over an even
+        # window: over 200 bonds its 77 sites are the only descent, since
+        # the padded core is within TOL over the full window, and over 60
+        # the core is the window
+        for window, core in ((60, 60), (200, 78)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+                seg = tw.heteroclinic_minimizer(gf, left, right, window)
+            (n, run), (name, f) = [fields(r.getMessage()) for r in caplog.records]
+            assert name == "heteroclinic_minimizer" and f["window"] == str(window)
+            assert (f["core"], f["rate"], f["full"]) == (str(core), f"{math.acosh(1.5):.3e}", "0")
+            assert n == "newton" and run["sites"] == str(core - 1) and run["cyclic"] == "0"
+            # the first centering, offset 0.5, settles, so it is the only one
+            assert (f["centerings"], f["offset"], f["saddles"]) == ("1", "0.5", "0")
+            assert (f["core_saddles"], f["core_skipped"]) == ("0", "0")
+            assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == run["reach"]
+            assert tw.criticality_residual(gf, seg) <= tw.TOL
+            idx = np.arange(-(window // 2), window - window // 2 + 1)
+            edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
+                       np.max(np.abs(seg.x[-2:] - right.extended(idx[-2:]))))
+            assert f["edge"] == f"{edge:.3e}"
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_offset_half_wins_after_polishing(self, branch, caplog):
@@ -581,7 +604,11 @@ class TestRecords:
     @pytest.mark.parametrize("K", [0.7, 1.0, 2.0])
     def test_first_centering_settles_a_period_one_kink(self, K, window, caplog):
         # over an even window offset 0.5 centres the (0,1) kink on a bond,
-        # where the minimizer sits; it settles, so offset 0 is not descended
+        # where the minimizer sits; it settles, so offset 0 is not descended.
+        # The core, sized from lam + 1/lam = 2 + K, has 92, 78 and 56 bonds
+        # (at most the window), and padded with the orbit values its
+        # minimizer is within TOL over the full window: no descent follows
+        core = min(window, {0.7: 92, 1.0: 78, 2.0: 56}[K])
         gf, _ = tw.standard_family(K)
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
@@ -589,7 +616,8 @@ class TestRecords:
             tw.heteroclinic_minimizer(gf, left, right, window)
         *runs, (name, f) = [fields(r.getMessage()) for r in caplog.records]
         assert name == "heteroclinic_minimizer"
-        assert [g["sites"] for _, g in runs] == ["49", str(window - 1)]
+        assert [g["sites"] for _, g in runs] == [str(core - 1)]
+        assert (f["core"], f["full"]) == (str(core), "0")
         assert (f["centerings"], f["offset"], f["saddles"]) == ("1", "0.5", "0")
         assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == runs[-1][1]["reach"]
 

@@ -8,9 +8,10 @@ used, the xi recursion of the discrete Jacobi test, the growth loop of
 `hyperbolicity_report` that rebuilt Df^m from scratch for every m, the
 translate-by-translate loop of `check_well_ordered`, the point-by-point
 loop of `_lipschitz_constant`, the per-point eigenvectors of the cycled
-Jacobian product that `_orbit_frames` formed at every orbit point, and
-the `heteroclinic_minimizer` that descended every kink centering over
-its full window.  A grid of 16 q kink offsets is the oracle of the two
+Jacobian product that `_orbit_frames` formed at every orbit point, the
+`heteroclinic_minimizer` that descended every kink centering over its
+full window, and the one that descended a 50 q core and then the full
+window.  A grid of 16 q kink offsets is the oracle of the two
 symmetric ones.  The gradient is checked against central differences of
 `action`.  The oracles that descend share `_newton_minimize`.
 """
@@ -554,6 +555,66 @@ def old_heteroclinic_minimizer(gf, left, right, window):
     return tw.Configuration(x, "segment", right.p - left.p, left.q)
 
 
+def fixed_core_heteroclinic_minimizer(gf, left, right, window):
+    """`heteroclinic_minimizer` as it was before its core was sized from
+    the saddle multiplier: each centering descends a core of 50 q bonds
+    and then, from the core padded with the orbit values, the full window."""
+    q = left.q
+    L = window
+    idx = np.arange(-(L // 2), L - L // 2 + 1)
+    base_l, base_r = left.extended(idx), right.extended(idx)
+    n = len(idx) - 1
+    C = min(n, 50 * q)
+    lo = (n - C) // 2
+    spans = [(lo, lo + C), (0, n)] if C < n else [(0, n)]
+
+    def clamped(a, b):
+        return lambda xi: np.concatenate([[base_l[a]], xi, [base_r[b]]])
+
+    m = q + 1
+
+    def edge(e, a, b):
+        return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
+                   np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
+
+    best = None
+    saddles = core_saddles = core_skipped = 0
+    for centerings, offset in enumerate((0.5, 0.0), 1):
+        with np.errstate(over="ignore"):
+            blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
+        x = base_l + (base_r - base_l) * blend
+        for a, b in spans:
+            e, _, res, _, _, reach = tw._newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
+                                                         cyclic=False)
+            if res > tw.TOL:
+                break
+            core = b - a < n
+            if tw._clearly_indefinite(gf, e, tw.SADDLE_CURVATURE, cyclic=False):
+                saddles += 1
+                core_saddles += core
+                break
+            if core and edge(e, a, b) > tw.TAIL_TOL:
+                core_skipped += 1
+                continue
+            x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
+        else:
+            if best is None or reach < best[0]:
+                best = (reach, x, offset)
+            if reach <= tw.TAIL_TOL:
+                break
+    if best is None:
+        raise tw.NoConvergence("heteroclinic segment did not converge", residual=math.inf)
+    reach, x, offset = best
+    tail = edge(x, 0, n)
+    if tw._log.isEnabledFor(logging.DEBUG):
+        tw._log.debug("heteroclinic_minimizer window=%d core=%d offset=%s centerings=%d "
+                      "saddles=%d core_saddles=%d core_skipped=%d reach=%.3e edge=%.3e", window,
+                      C, offset, centerings, saddles, core_saddles, core_skipped, reach, tail)
+    if tail > tw.TAIL_TOL:
+        raise tw.TailNotSettled(f"window edge residual {tail:.2e} exceeds {tw.TAIL_TOL:.0e}")
+    return tw.Configuration(x, "segment", right.p - left.p, q)
+
+
 @functools.cache
 def minimizer(K, p, q):
     gf, _ = tw.standard_family(K)
@@ -603,6 +664,33 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
     assert new_offset == old_offset
     assert np.max(np.abs(new.x - old.x)) <= 1e-9
     assert abs(tw.action(gf, old) - tw.action(gf, new)) <= 1e-12
+
+
+def kink_summary(fn, gf, left, right, window, caplog):
+    """(segment, fields of the `heteroclinic_minimizer` record)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+        seg = fn(gf, left, right, window)
+    name, *pairs = caplog.records[-1].getMessage().split()
+    assert name == "heteroclinic_minimizer"
+    return seg, dict(pair.split("=") for pair in pairs)
+
+
+@pytest.mark.parametrize("window", [200, 400, 600, 800, 1000])
+@pytest.mark.parametrize("K", [round(0.68 + 0.02 * k, 2) for k in range(28)])
+def test_sized_core_matches_fixed_core_then_window(K, window, caplog):
+    """The (0,1) kink from a core sized from the saddle multiplier, with
+    no full-window descent after it, is the one that the 50-bond core and
+    the full-window descent after it reach: the same offset and centerings,
+    sites within 1e-13, and a full-window residual at round-off."""
+    gf, left = minimizer(K, 0, 1)
+    right = neighbour(left, 1)
+    old, old_f = kink_summary(fixed_core_heteroclinic_minimizer, gf, left, right, window, caplog)
+    new, new_f = kink_summary(tw.heteroclinic_minimizer, gf, left, right, window, caplog)
+    assert (new_f["offset"], new_f["centerings"]) == (old_f["offset"], old_f["centerings"])
+    assert new_f["full"] == "0" and int(new_f["core"]) < window
+    assert np.max(np.abs(new.x - old.x)) <= 1e-13
+    assert tw.criticality_residual(gf, new) <= 1e-14
 
 
 def neighbour(per, s):
