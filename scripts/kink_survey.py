@@ -11,12 +11,12 @@ descended, the full-window descents that ran after a core, the `reach`
 of the chosen centering (the largest entry of its last Newton step) and
 the sha256 of the assembled point set.  Core, offset, centerings, full
 and reach are read from the `heteroclinic_minimizer` DEBUG record and
-print as `-` when the call left none (no centering passed, say) or the
-record lacks the field.  The last lines give the count of each outcome
-and the summed `time.process_time` of the calls, DEBUG records
-included.  Two trees whose lines agree gave the same outcome, offset and
-point set on every call.  It writes no bytecode, so the checkout it
-reads stays clean.
+print as `-` when the call left none or the record lacks the field;
+when no centering passed, the record gives offset None and reach nan.
+The last lines give the count of each outcome and the summed
+`time.process_time` of the calls, DEBUG records included.  Two trees
+whose lines agree gave the same outcome, offset and point set on every
+call.  It writes no bytecode, so the checkout it reads stays clean.
 """
 
 import argparse

@@ -28,6 +28,14 @@ rounds by at most 2^-55, the two additions by 2^-53 and 2^-52, and the
 reduction mod 1 by 2^-54, so each angle lies within 2^-51 (about
 4.4e-16) of k(x) + j*{alpha_float} mod 1, whatever j is.  Stepping one
 map at a time instead rounds at every step, and its error grows with |j|.
+
+Arrays of angles are reduced mod 1 as x - floor(x) (`symbolic._mod1`),
+which gives the bits of np.mod(x, 1.0) at a fraction of its cost.  P
+looks an array of angles up in the sorted table in increasing order and
+scatters the positions back: the slots are those of a search in the
+given order, but an orbit's angles come in scattered order, and
+searching them as they come misses the cache and the branch predictor
+on nearly every angle.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import numpy as np
 
 from .errors import InvalidArgument, NotInMinimalSet, OutOfRange, RationalAlpha
 from .exact import as_real, is_exact
-from .symbolic import CentralWindow
+from .symbolic import CentralWindow, _mod1
 
 #: gap-length normalizer: sum over Z of 1/((|n|+1)(|n|+2)) = 3/2, so c = 1/3
 #: makes the total gap mass exactly 1/2.
@@ -50,6 +58,11 @@ GAP_NORMALIZER = Fraction(1, 3)
 
 #: bits of the head of alpha in the split angle products (module docstring)
 HEAD_BITS = 27
+#: largest cutoff `denjoy_build` accepts.  Its tables peak near 104 bytes
+#: an orbit index under tracemalloc, about 208 MiB at this cap; a larger
+#: cutoff raises InvalidArgument before anything is allocated.  `orbit`
+#: refuses every range once cutoff + |j| >= 2^(53 - HEAD_BITS) = 2^26
+MAX_CUTOFF = 2 ** 20
 
 _log = logging.getLogger(__name__)
 
@@ -82,7 +95,7 @@ class DenjoyMap:
         m = self.cutoff
         self.alpha_float = _float_value(self.alpha)
         ns = np.arange(-m, m + 1)
-        pos = np.mod(ns * self.alpha_float, 1.0)
+        pos = _mod1(ns * self.alpha_float)
         lens = float(GAP_NORMALIZER) / ((np.abs(ns) + 1.0) * (np.abs(ns) + 2.0))
         order = np.argsort(pos)
         self._pos = pos[order]
@@ -118,15 +131,25 @@ class DenjoyMap:
         the blown-up circle (left limit at orbit points, i.e. the gap's left
         endpoint).  A tiny negative angle, which reduces to 1.0, is taken as
         the angle 0; since _pos[0] = 0, every reduced angle then has a slot.
-        theta must be finite."""
+        theta must be finite.  An array is looked up in increasing order
+        (see the module docstring)."""
         if not np.isfinite(theta).all():
             raise InvalidArgument(f"angle {theta!r} is not finite")
-        theta = theta % 1.0                # a new array: the caller's is left as it is
-        theta = theta * (theta < 1.0)      # 1.0 -> 0.0; scalars stay scalars
+        theta = _mod1(theta)               # a new array: the caller's is left as it is
+        theta = theta * (theta < 1.0)      # 1.0 -> 0.0
+        if not theta.ndim:
+            return float(self._place(theta))
+        flat = theta.ravel()
+        order = flat.argsort()
+        pos = np.empty(flat.shape)
+        pos[order] = self._place(flat[order])
+        return pos.reshape(theta.shape)
+
+    def _place(self, theta):
+        """position_of_angle of reduced angles in [0, 1)."""
         j = self._pos.searchsorted(theta, "right") - 1
-        pos = np.where(self._pos[j] == theta, self._a[j],
-                       self._weight * theta + (self._cum[j] + self._len[j]))
-        return pos if pos.ndim else float(pos)
+        return np.where(self._pos[j] == theta, self._a[j],
+                        self._weight * theta + (self._cum[j] + self._len[j]))
 
     def _slot(self, x: float) -> tuple[int, bool]:
         """(j, in_gap): the sorted slot j of the last gap whose left end is
@@ -177,7 +200,7 @@ class DenjoyMap:
 
     def _turns(self, ks: np.ndarray) -> np.ndarray:
         """k*{alpha_float} up to an integer, in (-1/2, 3/2), for |k| < 2^26."""
-        return np.mod(ks * self._head, 1.0) + ks * self._tail
+        return _mod1(ks * self._head) + ks * self._tail
 
     def orbit(self, x: float, lo: int, hi: int) -> np.ndarray:
         """Positions h^j(x) for j = lo..hi, from the closed form of the
@@ -232,6 +255,8 @@ def denjoy_build(alpha, cutoff: int = 10 ** 4) -> DenjoyMap:
     exact arithmetic."""
     if cutoff < 10 ** 3:
         raise InvalidArgument("cutoff must be at least 10^3")
+    if cutoff > MAX_CUTOFF:
+        raise InvalidArgument(f"cutoff {cutoff} exceeds MAX_CUTOFF = {MAX_CUTOFF}")
     if is_exact(alpha):
         a = as_real(alpha)
         if a.is_rational:
@@ -249,7 +274,7 @@ def rotation_estimate(h: DenjoyMap, x: float, iterations: int) -> float:
     """Orbit average of the canonical lift: mean of (h(y) - y) mod 1."""
     if iterations < 1:
         raise InvalidArgument("iterations must be >= 1")
-    return float(np.sum(np.mod(np.diff(h.orbit(x, 0, iterations)), 1.0))) / iterations
+    return float(np.sum(_mod1(np.diff(h.orbit(x, 0, iterations))))) / iterations
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,22 @@ class FareyInterval:
 # coding symbols
 # ---------------------------------------------------------------------------
 
+def _mod1(x):
+    """x mod 1 as x - floor(x): bit for bit np.mod(x, 1.0), at about a
+    sixth of its cost on an array.
+
+    fmod(x, 1) = x - trunc(x) is exact.  numpy's remainder returns it
+    when it is positive, adds 1 to it once, rounding once, when it is
+    negative, and returns +0.0 when it is zero.  x - floor(x) is that
+    same number: for x >= 0 it is x - trunc(x), exact (floor(x) is 0 or
+    at least x/2, so Sterbenz's lemma applies); for a negative non-integer
+    floor(x) = trunc(x) - 1, and x - floor(x) rounds the exact sum
+    fmod(x, 1) + 1 once, as numpy does.  On an integer (every |x| >= 2^52,
+    and -0.0) it is x - x = +0.0; on +-inf both give NaN and raise the
+    invalid flag, and a NaN passes with its payload."""
+    return x - np.floor(x)
+
+
 def _symbol_exact(alpha: QuadReal, theta: QuadReal, k: int) -> int:
     if not (alpha.d and theta.d and alpha.d != theta.d):
         t = (theta + k * alpha).frac()
@@ -221,9 +237,10 @@ def _coding_array(alpha, theta, lo: int, hi: int) -> np.ndarray:
         ks = np.array([float(k) for k in range(lo, hi + 1)])
     else:
         ks = np.zeros(hi - lo + 1)    # no float value: every entry is flagged below
-    # the same operations, in the same order, as (theta + k*alpha) % 1.0
+    # the same operations, in the same order, as (theta + k*alpha) % 1.0,
+    # with the wrap as x - floor(x), which gives the same bits (`_mod1`)
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: nan, flagged
-        t = np.mod(tf + ks * af, 1.0)
+        t = _mod1(tf + ks * af)
         margin = np.minimum(np.minimum(t, 1.0 - t), np.abs(t - af))
         # |t - {theta + k alpha}| <= err_t + |k| err_a plus the rounding of k,
         # of the product, the sum and the wrap into [0, 1); alpha itself is
@@ -315,6 +332,20 @@ def agreement_radius(u: CentralWindow, v: CentralWindow) -> int | None:
 # suffix; then 0s0 and 1s1 are factors of length <= m + 1, and balance
 # fails there.  So complexity never exceeds n + 1 at a length below the
 # first one where balance fails.
+#
+# A coded window is balanced, and so is every prefix of it, so each has
+# at most n + 1 factors of length n.  When a prefix shows m + 1 factors of
+# length m, it holds every length-m factor of the window, and with them
+# every shorter one: a length-n factor of the window is a prefix of the
+# length-m factor at its start, or, within m symbols of the end, a
+# suffix of the last one.  So `factor_family` reads a coded window's
+# factors from a prefix: 4 m symbols first, doubled until the top level
+# holds m + 1 factors, and the whole window once the next prefix would
+# pass half of it.  The prefixes scanned before the whole window then sum
+# to at most its length, so the worst case, a window that lacks a
+# length-m factor (rational or near-rational slopes), costs at most two
+# full scans.  Every start found lies in the prefix and reads the same
+# word in the window.
 
 def _symbol_array(w: CentralWindow) -> np.ndarray:
     return np.frombuffer(w.word().encode("ascii"), dtype=np.uint8).astype(np.int64) - 48
@@ -356,10 +387,11 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.where(high > 0, np.frexp(high)[1] + 31, np.frexp(x)[1])
 
 
-def _factor_levels(w: CentralWindow, top: int,
-                   first: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+def _factor_levels(w: CentralWindow, top: int, first: int = 1,
+                   prefix: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """(n, starts) for n = first..top: one start of each distinct length-n
-    factor, in lexicographic order of the factors.
+    factor, in lexicographic order of the factors, of the window or, given
+    `prefix` (at least top), of its first `prefix` symbols.
 
     The lengths come in blocks of b <= 62 - bitlen(size) (61 in the first
     block).  A block packs the next b symbols after each start into a
@@ -370,12 +402,12 @@ def _factor_levels(w: CentralWindow, top: int,
     block starts from; a block that ends below `first` gives only those.
     Cost: O(L log L) per block plus O(distinct) per length read; memory
     O(L).  See the comment above `_symbol_array`.  A DEBUG record on this
-    module's logger gives the window length, top, the number of blocks
-    and the distinct keys of each block's sort."""
-    L = len(w)
-    if top > L:
-        raise WindowTooShort(f"window length {L} < factor length {top}")
-    s = _symbol_array(w)
+    module's logger gives the window length, the symbols scanned, top,
+    the number of blocks and the distinct keys of each block's sort."""
+    if top > len(w):
+        raise WindowTooShort(f"window length {len(w)} < factor length {top}")
+    s = _symbol_array(w)[:prefix]
+    L = len(s)
     lab = np.zeros(L + 1, dtype=np.int64)      # the empty factor, at 0..L
     size, n0 = 1, 0
     distinct = []
@@ -414,8 +446,8 @@ def _factor_levels(w: CentralWindow, top: int,
                 yield n0 + k, starts[a < k]
         n0 += b
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("factor_levels length=%d top=%d blocks=%d distinct=%s",
-                   L, top, len(distinct), ",".join(map(str, distinct)))
+        _log.debug("factor_levels length=%d scanned=%d top=%d blocks=%d distinct=%s",
+                   len(w), L, top, len(distinct), ",".join(map(str, distinct)))
 
 
 def _factor_set(word: str, n: int, starts: np.ndarray) -> FactorSet:
@@ -449,8 +481,22 @@ def balance_defect(w: CentralWindow, n: int) -> int:
 
 
 def factor_family(w: CentralWindow, max_length: int) -> dict[int, FactorSet]:
-    """Factor sets of every length 1..max_length."""
-    return {n: _factor_set(w.word(), n, starts) for n, starts in _factor_levels(w, max_length)}
+    """Factor sets of every length 1..max_length.  A window with the
+    `_coded` certificate is read from its shortest prefix, of 4 max_length
+    symbols doubled, that shows max_length + 1 factors of length
+    max_length, or from the whole window when the prefix would pass half
+    of it; the sets are the whole window's (see the comment above
+    `_symbol_array`)."""
+    L = len(w)
+    size = 4 * max_length if w._coded and max_length >= 1 else L
+    while True:
+        if 2 * size > L:
+            size = L
+        levels = list(_factor_levels(w, max_length, prefix=size))
+        if size == L or len(levels[-1][1]) == max_length + 1:
+            break
+        size *= 2
+    return {n: _factor_set(w.word(), n, starts) for n, starts in levels}
 
 
 # ---------------------------------------------------------------------------

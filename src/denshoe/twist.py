@@ -544,7 +544,10 @@ def heteroclinic_minimizer(
     site, the offset returned, the centerings descended, how many ended on
     a saddle and how many of those on the core, how many cores were too
     narrow for their kink, how many full-window descents ran after a core,
-    the reach returned and the edge residual."""
+    the reach returned and the edge residual.  It is written also when no
+    centering passes, with offset None and reach and edge nan, before
+    NoConvergence, which carries the smallest residual any descent
+    reached."""
     p, q = left.p, left.q
     if not (left.kind == right.kind == "periodic" and (p, q) == (right.p, right.q) and q >= 1
             and math.gcd(abs(p), q) == 1 and np.shape(left.x) == np.shape(right.x) == (q,)
@@ -576,6 +579,7 @@ def heteroclinic_minimizer(
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
     best = None     # (reach, sites, offset) of the passing centering with the shortest reach
+    best_res = math.inf
     saddles = core_saddles = core_skipped = full = 0
     for centerings, offset in enumerate((0.5, 0.0), 1):
         with np.errstate(over="ignore"):   # from 1780 bonds on; 1 / (1 + inf) = 0 is the limit
@@ -586,6 +590,7 @@ def heteroclinic_minimizer(
             if core or np.max(np.abs(_gradient(gf, x))) > TOL:
                 e, _, res, _, _, reach = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
                                                           cyclic=False)
+                best_res = min(best_res, res)
                 full += not core and C < n
                 if res > TOL:
                     break
@@ -604,15 +609,15 @@ def heteroclinic_minimizer(
                 best = (reach, x, offset)
             if reach <= TAIL_TOL:
                 break       # settled
-    if best is None:
-        raise NoConvergence("heteroclinic segment did not converge", residual=math.inf)
-    reach, x, offset = best
-    tail = edge(x, 0, n)
+    reach, x, offset = best or (math.nan, None, None)
+    tail = math.nan if x is None else edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("heteroclinic_minimizer window=%d core=%d rate=%.3e offset=%s centerings=%d "
                    "saddles=%d core_saddles=%d core_skipped=%d full=%d reach=%.3e edge=%.3e",
                    window, C, rate, offset, centerings, saddles, core_saddles, core_skipped, full,
                    reach, tail)
+    if best is None:
+        raise NoConvergence("heteroclinic segment did not converge", residual=best_res)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - p, q)

@@ -143,6 +143,21 @@ def test_heteroclinic_refuses_a_window_beyond_the_cap():
     assert peak < 2 ** 20
 
 
+def test_denjoy_build_refuses_a_cutoff_beyond_the_cap():
+    # a cutoff of 10^9 asked numpy for 14.9 GiB and raised a stray
+    # MemoryError; a cutoff above MAX_CUTOFF is refused before its tables exist
+    tracemalloc.start()
+    try:
+        for cutoff in (10 ** 9, ci.MAX_CUTOFF + 1):
+            with pytest.raises(InvalidArgument, match=f"MAX_CUTOFF = {ci.MAX_CUTOFF}"):
+                ci.denjoy_build(ALPHA_STAR, cutoff)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert ci.MAX_CUTOFF < 2 ** (53 - ci.HEAD_BITS)
+
+
 def test_heteroclinic_refuses_a_translate_that_is_not_a_neighbour():
     # the translate by 1 of a (1,2) orbit and the translate by 2 of the
     # (0,1) orbit each lie two kinks away

@@ -489,8 +489,9 @@ def test_factor_levels_record(caplog):
         distinct.append(size)
         n0 += b
     assert len(distinct) == 3 and len(fam) == top
-    assert record.getMessage() == (
-        f"factor_levels length=201 top={top} blocks=3 distinct={','.join(map(str, distinct))}")
+    # 4 top symbols would pass half the window: the scan reads all of it
+    assert record.getMessage() == (f"factor_levels length=201 scanned=201 top={top} blocks=3 "
+                                   f"distinct={','.join(map(str, distinct))}")
 
 
 def test_no_factor_levels_record_when_debug_is_off(caplog):

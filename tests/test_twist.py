@@ -636,6 +636,22 @@ class TestRecords:
         assert (f["offset"], f["centerings"], f["saddles"]) == ("0.0", "2", "0")
         assert f["reach"] == zero["reach"]
 
+    def test_record_comes_before_no_convergence(self, caplog):
+        # the minus connection at (2,9), K = 0.7, over 450 bonds (the core
+        # is the window): both centerings converge, each to a saddle, so
+        # none passes; the record is written with no offset, and the error
+        # carries the smaller of the two descents' residuals
+        gf, _ = tw.standard_family(0.7)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            with pytest.raises(NoConvergence) as err:
+                tw.assemble_am_set(gf, 2, 9, "minus")
+        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "449"
+        assert (f["window"], f["core"], f["full"], f["offset"]) == ("450", "450", "0", "None")
+        assert (f["centerings"], f["saddles"], f["reach"], f["edge"]) == ("2", "2", "nan", "nan")
+        residuals = [float(g["residual"]) for g in (half, zero)]
+        assert f"{err.value.residual:.3e}" == f"{min(residuals):.3e}"
+
     @pytest.mark.parametrize("K, p, q", [(1.0, 1, 2), (0.95, 1, 3)])
     def test_hyperbolicity_record(self, K, p, q, caplog):
         # (1,3) at K = 0.95 has trace 2.99 but fails all three cone
