@@ -10,9 +10,10 @@ TailNotSettled, the one whose tails were checked), the centerings
 descended, the full-window descents that ran after a core, the `reach`
 of the chosen centering (the largest entry of its last Newton step) and
 the sha256 of the assembled point set.  Core, offset, centerings, full
-and reach are read from the `heteroclinic_minimizer` DEBUG record and
-print as `-` when the call left none or the record lacks the field;
-when no centering passed, the record gives offset None and reach nan.
+and reach are the fields of the `heteroclinic_minimizer` DEBUG record,
+read from its `record.args` and printed in the record's own formats
+(`KINK`); they print as `-` when the call left no record, and when no
+centering passed the record gives offset None and reach nan.
 The last lines give the count of each outcome and the summed
 `time.process_time` of the calls, DEBUG records included.  Two trees
 whose lines agree gave the same outcome, offset and point set on every
@@ -33,19 +34,17 @@ KS = (0.5, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2, 1.3, 1.5, 1.75,
       3.0, 3.5)
 RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8), (1, 4), (2, 7), (3, 7), (3, 10), (7, 10),
              (5, 13), (4, 9), (1, 5), (2, 9), (5, 8), (4, 11), (5, 12), (8, 21), (1, 6), (3, 11))
+KINK = "core=%(core)d offset=%(offset)s centerings=%(centerings)d full=%(full)d reach=%(reach).3e"
 
 
 class LastKink(logging.Handler):
     """Keeps the fields of the last `heteroclinic_minimizer` record."""
 
-    def __init__(self):
-        super().__init__(logging.DEBUG)
-        self.fields = {}
+    fields = None
 
     def emit(self, record):
-        name, *pairs = record.getMessage().split()
-        if name == "heteroclinic_minimizer":
-            self.fields = dict(pair.split("=") for pair in pairs)
+        if record.msg.split()[0] == "heteroclinic_minimizer":
+            self.fields = record.args
 
 
 def main():
@@ -65,7 +64,7 @@ def main():
         gf, _ = twist.standard_family(K)
         for p, q in RATIONALS:
             for branch in ("plus", "minus"):
-                kink.fields = {}
+                kink.fields = None
                 t = time.process_time()
                 try:
                     am = twist.assemble_am_set(gf, p, q, branch)
@@ -76,11 +75,9 @@ def main():
                     digest = hashlib.sha256(am.points.tobytes()).hexdigest()
                 cpu += time.process_time() - t
                 outcomes[outcome] += 1
-                f = kink.fields
-                print(f"{K:<5} {p}/{q:<3} {branch:<5} {outcome:<15} "
-                      f"core={f.get('core', '-')} offset={f.get('offset', '-')} "
-                      f"centerings={f.get('centerings', '-')} full={f.get('full', '-')} "
-                      f"reach={f.get('reach', '-')} points={digest}")
+                fields = (KINK % kink.fields if kink.fields
+                          else "core=- offset=- centerings=- full=- reach=-")
+                print(f"{K:<5} {p}/{q:<3} {branch:<5} {outcome:<15} {fields} points={digest}")
     for outcome, n in sorted(outcomes.items()):
         print(f"{outcome:<15} {n:4d}")
     print(f"{'total':<15} {sum(outcomes.values()):4d} calls  {cpu:.2f} s")

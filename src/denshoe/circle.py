@@ -226,8 +226,10 @@ class DenjoyMap:
         if _log.isEnabledFor(logging.DEBUG):
             ci = coding_intervals(self)
             margin = float(np.min(np.abs(out[:, None] - [ci.mid0, ci.mid1])))
-            _log.debug("orbit points=%d gap_chain=%d past_cutoff=%d margin=%.3e",
-                       len(out), on_chain, past, margin)
+            _log.debug("orbit points=%(points)d gap_chain=%(gap_chain)d "
+                       "past_cutoff=%(past_cutoff)d margin=%(margin).3e",
+                       {"points": len(out), "gap_chain": on_chain, "past_cutoff": past,
+                        "margin": margin})
         return out
 
 

@@ -255,7 +255,8 @@ def _coding_array(alpha, theta, lo: int, hi: int) -> np.ndarray:
     for i in flagged:
         syms[i] = _symbol_exact(a, th, lo + i)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("coding_block k=%d..%d symbols=%d flagged=%d", lo, hi, len(t), len(flagged))
+        _log.debug("coding_block k=%(lo)d..%(hi)d symbols=%(symbols)d flagged=%(flagged)d",
+                   {"lo": lo, "hi": hi, "symbols": len(t), "flagged": len(flagged)})
     return syms
 
 
@@ -290,7 +291,7 @@ def agreement_radius(u: CentralWindow, v: CentralWindow) -> int | None:
 # One sort serves a block of up to 61 factor lengths.  With lab[i] a label
 # of the length-n0 factor that starts at i (below `size`, equal for equal
 # factors, ordered as the factors are), and code[i] the next b symbols
-# s[i+n0 .. i+n0+b-1] packed into b bits (first symbol highest, zeros past
+# s[i+n0 .. i+n0+b-1] packed into b bits (first symbol highest, ones past
 # the end of the window), the key lab[i] << b | code[i] orders the
 # length-(n0+b) factors lexicographically; b <= 62 - bitlen(size) keeps it
 # below 2**62.  The codes are built by shift-or doubling: the code of
@@ -298,26 +299,22 @@ def agreement_radius(u: CentralWindow, v: CentralWindow) -> int | None:
 # one at i + w.
 #
 # The block sorts the keys of every start i < L - n0 once (np.unique).
-# The last b - 1 of them are late: their codes hold only the L - n0 - i
-# symbols left, and a late key equal to an earlier one is the earlier
-# word cut short, so the first occurrence stands for both.  In the sorted
-# list the length-(n0+k) factor of an entry is the prefix key >> (b - k),
-# which is monotone in the key, so the distinct factors of length n0 + k
-# are the runs of equal prefixes among the entries still valid at k, and
-# the first entry of each run gives one start per factor, in
+# The last b - 1 starts are late: their codes hold only the v = L - n0 - i
+# symbols left, padded with ones, and a late key equal to an earlier one
+# is the earlier word cut short, so the first occurrence stands for both.
+# In the sorted list the length-(n0+k) factor of an entry is the prefix
+# key >> (b - k), monotone in the key, so the distinct factors of length
+# n0 + k are the runs of equal prefixes among the entries with v >= k,
+# and the first entry of each run gives one start per factor, in
 # lexicographic order.  An entry starts a run iff k exceeds a, the common
-# prefix of its code and the code before it (0 when their labels
-# differ), read from the highest bit of the two keys' xor.  When a late
-# start runs out of symbols it leaves the list, and the entry after it
-# takes the smaller of the two a's: the common prefix of sorted words
-# u <= v <= x is the shorter of those of (u, v) and (v, x).  Each length is
-# then one comparison and one gather.  The ranks from the sort (its
-# inverse), at the starts with all b symbols, are the labels that the
-# next block starts from, so any top <= L works.  The cost is one
-# O(L log L) sort and about log2(b) O(L) passes per block, plus
-# O(distinct) per length: on a Sturmian window, about n + 1 entries
-# instead of the L starts.  Memory is O(L): a few int64 arrays of
-# length L.
+# prefix of its code and the one before it (0 when their labels differ),
+# read from the highest bit of the keys' xor.  A late key is the largest
+# with its label and its v symbols, so the entry after it shares fewer
+# than v of them and starts a run once the late entry has left.  The
+# ranks from the sort (its inverse) at the full starts label the next
+# block, so any top <= L works.  Cost: one O(L log L) sort and about
+# log2(b) O(L) passes per block, plus O(distinct) per length (about n + 1
+# on a Sturmian window); memory: a few int64 arrays of length L.
 #
 # Balance needs no factors: with ones[j] the number of 1s among the first
 # j symbols, ones[n:] - ones[:-n] are the one-counts of the length-n
@@ -365,13 +362,13 @@ def _defect(ones: np.ndarray, n: int) -> int:
 
 def _codes(s: np.ndarray, b: int) -> np.ndarray:
     """The b-bit codes, first symbol highest, of s[i:i+b] for every i,
-    zero-padded past the end of s; 1 <= b <= 62."""
+    padded with ones past the end of s; 1 <= b <= 62."""
     width = 1
     while 2 * width <= b:
         width *= 2
     # the doublings read width - 1 entries past each start, the last step
-    # another width: pad s with 2 * width - 1 zeros
-    c = np.concatenate((s, np.zeros(2 * width - 1, dtype=np.int64)))
+    # another width: pad s with 2 * width - 1 ones
+    c = np.concatenate((s, np.ones(2 * width - 1, dtype=np.int64)))
     w = 1
     while w < width:
         c = c[:-w] << w | c[w:]
@@ -393,17 +390,10 @@ def _factor_levels(w: CentralWindow, top: int, first: int = 1,
     factor, in lexicographic order of the factors, of the window or, given
     `prefix` (at least top), of its first `prefix` symbols.
 
-    The lengths come in blocks of b <= 62 - bitlen(size) (61 in the first
-    block).  A block packs the next b symbols after each start into a
-    code, zero-padded where fewer are left, sorts the keys lab << b | code
-    once, and reads length n0 + k as the runs of the prefixes
-    key >> (b - k) among the entries valid to k, from the common prefixes
-    of neighbouring codes.  The sort's inverse gives the labels the next
-    block starts from; a block that ends below `first` gives only those.
-    Cost: O(L log L) per block plus O(distinct) per length read; memory
-    O(L).  See the comment above `_symbol_array`.  A DEBUG record on this
-    module's logger gives the window length, the symbols scanned, top,
-    the number of blocks and the distinct keys of each block's sort."""
+    One sort serves a block of up to 61 lengths (see the comment above
+    `_symbol_array`); a block that ends below `first` yields nothing.  A
+    DEBUG record gives the window length, the symbols scanned, top, the
+    number of blocks and the distinct keys of each block's sort."""
     if top > len(w):
         raise WindowTooShort(f"window length {len(w)} < factor length {top}")
     s = _symbol_array(w)[:prefix]
@@ -425,29 +415,14 @@ def _factor_levels(w: CentralWindow, top: int, first: int = 1,
         # the common prefix of its code and the one before it (0 when
         # their labels differ)
         a = np.concatenate(([0], np.maximum(b - _bit_length(keys[1:] ^ keys[:-1]), 0)))
-        late = np.flatnonzero(valid < b)
-        leaves = dict(zip(valid[late].tolist(), late.tolist()))
-        gone = set()
-        for k in range(1, b + 1):
-            p = leaves.get(k - 1)
-            if p is not None:
-                # the late start with k - 1 symbols leaves (a = b + 1 starts
-                # no run); the next entry still in now follows the one
-                # before it, and shares with it the shorter of the two
-                # prefixes
-                gone.add(p)
-                q = p + 1
-                while q in gone:
-                    q += 1
-                if q < len(a):
-                    a[q] = min(a[q], a[p])
-                a[p] = b + 1
-            if n0 + k >= first:
-                yield n0 + k, starts[a < k]
+        for k in range(max(1, first - n0), b + 1):
+            yield n0 + k, starts[(a < k) & (valid >= k)]
         n0 += b
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("factor_levels length=%d scanned=%d top=%d blocks=%d distinct=%s",
-                   len(w), L, top, len(distinct), ",".join(map(str, distinct)))
+        _log.debug("factor_levels length=%(length)d scanned=%(scanned)d top=%(top)d "
+                   "blocks=%(blocks)d distinct=%(distinct)s",
+                   {"length": len(w), "scanned": L, "top": top, "blocks": len(distinct),
+                    "distinct": distinct})
 
 
 def _factor_set(word: str, n: int, starts: np.ndarray) -> FactorSet:
@@ -690,10 +665,12 @@ def _farey_walk(w: CentralWindow) -> FareyInterval:
 
     lo, hi = Fraction(lo_p, lo_q), Fraction(hi_p, hi_q)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("estimate_rotation_interval validation=%s length=%d mediants=%d "
-                   "frequency=%d counts=%d stop=%s lo=%s hi=%s",
-                   "certified" if w._coded else "ran", L, tried, by_frequency, by_counts,
-                   stop, lo, hi)
+        _log.debug("estimate_rotation_interval validation=%(validation)s length=%(length)d "
+                   "mediants=%(mediants)d frequency=%(frequency)d counts=%(counts)d "
+                   "stop=%(stop)s lo=%(lo)s hi=%(hi)s",
+                   {"validation": "certified" if w._coded else "ran", "length": L,
+                    "mediants": tried, "frequency": by_frequency, "counts": by_counts,
+                    "stop": stop, "lo": lo, "hi": hi})
     if hi_p * L < (c0 - 1) * hi_q or lo_p * L > (c0 + 1) * lo_q:
         raise NotSturmian("frequency bound and factor refinement are inconsistent")
     return FareyInterval(lo, hi, periodic=periodic)

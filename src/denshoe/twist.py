@@ -390,9 +390,11 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
         tau *= 0.25
     res = float(np.max(np.abs(g)))
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("newton sites=%d cyclic=%d steps=%d refused=%d uphill=%d max_tau=%.3e "
-                   "residual=%.3e reach=%.3e", len(g), cyclic, steps, refused, uphill, max_tau,
-                   res, reach)
+        _log.debug("newton sites=%(sites)d cyclic=%(cyclic)d steps=%(steps)d "
+                   "refused=%(refused)d uphill=%(uphill)d max_tau=%(max_tau).3e "
+                   "residual=%(residual).3e reach=%(reach).3e",
+                   {"sites": len(g), "cyclic": cyclic, "steps": steps, "refused": refused,
+                    "uphill": uphill, "max_tau": max_tau, "residual": res, "reach": reach})
     return e, f, res, steps, refused, reach
 
 
@@ -436,7 +438,8 @@ def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
     else:
         c = None    # no start passed
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("minimize_periodic p=%d q=%d starts=%d offset=%s", p, q, starts, c)
+        _log.debug("minimize_periodic p=%(p)d q=%(q)d starts=%(starts)d offset=%(offset)s",
+                   {"p": p, "q": q, "starts": starts, "offset": c})
     if c is None:
         raise NoConvergence(f"no well-ordered critical ({p},{q}) configuration found",
                             residual=best_res)
@@ -547,7 +550,8 @@ def heteroclinic_minimizer(
     the reach returned and the edge residual.  It is written also when no
     centering passes, with offset None and reach and edge nan, before
     NoConvergence, which carries the smallest residual any descent
-    reached."""
+    reached; its message says so when every centering converged, each to
+    a saddle."""
     p, q = left.p, left.q
     if not (left.kind == right.kind == "periodic" and (p, q) == (right.p, right.q) and q >= 1
             and math.gcd(abs(p), q) == 1 and np.shape(left.x) == np.shape(right.x) == (q,)
@@ -612,12 +616,16 @@ def heteroclinic_minimizer(
     reach, x, offset = best or (math.nan, None, None)
     tail = math.nan if x is None else edge(x, 0, n)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("heteroclinic_minimizer window=%d core=%d rate=%.3e offset=%s centerings=%d "
-                   "saddles=%d core_saddles=%d core_skipped=%d full=%d reach=%.3e edge=%.3e",
-                   window, C, rate, offset, centerings, saddles, core_saddles, core_skipped, full,
-                   reach, tail)
+        _log.debug("heteroclinic_minimizer window=%(window)d core=%(core)d rate=%(rate).3e "
+                   "offset=%(offset)s centerings=%(centerings)d saddles=%(saddles)d "
+                   "core_saddles=%(core_saddles)d core_skipped=%(core_skipped)d full=%(full)d "
+                   "reach=%(reach).3e edge=%(edge).3e",
+                   {"window": window, "core": C, "rate": rate, "offset": offset,
+                    "centerings": centerings, "saddles": saddles, "core_saddles": core_saddles,
+                    "core_skipped": core_skipped, "full": full, "reach": reach, "edge": tail})
     if best is None:
-        raise NoConvergence("heteroclinic segment did not converge", residual=best_res)
+        raise NoConvergence("every kink centering converged to a saddle" if saddles == centerings
+                            else "heteroclinic segment did not converge", residual=best_res)
     if tail > TAIL_TOL:
         raise TailNotSettled(f"window edge residual {tail:.2e} exceeds {TAIL_TOL:.0e}")
     return Configuration(x, "segment", right.p - p, q)
@@ -753,9 +761,14 @@ def hyperbolicity_report(tm: TwistMapF, orbit: np.ndarray) -> HyperbolicityRepor
     cone_mu = min(g_fwd, g_bwd) if growth_ok else 0.0
     passed = (invariance_ok, growth_ok and g_fwd > 1.0, growth_ok and g_bwd > 1.0)
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("hyperbolicity_report q=%d trace=%.6e cone_m=%d cone_invariance_ratio=%.3e "
-                   "growth_forward=%.3e growth_backward=%.3e passed=%d,%d,%d", q, tr, cone_m,
-                   worst_ratio, g_fwd, g_bwd, *passed)
+        _log.debug("hyperbolicity_report q=%(q)d trace=%(trace).6e cone_m=%(cone_m)d "
+                   "cone_invariance_ratio=%(cone_invariance_ratio).3e "
+                   "growth_forward=%(growth_forward).3e growth_backward=%(growth_backward).3e "
+                   "passed=%(passed_invariance)d,%(passed_forward)d,%(passed_backward)d",
+                   {"q": q, "trace": tr, "cone_m": cone_m, "cone_invariance_ratio": worst_ratio,
+                    "growth_forward": g_fwd, "growth_backward": g_bwd,
+                    "passed_invariance": passed[0], "passed_forward": passed[1],
+                    "passed_backward": passed[2]})
 
     return HyperbolicityReport(
         trace=tr, lam=lam, mu=mu, frames=frames,

@@ -213,7 +213,8 @@ def cylinder_order(w: WdsSymbolic) -> CircularOrderGraph:
             raise DegenerateArc("coinciding arc boundaries (rational angle?)")
         steps += 1
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("cylinder_order depth=%d a=%d b=%d steps=%d", n, a, b, steps)
+        _log.debug("cylinder_order depth=%(depth)d a=%(a)d b=%(b)d steps=%(steps)d",
+                   {"depth": n, "a": a, "b": b, "steps": steps})
     dab = da + db
     k, p = n, QuadReal(0)
     ks, pts = [k], [p]
@@ -300,8 +301,10 @@ def graph_hausdorff(g1: CircularOrderGraph, g2: CircularOrderGraph) -> Fraction:
         else:
             hi = h - 1
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("graph_hausdorff depth=%d triples=%d/%d probes=%s matched=%d", n, len(t1),
-                   len(t2), ",".join("(%d,%d,%d)" % p for p in probes), lo)
+        _log.debug("graph_hausdorff depth=%(depth)d triples=%(triples1)d/%(triples2)d "
+                   "probes=%(probes)s matched=%(matched)d",
+                   {"depth": n, "triples1": len(t1), "triples2": len(t2), "probes": probes,
+                    "matched": lo})
     return Fraction(0) if lo >= n + 1 else Fraction(1, lo + 1)
 
 

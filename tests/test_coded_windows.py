@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from denshoe import circle
@@ -74,8 +74,8 @@ def fraction_walk(w):
                 hi_p, hi_q = mp, mq
 
         lo, hi = Fraction(lo_p, lo_q), Fraction(hi_p, hi_q)
-        record = (f"length={L} mediants={tried} frequency={by_frequency} counts={by_counts} "
-                  f"stop={stop} lo={lo} hi={hi}")
+        record = {"length": L, "mediants": tried, "frequency": by_frequency,
+                  "counts": by_counts, "stop": stop, "lo": lo, "hi": hi}
         if hi < freq_lo or lo > freq_hi:
             raise NotSturmian("frequency bound and factor refinement are inconsistent")
     except NotSturmian as e:
@@ -91,32 +91,19 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-class Records(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.DEBUG)
-        self.messages = []
-
-    def emit(self, record):
-        self.messages.append(record.getMessage())
-
-
-def integer_walk(w):
-    """`_farey_walk` with its DEBUG record, as `fraction_walk` returns it."""
-    log = logging.getLogger("denshoe.symbolic")
-    handler, level = Records(), log.level
-    log.addHandler(handler)
-    log.setLevel(logging.DEBUG)
-    try:
+def integer_walk(w, caplog):
+    """`_farey_walk` with its DEBUG record, as `fraction_walk` returns it;
+    `caplog` is cleared first, as it is not reset between the examples of
+    a hypothesis test."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         got = outcome(sy._farey_walk, w)
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
     if isinstance(got, tuple):
         return got
-    (message,) = [m for m in handler.messages if m.startswith("estimate_rotation_interval")]
-    _, validation, rest = message.split(" ", 2)
-    assert validation == ("validation=certified" if w._coded else "validation=ran")
-    return got, rest
+    (fields,) = [dict(r.args) for r in caplog.records
+                 if r.msg.split()[0] == "estimate_rotation_interval"]
+    assert fields.pop("validation") == ("certified" if w._coded else "ran")
+    return got, fields
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +211,9 @@ def test_estimate_record_says_which_validation(caplog):
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         a = sy.estimate_rotation_interval(w)
         b = sy.estimate_rotation_interval(sy.CentralWindow(300, w.symbols))
-    fields = [r.getMessage().split()[1] for r in caplog.records
-              if r.getMessage().startswith("estimate_rotation_interval")]
-    assert fields == ["validation=certified", "validation=ran"] and a == b
+    fields = [r.args["validation"] for r in caplog.records
+              if r.msg.split()[0] == "estimate_rotation_interval"]
+    assert fields == ["certified", "ran"] and a == b
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +236,19 @@ def flipped_windows(draw):
     return sy.CentralWindow(len(syms) // 2, tuple(syms))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.one_of(coded_windows(), random_windows(), flipped_windows()))
-def test_integer_walk_matches_fraction_walk(w):
+def test_integer_walk_matches_fraction_walk(caplog, w):
     """The same interval and the same DEBUG fields, or the same error."""
-    assert integer_walk(w) == fraction_walk(w)
+    assert integer_walk(w, caplog) == fraction_walk(w)
 
 
 @pytest.mark.parametrize("word", ["0", "1", "0" * 2401, "1" * 2401, "01" * 600 + "0",
                                   "011" * 20 + "0", "1" * 1000 + "0" + "1" * 1000],
                          ids=["0", "1", "zeros", "ones", "01", "011", "one-zero"])
-def test_integer_walk_on_edge_windows(word):
+def test_integer_walk_on_edge_windows(word, caplog):
     """Constant windows (frequency bounds clipped to 0 and 1), periodic
     ones, and one 0 in 2001 symbols."""
-    assert integer_walk(sy.CentralWindow.from_word(word)) == \
-        fraction_walk(sy.CentralWindow.from_word(word))
+    w = sy.CentralWindow.from_word(word)
+    assert integer_walk(w, caplog) == fraction_walk(w)

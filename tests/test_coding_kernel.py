@@ -129,7 +129,7 @@ def test_float_kernel_matches_per_symbol_path(data, caplog):
     # the entries settled exactly take in every exact hit of an arc end,
     # and none whose float margin is clear of the float pass's rounding
     # (its bound stays below 1e-10 up to radius 5000)
-    flagged = int(caplog.records[-1].getMessage().rpartition("flagged=")[2])
+    flagged = caplog.records[-1].args["flagged"]
     points = [binary_rational_point(alpha, theta, k) for k in ks]
     hits = sum(t == 0 or t == Fraction(alpha) for t in points)
     near = sum(min(t, 1 - t, abs(t - alpha)) <= 1e-9

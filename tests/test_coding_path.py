@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -145,32 +145,15 @@ def outcome(f, *args):
         return type(e), str(e)
 
 
-class Scans(logging.Handler):
-    """While entered, keeps (length, scanned) of each factor_levels record
-    in `seen`; a context manager, as a `caplog` is not reset between the
+def scanned(caplog, f, *args):
+    """f's outcome, and (length, scanned) of each factor_levels record it
+    wrote; `caplog` is cleared first, as it is not reset between the
     examples of a hypothesis test."""
-
-    log = logging.getLogger("denshoe.symbolic")
-
-    def __init__(self):
-        super().__init__(logging.DEBUG)
-        self.seen = []
-
-    def emit(self, record):
-        name, *pairs = record.getMessage().split()
-        if name == "factor_levels":
-            f = dict(pair.split("=") for pair in pairs)
-            self.seen.append((int(f["length"]), int(f["scanned"])))
-
-    def __enter__(self):
-        self.level = self.log.level
-        self.log.addHandler(self)
-        self.log.setLevel(logging.DEBUG)
-        return self
-
-    def __exit__(self, *exc):
-        self.log.removeHandler(self)
-        self.log.setLevel(self.level)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
+        got = outcome(f, *args)
+    return got, [(r.args["length"], r.args["scanned"]) for r in caplog.records
+                 if r.msg.split()[0] == "factor_levels"]
 
 
 # angles with a large partial quotient (near 1/4, 1/3, 2/5 and 0) leave
@@ -183,14 +166,13 @@ alphas = st.one_of(exact_alphas, st.sampled_from(NEAR_RATIONAL),
 thetas = st.one_of(st.fractions(0, 1, max_denominator=4099), st.floats(-2, 2))
 
 
-@PROPERTY
+@settings(PROPERTY, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(alpha=alphas, theta=thetas, radius=st.integers(0, 1500), m=st.integers(1, 90))
 @example(alpha=QuadReal(-40, 18, 5), theta=Fraction(1, 7), radius=1500, m=41)
 @example(alpha=Fraction(2, 7), theta=Fraction(1, 3), radius=1500, m=41)
-def test_prefix_family_is_the_full_family(alpha, theta, radius, m):
+def test_prefix_family_is_the_full_family(caplog, alpha, theta, radius, m):
     w = sy.sturmian_window(alpha, theta, radius)
-    with Scans() as scans:
-        got = outcome(sy.factor_family, w, m)
+    got, seen = scanned(caplog, sy.factor_family, w, m)
     assert got == outcome(old_factor_family, w, m)
     if m > len(w):
         return
@@ -198,29 +180,27 @@ def test_prefix_family_is_the_full_family(alpha, theta, radius, m):
     # m + 1 factors of length m or is the whole window; the worst case
     # reads the window at most twice
     L = len(w)
-    sizes = [s for length, s in scans.seen if length == L]
+    sizes = [s for length, s in seen if length == L]
     assert sizes and sum(sizes) <= 2 * L
     assert all(b == 2 * a for a, b in zip(sizes, sizes[1:-1]))
     assert sizes[0] in (4 * m, L) and (sizes[-1] == L or len(got[m]) == m + 1)
 
 
-def test_prefix_grows_to_the_window_when_a_factor_is_missing():
+def test_prefix_grows_to_the_window_when_a_factor_is_missing(caplog):
     # slope 2/7 has 7 factors of each length from 7 on, never 42, so the
     # scan doubles to 1312 symbols and then reads all 3001
     w = sy.sturmian_window(Fraction(2, 7), Fraction(1, 3), 1500)
-    with Scans() as scans:
-        fam = sy.factor_family(w, 41)
-    assert scans.seen == [(3001, s) for s in (164, 328, 656, 1312, 3001)]
+    fam, seen = scanned(caplog, sy.factor_family, w, 41)
+    assert seen == [(3001, s) for s in (164, 328, 656, 1312, 3001)]
     assert fam == old_factor_family(w, 41) and len(fam[41]) == 7
 
 
-def test_prefix_of_a_sturmian_window():
+def test_prefix_of_a_sturmian_window(caplog):
     # the workload's shape: every length-41 factor of a radius-3000 window
     # of 1/sqrt(2)'s fractional part shows within its first 164 symbols
     w = sy.sturmian_window(ALPHA_STAR, Fraction(1, 7), 3000)
-    with Scans() as scans:
-        fam = sy.factor_family(w, 41)
-    assert scans.seen == [(6001, 164)]
+    fam, seen = scanned(caplog, sy.factor_family, w, 41)
+    assert seen == [(6001, 164)]
     assert fam == old_factor_family(w, 41)
 
 
@@ -233,9 +213,8 @@ def test_family_edge_lengths(alpha, radius):
         assert outcome(sy.factor_family, w, m) == outcome(old_factor_family, w, m), m
 
 
-def test_uncoded_windows_keep_the_full_scan():
+def test_uncoded_windows_keep_the_full_scan(caplog):
     w = sy.sturmian_window(ALPHA_STAR, Fraction(1, 7), 300)
-    plain = sy.CentralWindow.from_word(w.word())
-    with Scans() as scans:
-        assert sy.factor_family(plain, 41) == sy.factor_family(w, 41)
-    assert scans.seen == [(601, 601), (601, 164)]
+    full, full_seen = scanned(caplog, sy.factor_family, sy.CentralWindow.from_word(w.word()), 41)
+    prefix, prefix_seen = scanned(caplog, sy.factor_family, w, 41)
+    assert full == prefix and full_seen + prefix_seen == [(601, 601), (601, 164)]

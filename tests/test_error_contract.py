@@ -20,7 +20,7 @@ from denshoe import circle as ci
 from denshoe import symbolic as sy
 from denshoe import twist as tw
 from denshoe import wdsfamily as wf
-from denshoe.errors import DenshoeError, InvalidArgument, OutOfRange
+from denshoe.errors import DenshoeError, InvalidArgument, NoConvergence, OutOfRange
 from denshoe.exact import (ALPHA_STAR, MAX_DISCRIMINANT, QuadReal, as_real, continued_fraction,
                            convergents)
 
@@ -167,6 +167,19 @@ def test_heteroclinic_refuses_a_translate_that_is_not_a_neighbour():
         right = tw.Configuration(left.x + b, "periodic", p, q)
         with pytest.raises(InvalidArgument, match="endpoints"):
             tw.heteroclinic_minimizer(gf, left, right, 100)
+
+
+def test_kink_says_when_a_descent_stops_above_tol(monkeypatch):
+    # with no Newton step the (0,1) kink descent ends far above TOL: the
+    # error says it did not converge, not that it reached a saddle
+    gf, _ = tw.standard_family(0.7)
+    left = tw.minimize_periodic(gf, 0, 1)
+    newton = tw._newton_minimize
+    monkeypatch.setattr(tw, "_newton_minimize",
+                        lambda gf, pad, x0, max_iter, cyclic: newton(gf, pad, x0, 0, cyclic))
+    with pytest.raises(NoConvergence, match="^heteroclinic segment did not converge$") as err:
+        tw.heteroclinic_minimizer(gf, left, tw.Configuration(left.x + 1, "periodic", 0, 1), 60)
+    assert err.value.residual > tw.TOL
 
 
 def test_saddle_test_refuses_a_product_beyond_the_float_range():

@@ -267,7 +267,7 @@ def test_block_kernel_matches_label_loop(w):
     "0" * 141, "1" * 141, "01" * 70 + "0",
     "1" + "0" * 140, "0110100110010110" * 4 + "1" * 77, "1011" * 17 + "0" * 73])
 def test_block_kernel_on_windows_ending_in_a_run(word):
-    """The late starts' codes, zero-padded, tie with each other and with
+    """The late starts' codes, padded with ones, tie with each other and with
     full keys, and the late entries that stay each leave the sorted list
     at their own length."""
     w = sy.CentralWindow.from_word(word)
@@ -439,12 +439,10 @@ def test_walk_record(caplog):
     w = sy.sturmian_window(ALPHA_STAR, 0, 1000)
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         iv = sy.estimate_rotation_interval(w)
-    (record,) = [r for r in caplog.records if r.getMessage().startswith("estimate_rotation")]
-    msg = record.getMessage()
-    fields = dict(kv.split("=") for kv in msg.split()[1:])
-    assert fields["length"] == "2001" and fields["stop"] == "target_width"
-    assert int(fields["frequency"]) + int(fields["counts"]) == int(fields["mediants"]) > 0
-    assert Fraction(fields["lo"]) == iv.lo and Fraction(fields["hi"]) == iv.hi
+    (fields,) = [r.args for r in caplog.records if r.msg.split()[0] == "estimate_rotation_interval"]
+    assert fields["length"] == 2001 and fields["stop"] == "target_width"
+    assert fields["frequency"] + fields["counts"] == fields["mediants"] > 0
+    assert fields["lo"] == iv.lo and fields["hi"] == iv.hi
 
 
 def test_walk_record_language_cap(caplog):
@@ -454,7 +452,7 @@ def test_walk_record_language_cap(caplog):
     w = sy.sturmian_window(QuadReal(-648, 180, 13), 0, 1000)
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         iv = sy.estimate_rotation_interval(w)
-    assert " stop=language_cap " in caplog.records[-1].getMessage()
+    assert caplog.records[-1].args["stop"] == "language_cap"
     assert iv.width > sy.TARGET_WIDTH and iv == old_estimate_rotation_interval(w)
 
 
@@ -464,7 +462,7 @@ def test_walk_record_undecided(caplog):
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         iv = sy.estimate_rotation_interval(w)
     assert Fraction(1, 3) in iv
-    assert " stop=undecided " in caplog.records[-1].getMessage()
+    assert caplog.records[-1].args["stop"] == "undecided"
 
 
 def test_no_walk_record_when_debug_is_off(caplog):
@@ -477,21 +475,21 @@ def test_factor_levels_record(caplog):
     w, top = sy.sturmian_window(ALPHA_STAR, 0, 100), 150
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         fam = sy.factor_family(w, top)
-    (record,) = [r for r in caplog.records if r.getMessage().startswith("factor_levels")]
+    (record,) = [r for r in caplog.records if r.msg.split()[0] == "factor_levels"]
     # a block of b <= 62 - bitlen(size) lengths sorts the words of length
-    # n0 + b at every start i < L - n0, zero-padded past the end; the
+    # n0 + b at every start i < L - n0, padded with ones past the end; the
     # first block takes 61 lengths
     word = w.word()
     n0, size, distinct = 0, 1, []
     while n0 < top:
         b = min(62 - size.bit_length(), top - n0)
-        size = len({(word + "0" * b)[i:i + n0 + b] for i in range(len(word) - n0)})
+        size = len({(word + "1" * b)[i:i + n0 + b] for i in range(len(word) - n0)})
         distinct.append(size)
         n0 += b
-    assert len(distinct) == 3 and len(fam) == top
+    assert len(distinct) == 3 and distinct[0] == 120 and len(fam) == top
     # 4 top symbols would pass half the window: the scan reads all of it
     assert record.getMessage() == (f"factor_levels length=201 scanned=201 top={top} blocks=3 "
-                                   f"distinct={','.join(map(str, distinct))}")
+                                   f"distinct={distinct}")
 
 
 def test_no_factor_levels_record_when_debug_is_off(caplog):

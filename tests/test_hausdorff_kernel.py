@@ -7,7 +7,6 @@ memory, so it runs only to depth 8.
 """
 
 import logging
-import re
 import tracemalloc
 from fractions import Fraction
 
@@ -170,16 +169,15 @@ def test_debug_record_reports_levels(caplog):
     with caplog.at_level(logging.DEBUG, logger="denshoe.wdsfamily"):
         value = wf.graph_hausdorff(g, g2)
     (record,) = caplog.records
-    fields = re.fullmatch(
-        r"graph_hausdorff depth=6 triples=1092/1092 probes=((?:\(\d+,[01],[01]\),?)+) "
-        r"matched=(\d+)", record.getMessage())
-    assert fields is not None
-    probes = [tuple(map(int, p.split(","))) for p in re.findall(r"\(([\d,]+)\)", fields[1])]
+    fields = record.args
+    assert record.msg.split()[0] == "graph_hausdorff"
+    assert (fields["depth"], fields["triples1"], fields["triples2"]) == (6, 1092, 1092)
+    probes = fields["probes"]
     direct, reverse = pairwise_levels(g, g2)
     assert 1 <= len(probes) <= 3                     # bisection of 0..7
     for h, d, r in probes:
         assert (d, r) == (int(h <= direct), int(h <= reverse)), h
-    assert int(fields[2]) == max(direct, reverse)
+    assert fields["matched"] == max(direct, reverse)
     assert value == Fraction(1, max(direct, reverse) + 1)
 
 

@@ -73,9 +73,10 @@ def test_symmetric_starts_reach_the_multi_start_minimum(K, caplog):
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             cfg = tw.minimize_periodic(gf, p, q)
-        run, call = [r.getMessage() for r in caplog.records]
-        assert call.startswith(f"minimize_periodic p={p} q={q} starts=1 "), call
-        assert run.startswith("newton ") and float(run.split("max_tau=")[1].split()[0]) <= 10.0
+        run, call = caplog.records
+        assert call.msg.split()[0] == "minimize_periodic", call.msg
+        assert (call.args["p"], call.args["q"], call.args["starts"]) == (p, q, 1), call.args
+        assert run.msg.split()[0] == "newton" and run.args["max_tau"] <= 10.0
         assert cfg.well_ordered and tw.check_well_ordered(cfg), (p, q)
         assert tw.criticality_residual(gf, cfg) <= tw.TOL, (p, q)
         assert tw.action(gf, cfg) <= tw.action(gf, multi_start(gf, p, q)) + 1e-12, (p, q)

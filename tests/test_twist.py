@@ -150,8 +150,8 @@ class TestMinimizePeriodic:
             assert (cfg.p, cfg.q) == (p, q) and cfg.well_ordered
             assert tw.criticality_residual(gf, cfg) <= 1e-15
             assert cfg.x == pytest.approx(np.arange(q) * (p / q) + 0.5 / q, abs=1e-15)
-            summary = fields(caplog.records[-1].getMessage())[1]
-            assert summary["starts"] == "1" and float(summary["offset"]) == 0.5 / q
+            summary = caplog.records[-1].args
+            assert summary["starts"] == 1 and summary["offset"] == 0.5 / q
 
     def test_second_start_when_the_first_is_not_well_ordered(self, caplog):
         # at K = 7 the (13,28) descent from the ramp c = 1/(2q) ends within
@@ -183,8 +183,8 @@ class TestMinimizePeriodic:
         gf, _ = tw.standard_family(3.0)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.minimize_periodic(gf, 1, 4)
-        *runs, _ = [fields(r.getMessage())[1] for r in caplog.records]
-        assert all(float(f["residual"]) <= tw.TOL and int(f["steps"]) < 500 for f in runs)
+        *runs, _ = [r.args for r in caplog.records]
+        assert all(f["residual"] <= tw.TOL and f["steps"] < 500 for f in runs)
 
     def test_one_two(self, family):
         gf, _ = family
@@ -308,9 +308,9 @@ class TestHeteroclinic:
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             with pytest.raises(TailNotSettled, match="1.67e-02"):
                 tw.heteroclinic_minimizer(gf, left, right, 60)
-        (_, run), (name, f) = [fields(r.getMessage()) for r in caplog.records][-2:]
-        assert name == "heteroclinic_minimizer" and run["sites"] == "59"
-        assert (f["core"], f["full"], f["centerings"]) == ("60", "0", "1")
+        (_, run), (name, f) = records(caplog)[-2:]
+        assert name == "heteroclinic_minimizer" and run["sites"] == 59
+        assert (f["core"], f["full"], f["centerings"]) == (60, 0, 1)
 
 
 class TestHyperbolicity:
@@ -480,10 +480,9 @@ class TestAubryMather:
         assert err.value.residual is not None and err.value.residual > 0
 
 
-def fields(message):
-    """(name, {key: value}) of a record's message."""
-    name, *pairs = message.split()
-    return name, dict(pair.split("=") for pair in pairs)
+def records(caplog):
+    """(leading word, fields) of each record caught."""
+    return [(r.msg.split()[0], r.args) for r in caplog.records]
 
 
 class TestRecords:
@@ -491,15 +490,15 @@ class TestRecords:
         gf, _ = family
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.minimize_periodic(gf, 2, 5)
-        *runs, (name, summary) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "minimize_periodic" and (summary["p"], summary["q"]) == ("2", "5")
+        *runs, (name, summary) = records(caplog)
+        assert name == "minimize_periodic" and (summary["p"], summary["q"]) == (2, 5)
         assert {n for n, _ in runs} == {"newton"}
-        assert all(f["sites"] == "5" and f["cyclic"] == "1" for _, f in runs)
+        assert all(f["sites"] == 5 and f["cyclic"] == 1 for _, f in runs)
         # the first ramp, c = 1/(2q), descends with steps to the minimizer
         # and passes, so the second is not descended
         ((_, run),) = runs
-        assert int(summary["starts"]) == 1 and float(summary["offset"]) == 0.1
-        assert float(run["residual"]) <= tw.TOL and run["steps"] != "0"
+        assert summary["starts"] == 1 and summary["offset"] == 0.1
+        assert run["residual"] <= tw.TOL and run["steps"] != 0
         # the second ramp, c = 0, descends with steps to the minimax, which
         # would not pass: its Hessian is clearly indefinite
         e, _, res, steps, _, _ = tw._newton_minimize(gf, lambda x: tw._pad(x, 2),
@@ -516,12 +515,12 @@ class TestRecords:
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             cfg = tw.minimize_periodic(gf, 0, 1)
             e = tw._newton_minimize(gf, lambda x: tw._pad(x, 0), [0.0], 500, cyclic=True)[0]
-        run, summary, maximum = [r.getMessage() for r in caplog.records]
-        assert maximum == ("newton sites=1 cyclic=1 steps=0 refused=1 uphill=0 "
-                           "max_tau=0.000e+00 residual=0.000e+00 reach=inf")
+        run, summary, maximum = caplog.records
+        assert maximum.getMessage() == ("newton sites=1 cyclic=1 steps=0 refused=1 uphill=0 "
+                                        "max_tau=0.000e+00 residual=0.000e+00 reach=inf")
         assert tw._clearly_indefinite(gf, e, tw.NEGATIVE_CURVATURE, cyclic=True)
-        assert run.startswith("newton sites=1 ") and summary == (
-            "minimize_periodic p=0 q=1 starts=1 offset=0.5")
+        assert run.msg.split()[0] == "newton" and run.args["sites"] == 1
+        assert summary.getMessage() == "minimize_periodic p=0 q=1 starts=1 offset=0.5"
         assert cfg.x.tolist() == [0.5]
 
     def test_heteroclinic_record(self, family, caplog):
@@ -537,19 +536,19 @@ class TestRecords:
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
                 seg = tw.heteroclinic_minimizer(gf, left, right, window)
-            (n, run), (name, f) = [fields(r.getMessage()) for r in caplog.records]
-            assert name == "heteroclinic_minimizer" and f["window"] == str(window)
-            assert (f["core"], f["rate"], f["full"]) == (str(core), f"{math.acosh(1.5):.3e}", "0")
-            assert n == "newton" and run["sites"] == str(core - 1) and run["cyclic"] == "0"
+            (n, run), (name, f) = records(caplog)
+            assert name == "heteroclinic_minimizer" and f["window"] == window
+            assert (f["core"], f"{f['rate']:.3e}", f["full"]) == (core, f"{math.acosh(1.5):.3e}", 0)
+            assert n == "newton" and run["sites"] == core - 1 and run["cyclic"] == 0
             # the first centering, offset 0.5, settles, so it is the only one
-            assert (f["centerings"], f["offset"], f["saddles"]) == ("1", "0.5", "0")
-            assert (f["core_saddles"], f["core_skipped"]) == ("0", "0")
-            assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == run["reach"]
+            assert (f["centerings"], f["offset"], f["saddles"]) == (1, 0.5, 0)
+            assert (f["core_saddles"], f["core_skipped"]) == (0, 0)
+            assert f["reach"] <= tw.TAIL_TOL and f["reach"] == run["reach"]
             assert tw.criticality_residual(gf, seg) <= tw.TOL
             idx = np.arange(-(window // 2), window - window // 2 + 1)
             edge = max(np.max(np.abs(seg.x[:2] - left.extended(idx[:2]))),
                        np.max(np.abs(seg.x[-2:] - right.extended(idx[-2:]))))
-            assert f["edge"] == f"{edge:.3e}"
+            assert f"{f['edge']:.3e}" == f"{edge:.3e}"
 
     @pytest.mark.parametrize("branch", ["plus", "minus"])
     def test_offset_half_wins_after_polishing(self, branch, caplog):
@@ -558,10 +557,10 @@ class TestRecords:
         gf, _ = tw.standard_family(1.0)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, 2, 5, branch)
-        *_, (_, half), (name, f) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "heteroclinic_minimizer" and f["window"] == "250" and f["offset"] == "0.5"
-        assert half["sites"] == "249" and f["centerings"] == "1"
-        assert float(half["residual"]) <= tw.TOL and float(half["reach"]) <= tw.TAIL_TOL
+        *_, (_, half), (name, f) = records(caplog)
+        assert name == "heteroclinic_minimizer" and f["window"] == 250 and f["offset"] == 0.5
+        assert half["sites"] == 249 and f["centerings"] == 1
+        assert half["residual"] <= tw.TOL and half["reach"] <= tw.TAIL_TOL
 
     @pytest.mark.parametrize("K, p, q", [(1.2, 2, 7), (3.0, 1, 4)])
     def test_kink_descents_settle_before_the_cap(self, K, p, q, caplog):
@@ -573,12 +572,11 @@ class TestRecords:
         gf, _ = tw.standard_family(K)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, p, q, "plus")
-        kinks = [f for name, f in map(fields, (r.getMessage() for r in caplog.records))
-                 if name == "newton" and f["cyclic"] == "0"]
+        kinks = [f for name, f in records(caplog) if name == "newton" and f["cyclic"] == 0]
         assert len(kinks) == 1
         for f in kinks:
-            assert float(f["residual"]) <= tw.TOL and int(f["steps"]) < 400
-            assert int(f["uphill"]) <= 2 and float(f["max_tau"]) <= 10.0
+            assert f["residual"] <= tw.TOL and f["steps"] < 400
+            assert f["uphill"] <= 2 and f["max_tau"] <= 10.0
 
     def test_lower_action_settles_a_soft_kink(self, caplog):
         # the plus connection of `assemble_am_set` at (7,10), K = 0.8, over
@@ -590,11 +588,11 @@ class TestRecords:
         target = tw.Configuration(per.extended(np.arange(10) + 3) - 2, "periodic", 7, 10)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             seg = tw.heteroclinic_minimizer(gf, per, target, 500)
-        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "499"
-        assert 1e-12 < float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= 1e-12
-        assert float(half["reach"]) > tw.TAIL_TOL and float(zero["reach"]) <= tw.TAIL_TOL
-        assert (f["offset"], f["centerings"], f["reach"]) == ("0.0", "2", zero["reach"])
+        *_, (_, half), (_, zero), (name, f) = records(caplog)
+        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == 499
+        assert 1e-12 < half["residual"] <= tw.TOL and zero["residual"] <= 1e-12
+        assert half["reach"] > tw.TAIL_TOL and zero["reach"] <= tw.TAIL_TOL
+        assert (f["offset"], f["centerings"], f["reach"]) == (0.0, 2, zero["reach"])
         assert tw.criticality_residual(gf, seg) <= 1e-12
         hessian = (np.diag(2 - 0.8 * np.cos(2 * np.pi * seg.x[1:-1]))
                    - np.eye(499, k=1) - np.eye(499, k=-1))
@@ -614,12 +612,12 @@ class TestRecords:
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.heteroclinic_minimizer(gf, left, right, window)
-        *runs, (name, f) = [fields(r.getMessage()) for r in caplog.records]
+        *runs, (name, f) = records(caplog)
         assert name == "heteroclinic_minimizer"
-        assert [g["sites"] for _, g in runs] == [str(core - 1)]
-        assert (f["core"], f["full"]) == (str(core), "0")
-        assert (f["centerings"], f["offset"], f["saddles"]) == ("1", "0.5", "0")
-        assert float(f["reach"]) <= tw.TAIL_TOL and f["reach"] == runs[-1][1]["reach"]
+        assert [g["sites"] for _, g in runs] == [core - 1]
+        assert (f["core"], f["full"]) == (core, 0)
+        assert (f["centerings"], f["offset"], f["saddles"]) == (1, 0.5, 0)
+        assert f["reach"] <= tw.TAIL_TOL and f["reach"] == runs[-1][1]["reach"]
 
     def test_shortest_reach_wins_when_no_centering_settles(self, caplog):
         # the plus connection at (2,7), K = 0.75, over 350 bonds (the core
@@ -629,28 +627,29 @@ class TestRecords:
         gf, _ = tw.standard_family(0.75)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             tw.assemble_am_set(gf, 2, 7, "plus")
-        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "349"
-        assert float(half["residual"]) <= tw.TOL and float(zero["residual"]) <= tw.TOL
-        assert tw.TAIL_TOL < float(zero["reach"]) < float(half["reach"])
-        assert (f["offset"], f["centerings"], f["saddles"]) == ("0.0", "2", "0")
+        *_, (_, half), (_, zero), (name, f) = records(caplog)
+        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == 349
+        assert half["residual"] <= tw.TOL and zero["residual"] <= tw.TOL
+        assert tw.TAIL_TOL < zero["reach"] < half["reach"]
+        assert (f["offset"], f["centerings"], f["saddles"]) == (0.0, 2, 0)
         assert f["reach"] == zero["reach"]
 
     def test_record_comes_before_no_convergence(self, caplog):
         # the minus connection at (2,9), K = 0.7, over 450 bonds (the core
         # is the window): both centerings converge, each to a saddle, so
         # none passes; the record is written with no offset, and the error
-        # carries the smaller of the two descents' residuals
+        # says so and carries the smaller of the two descents' residuals
         gf, _ = tw.standard_family(0.7)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
-            with pytest.raises(NoConvergence) as err:
+            with pytest.raises(NoConvergence,
+                               match="^every kink centering converged to a saddle$") as err:
                 tw.assemble_am_set(gf, 2, 9, "minus")
-        *_, (_, half), (_, zero), (name, f) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == "449"
-        assert (f["window"], f["core"], f["full"], f["offset"]) == ("450", "450", "0", "None")
-        assert (f["centerings"], f["saddles"], f["reach"], f["edge"]) == ("2", "2", "nan", "nan")
-        residuals = [float(g["residual"]) for g in (half, zero)]
-        assert f"{err.value.residual:.3e}" == f"{min(residuals):.3e}"
+        *_, (_, half), (_, zero), (name, f) = records(caplog)
+        assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == 449
+        assert (f["window"], f["core"], f["full"], f["offset"]) == (450, 450, 0, None)
+        assert (f["centerings"], f["saddles"]) == (2, 2)
+        assert math.isnan(f["reach"]) and math.isnan(f["edge"])
+        assert err.value.residual == min(half["residual"], zero["residual"]) <= tw.TOL
 
     @pytest.mark.parametrize("K, p, q", [(1.0, 1, 2), (0.95, 1, 3)])
     def test_hyperbolicity_record(self, K, p, q, caplog):
@@ -660,11 +659,11 @@ class TestRecords:
         orbit = tw.config_orbit(gf, tw.minimize_periodic(gf, p, q))
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
             rep = tw.hyperbolicity_report(tm, orbit)
-        ((name, f),) = [fields(r.getMessage()) for r in caplog.records]
-        assert name == "hyperbolicity_report" and f["q"] == str(q)
-        assert f["trace"] == f"{rep.trace:.6e}" and f["cone_m"] == str(rep.cone_m)
-        assert {k: f[k] for k in rep.margins} == {k: f"{v:.3e}" for k, v in rep.margins.items()}
-        assert f["passed"] == ",".join(str(int(ok)) for ok in rep.passed)
+        ((name, f),) = records(caplog)
+        assert name == "hyperbolicity_report" and f["q"] == q
+        assert f["trace"] == rep.trace and f["cone_m"] == rep.cone_m
+        assert {k: f[k] for k in rep.margins} == rep.margins
+        assert (f["passed_invariance"], f["passed_forward"], f["passed_backward"]) == rep.passed
         assert rep.is_saddle == (q == 2)
 
     def test_no_record_when_debug_is_off(self, family, caplog):

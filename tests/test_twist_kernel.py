@@ -525,8 +525,6 @@ def old_heteroclinic_minimizer(gf, left, right, window):
         return np.concatenate([[base_l[0]], xi, [base_r[-1]]])
 
     best = None
-    actions = []
-    saddles = 0
     for offset in (0.5, 0.0, 0.25):
         blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
         x0 = base_l + (base_r - base_l) * blend
@@ -535,21 +533,16 @@ def old_heteroclinic_minimizer(gf, left, right, window):
             continue
         diag, off = tw._hessian(gf, x)
         if tw._ldl((diag + 1e-10).tolist(), off.tolist())[0][-1] <= 0.0:
-            saddles += 1
             continue
         if best is None or w < best[0] - 1e-14:
-            best = (w, x, offset, len(actions))
-        actions.append(w)
+            best = (w, x, offset)
     if best is None:
         raise tw.NoConvergence("heteroclinic segment did not converge", residual=math.inf)
     x = best[1]
     m = left.q + 1
     edge = max(np.max(np.abs(x[:m] - base_l[:m])), np.max(np.abs(x[-m:] - base_r[-m:])))
     if tw._log.isEnabledFor(logging.DEBUG):
-        others = actions[:best[3]] + actions[best[3] + 1:]
-        tw._log.debug("heteroclinic_minimizer window=%d offset=%s minimizers=%d saddles=%d "
-                      "gap=%.3e edge=%.3e", window, best[2], len(actions), saddles,
-                      min(others, default=math.inf) - best[0], edge)
+        tw._log.debug("heteroclinic_minimizer offset=%(offset)s", {"offset": best[2]})
     if edge > tw.TAIL_TOL:
         raise tw.TailNotSettled(f"window edge residual {edge:.2e} exceeds {tw.TAIL_TOL:.0e}")
     return tw.Configuration(x, "segment", right.p - left.p, left.q)
@@ -578,7 +571,6 @@ def fixed_core_heteroclinic_minimizer(gf, left, right, window):
                    np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
 
     best = None
-    saddles = core_saddles = core_skipped = 0
     for centerings, offset in enumerate((0.5, 0.0), 1):
         with np.errstate(over="ignore"):
             blend = 1.0 / (1.0 + np.exp(-tw.STEEPNESS * (idx - idx.mean() - offset)))
@@ -588,13 +580,9 @@ def fixed_core_heteroclinic_minimizer(gf, left, right, window):
                                                          cyclic=False)
             if res > tw.TOL:
                 break
-            core = b - a < n
             if tw._clearly_indefinite(gf, e, tw.SADDLE_CURVATURE, cyclic=False):
-                saddles += 1
-                core_saddles += core
                 break
-            if core and edge(e, a, b) > tw.TAIL_TOL:
-                core_skipped += 1
+            if b - a < n and edge(e, a, b) > tw.TAIL_TOL:
                 continue
             x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
         else:
@@ -607,9 +595,8 @@ def fixed_core_heteroclinic_minimizer(gf, left, right, window):
     reach, x, offset = best
     tail = edge(x, 0, n)
     if tw._log.isEnabledFor(logging.DEBUG):
-        tw._log.debug("heteroclinic_minimizer window=%d core=%d offset=%s centerings=%d "
-                      "saddles=%d core_saddles=%d core_skipped=%d reach=%.3e edge=%.3e", window,
-                      C, offset, centerings, saddles, core_saddles, core_skipped, reach, tail)
+        tw._log.debug("heteroclinic_minimizer offset=%(offset)s centerings=%(centerings)d",
+                      {"offset": offset, "centerings": centerings})
     if tail > tw.TAIL_TOL:
         raise tw.TailNotSettled(f"window edge residual {tail:.2e} exceeds {tw.TAIL_TOL:.0e}")
     return tw.Configuration(x, "segment", right.p - left.p, q)
@@ -622,16 +609,17 @@ def minimizer(K, p, q):
 
 
 def recorded_run(fn, gf, left, right, window, caplog):
-    """(segment or (error type, message), winning offset, Newton records)."""
+    """(segment or (error type, message), fields of the
+    `heteroclinic_minimizer` record, fields of the Newton records)."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
         try:
             out = fn(gf, left, right, window)
         except tw.TailNotSettled as exc:
             out = (type(exc), str(exc))
-    *runs, summary = [r.getMessage() for r in caplog.records]
-    offset = summary.split(" offset=")[1].split()[0]
-    return out, offset, runs
+    *runs, summary = caplog.records
+    assert summary.msg.split()[0] == "heteroclinic_minimizer"
+    return out, summary.args, [r.args for r in runs]
 
 
 @pytest.mark.parametrize("K, p, q, window, shift", [
@@ -648,10 +636,8 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
     ran all three offsets."""
     gf, left = minimizer(K, p, q)
     right = neighbour(left, shift)
-    old, old_offset, old_runs = recorded_run(old_heteroclinic_minimizer, gf, left, right, window,
-                                             caplog)
-    new, new_offset, new_runs = recorded_run(tw.heteroclinic_minimizer, gf, left, right, window,
-                                             caplog)
+    old, old_f, old_runs = recorded_run(old_heteroclinic_minimizer, gf, left, right, window, caplog)
+    new, new_f, new_runs = recorded_run(tw.heteroclinic_minimizer, gf, left, right, window, caplog)
     if window == 50 * q:
         assert new_runs == old_runs[:1]
     if isinstance(old, tuple):
@@ -661,19 +647,9 @@ def test_core_descent_matches_full_descent(K, p, q, window, shift, caplog):
         # offset 0, whose last step is the shorter
         assert isinstance(new, tuple) and new[0] is old[0] and K <= 0.3 and window <= 60
         return
-    assert new_offset == old_offset
+    assert new_f["offset"] == old_f["offset"]
     assert np.max(np.abs(new.x - old.x)) <= 1e-9
     assert abs(tw.action(gf, old) - tw.action(gf, new)) <= 1e-12
-
-
-def kink_summary(fn, gf, left, right, window, caplog):
-    """(segment, fields of the `heteroclinic_minimizer` record)."""
-    caplog.clear()
-    with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
-        seg = fn(gf, left, right, window)
-    name, *pairs = caplog.records[-1].getMessage().split()
-    assert name == "heteroclinic_minimizer"
-    return seg, dict(pair.split("=") for pair in pairs)
 
 
 @pytest.mark.parametrize("window", [200, 400, 600, 800, 1000])
@@ -685,10 +661,10 @@ def test_sized_core_matches_fixed_core_then_window(K, window, caplog):
     sites within 1e-13, and a full-window residual at round-off."""
     gf, left = minimizer(K, 0, 1)
     right = neighbour(left, 1)
-    old, old_f = kink_summary(fixed_core_heteroclinic_minimizer, gf, left, right, window, caplog)
-    new, new_f = kink_summary(tw.heteroclinic_minimizer, gf, left, right, window, caplog)
+    old, old_f, _ = recorded_run(fixed_core_heteroclinic_minimizer, gf, left, right, window, caplog)
+    new, new_f, _ = recorded_run(tw.heteroclinic_minimizer, gf, left, right, window, caplog)
     assert (new_f["offset"], new_f["centerings"]) == (old_f["offset"], old_f["centerings"])
-    assert new_f["full"] == "0" and int(new_f["core"]) < window
+    assert new_f["full"] == 0 and new_f["core"] < window
     assert np.max(np.abs(new.x - old.x)) <= 1e-13
     assert tw.criticality_residual(gf, new) <= 1e-14
 

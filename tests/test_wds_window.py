@@ -10,7 +10,6 @@ exact windows at the 2n+2 arc ends, sorted exactly.
 """
 
 import logging
-import re
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
@@ -141,14 +140,14 @@ def test_cylinder_order_codes_nothing(caplog, alpha, depth, orientation):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         wf.cylinder_order(w)
-    assert not [r for r in caplog.records if r.getMessage().startswith("coding_block")]
+    assert not [r for r in caplog.records if r.msg.split()[0] == "coding_block"]
 
 
 def test_caplog_sees_coding_blocks(caplog):
     # the check above would pass vacuously if the records were not captured
     with caplog.at_level(logging.DEBUG, logger="denshoe.symbolic"):
         wf.build_wds(ALPHA_STAR, 3)
-    assert [r for r in caplog.records if r.getMessage().startswith("coding_block")]
+    assert [r for r in caplog.records if r.msg.split()[0] == "coding_block"]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,6 @@ def test_short_rational_raises_like_exact_sort(case):
     assert str(new.value) == str(old.value) == "coinciding arc boundaries (rational angle?)"
 
 
-CHAIN = re.compile(r"cylinder_order depth=(\d+) a=(\d+) b=(\d+) steps=(\d+)$")
-
-
 @settings(PROPERTY, max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(angles(), st.integers(1, 40))
 def test_chain_finds_nearest_points_in_few_steps(caplog, alpha, depth):
@@ -194,8 +190,8 @@ def test_chain_finds_nearest_points_in_few_steps(caplog, alpha, depth):
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="denshoe.wdsfamily"):
         wf.cylinder_order(w)
-    (record,) = [m for r in caplog.records if (m := CHAIN.match(r.getMessage()))]
-    n, a, b, steps = map(int, record.groups())
+    (f,) = [r.args for r in caplog.records if r.msg.split()[0] == "cylinder_order"]
+    n, a, b, steps = f["depth"], f["a"], f["b"], f["steps"]
     size = 2 * n + 2
     assert n == depth and 0 < steps < size
     # a and b index the points nearest to 0 from the right and the left
