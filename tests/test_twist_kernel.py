@@ -592,7 +592,7 @@ def fixed_core_heteroclinic_minimizer(gf, left, right, window):
                 break
     if best is None:
         raise tw.NoConvergence("heteroclinic segment did not converge", residual=math.inf)
-    reach, x, offset = best
+    _, x, offset = best
     tail = edge(x, 0, n)
     if tw._log.isEnabledFor(logging.DEBUG):
         tw._log.debug("heteroclinic_minimizer offset=%(offset)s centerings=%(centerings)d",
