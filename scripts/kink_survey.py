@@ -7,10 +7,10 @@ p/q in RATIONALS and both branches, 720 calls in all, and prints one
 line per call: K, p/q, the branch, the outcome (`ok` or the exception's
 type), the core size in bonds, the kink offset chosen (for
 TailNotSettled, the one whose tails were checked), the centerings
-descended, the full-window descents that ran after a core, the `reach`
-of the chosen centering (the largest entry of its last Newton step) and
-the sha256 of the assembled point set.  Core, offset, centerings, full
-and reach are the fields of the `heteroclinic_minimizer` DEBUG record,
+descended, how many of them ended on a saddle, the `reach` of the chosen
+centering (the largest entry of its last Newton step) and the sha256 of
+the assembled point set.  Core, offset, centerings, saddles and reach
+are the fields of the `heteroclinic_minimizer` DEBUG record,
 read from its `record.args` and printed in the record's own formats
 (`KINK`); they print as `-` when the call left no record, and when no
 centering passed the record gives offset None and reach nan.
@@ -34,7 +34,8 @@ KS = (0.5, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0, 1.05, 1.1, 1.2, 1.3, 1.5, 1.75,
       3.0, 3.5)
 RATIONALS = ((0, 1), (1, 2), (1, 3), (2, 5), (3, 8), (1, 4), (2, 7), (3, 7), (3, 10), (7, 10),
              (5, 13), (4, 9), (1, 5), (2, 9), (5, 8), (4, 11), (5, 12), (8, 21), (1, 6), (3, 11))
-KINK = "core=%(core)d offset=%(offset)s centerings=%(centerings)d full=%(full)d reach=%(reach).3e"
+KINK = ("core=%(core)d offset=%(offset)s centerings=%(centerings)d saddles=%(saddles)d "
+        "reach=%(reach).3e")
 
 
 class LastKink(logging.Handler):
@@ -76,7 +77,7 @@ def main():
                 cpu += time.process_time() - t
                 outcomes[outcome] += 1
                 fields = (KINK % kink.fields if kink.fields
-                          else "core=- offset=- centerings=- full=- reach=-")
+                          else "core=- offset=- centerings=- saddles=- reach=-")
                 print(f"{K:<5} {p}/{q:<3} {branch:<5} {outcome:<15} {fields} points={digest}")
     for outcome, n in sorted(outcomes.items()):
         print(f"{outcome:<15} {n:4d}")

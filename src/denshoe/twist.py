@@ -9,33 +9,32 @@ annulus map has fixed points at (0, 0) (elliptic for 0 < K < 4) and
 (1/2, 0) (a positive-eigenvalue saddle for every K > 0), so the
 rotation-number-zero scenarios need no parameter hunting.  Orbits are
 critical configurations of the action sum.  Their Hessians are
-tridiagonal (cyclic for periodic configurations), since the action
-couples only neighbouring sites.  One LDL^T factorization, `_ldl`, serves
-every use of them: a single pass keeps the pivots d_i and the
-multipliers l_i = off_i / d_i and stops at the first nonpositive pivot.
-That pivot refuses a damped Newton step and fails the saddle test;
-otherwise both substitutions read the stored multipliers, so a solve
-divides by each pivot once.  Minimizers are found by damped Newton
-descent on the action from symmetric starts (the potential is even):
-two ramps for periodic orbits and two kink centerings for heteroclinic
-segments, the first that passes returned, a kink once its last Newton
-step has settled.  A kink is descended on a central core sized from the
-saddle multiplier of its orbits, so that its tails have decayed below
-float64 rounding at the clamps; the full window is descended only when
-that core, padded with the orbit values, is not already within TOL over
-it, or when the core does not fit (see `heteroclinic_minimizer`).  Each
-descent computes cos 2 pi x and sin 2 pi x once per trial point
-(`_evaluate`), with a bound on the rounding of the action sum; a step
-whose action change lies within that bound is judged by the residual
-instead (see `_newton_minimize`).
+tridiagonal (cyclic for periodic configurations), with diagonal
+2 - K cos(2 pi x_i) and -1 off it; `_evaluate` writes the action, the
+gradient and that diagonal out once, for every reader.  One LDL^T
+factorization, `_ldl`, serves every use of the Hessian: a single pass
+keeps the pivots d_i and the multipliers l_i = -1 / d_i and stops at the
+first nonpositive pivot.  That pivot refuses a damped Newton step and
+fails the saddle test; otherwise both substitutions read the stored
+multipliers, so a solve divides by each pivot once.  Minimizers are
+found by damped Newton descent on the action from symmetric starts (the
+potential is even): two ramps for periodic orbits and two kink
+centerings for heteroclinic segments, the first that passes returned, a
+kink once its last Newton step has settled.  A kink is descended on a
+central core sized from the saddle multiplier of its orbits, so that its
+tails have decayed below float64 rounding at the clamps, and judged once
+on the full window, padded with the orbit values (see
+`heteroclinic_minimizer`).  Each descent computes cos 2 pi x and
+sin 2 pi x once per trial point, with a bound on the rounding of the
+action sum; a step whose action change lies within that bound is judged
+by the residual instead (see `_newton_minimize`).
 
 Action, gradient and Hessian all read one bond layout, the padded array:
 the n unknown sites plus one neighbour on each side.  For a periodic
 (p,q)-configuration the neighbours are x_{-1} = x_{q-1} - p and
-x_q = x_0 + p; for a clamped segment they are its two clamped ends, so
-a segment configuration stores its padded array as it is.  The Hessian's
-off[i] couples site i with site i + 1; off[-1] is a periodic
-configuration's wrap-around bond and is never read for a segment.
+x_q = x_0 + p, and the wrap-around bond couples its last site with its
+first; for a clamped segment they are its two clamped ends, so a segment
+configuration stores its padded array as it is.
 """
 
 from __future__ import annotations
@@ -73,38 +72,9 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """Evaluators for h and its partial derivatives; twist: d12 = -1 < 0."""
+    """h of the module docstring at coupling K (see `_evaluate`); twist: d12 h = -1 < 0."""
 
     K: float
-
-    def h(self, x, xp):
-        return self._h(x, xp, np.cos(TWO_PI * x))
-
-    def d1(self, x, xp):
-        return self._d1(x, xp, np.sin(TWO_PI * x))
-
-    def d2(self, x, xp):
-        return xp - x
-
-    def d11(self, x, xp):
-        return self._d11(np.cos(TWO_PI * x))
-
-    # h, d1 and d11 given cos 2 pi x or sin 2 pi x, so that one trig pass
-    # over a padded array serves all three (see `_evaluate`)
-    def _h(self, x, xp, cos):
-        return 0.5 * (xp - x) ** 2 + self.K / (4 * math.pi ** 2) * cos
-
-    def _d1(self, x, xp, sin):
-        return -(xp - x) - self.K / TWO_PI * sin
-
-    def _d11(self, cos):
-        return 1.0 - self.K * cos
-
-    def d12(self, x, xp):
-        return -1.0 * np.ones_like(np.asarray(x, dtype=float))
-
-    def d22(self, x, xp):
-        return 1.0 * np.ones_like(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -190,37 +160,31 @@ def _bonds(e, cyclic):
     return e[cyclic:-1], e[cyclic + 1:]
 
 
-def action(gf: GeneratingFunction, cfg: Configuration) -> float:
-    return float(np.sum(gf.h(*_bonds(cfg.padded(), cfg.kind == "periodic"))))
-
-
-def _gradient(gf, e):
-    """Gradient of the action in the unknown sites of the padded array e."""
-    return gf.d2(e[:-2], e[1:-1]) + gf.d1(e[1:-1], e[2:])
-
-
-def _hessian(gf, e):
-    """(diag, off) of the tridiagonal Hessian in the unknown sites of the
-    padded array e; off[i] couples site i with site i + 1."""
-    return gf.d22(e[:-2], e[1:-1]) + gf.d11(e[1:-1], e[2:]), gf.d12(e[1:-1], e[2:])
-
-
 def _evaluate(gf, e, cyclic):
-    """Action, gradient and Hessian diagonal at the padded array e, equal
-    to those of `action`, `_gradient` and `_hessian`, from one cos pass
-    over the bonds' left ends and one sin pass over the unknown sites;
-    then a bound on the rounding error of the action's pairwise sum over
-    its n bond terms h_i, ceil(log2 n) 2^-53 sum |h_i|."""
+    """Action, gradient and Hessian diagonal in the unknown sites of the
+    padded array e (with cyclic, of a periodic configuration), from one
+    cos pass over the bonds' left ends and one sin pass over the unknown
+    sites; then a bound on the rounding error of the action's pairwise sum
+    over its n bond terms h_i, ceil(log2 n) 2^-53 sum |h_i|.  Each bond
+    (x, x') adds d2 h = x' - x to the gradient in x',
+    d1 h = -(x' - x) - (K / 2 pi) sin 2 pi x to that in x, and
+    d22 h + d11 h = 1 + (1 - K cos 2 pi x) to the diagonal."""
     t = TWO_PI * e[:-1]
     cos, sin = np.cos(t), np.sin(t[1:])
-    h = gf._h(*_bonds(e, cyclic), cos[cyclic:])
-    g = gf.d2(e[:-2], e[1:-1]) + gf._d1(e[1:-1], e[2:], sin)
+    x, xp = _bonds(e, cyclic)
+    h = 0.5 * (xp - x) ** 2 + gf.K / (4 * math.pi ** 2) * cos[cyclic:]
+    g = (e[1:-1] - e[:-2]) + (-(e[2:] - e[1:-1]) - gf.K / TWO_PI * sin)
     noise = (h.size - 1).bit_length() * 2.0 ** -53 * float(np.sum(np.abs(h)))
-    return float(np.sum(h)), g, 1.0 + gf._d11(cos[1:]), noise     # d22 = 1
+    return float(np.sum(h)), g, 1.0 + (1.0 - gf.K * cos[1:]), noise
+
+
+def action(gf: GeneratingFunction, cfg: Configuration) -> float:
+    return _evaluate(gf, cfg.padded(), cfg.kind == "periodic")[0]
 
 
 def criticality_residual(gf: GeneratingFunction, cfg: Configuration) -> float:
-    return float(np.max(np.abs(_gradient(gf, cfg.padded())), initial=0.0))
+    g = _evaluate(gf, cfg.padded(), cfg.kind == "periodic")[1]
+    return float(np.max(np.abs(g), initial=0.0))
 
 
 def check_well_ordered(cfg: Configuration) -> bool:
@@ -264,19 +228,20 @@ def check_well_ordered(cfg: Configuration) -> bool:
     return True
 
 
-def _ldl(diag, off) -> tuple[list[float], list[float]]:
-    """Pivots d_i and multipliers l_i = off_i / d_i of the LDL^T
+def _ldl(diag) -> tuple[list[float], list[float]]:
+    """Pivots d_i and multipliers l_i = -1 / d_i of the LDL^T
     factorization of the symmetric tridiagonal matrix with diagonal `diag`
-    and off-diagonal `off` (lists, len(diag) >= 1), up to and including the
-    first nonpositive pivot.  By Sylvester's law of inertia the matrix is
-    positive definite iff all len(diag) pivots come out positive."""
+    (a list, len(diag) >= 1) and every off-diagonal entry -1, up to and
+    including the first nonpositive pivot.  By Sylvester's law of inertia
+    the matrix is positive definite iff all len(diag) pivots come out
+    positive."""
     d = diag[0]
     piv, mult = [d], []
     if d <= 0.0:
         return piv, mult
-    for a, b in zip(diag[1:], off):
-        mult.append(b / d)
-        d = a - b * b / d
+    for a in diag[1:]:
+        mult.append(-1.0 / d)
+        d = a - 1.0 / d
         piv.append(d)
         if d <= 0.0:
             break
@@ -301,22 +266,23 @@ def _substitute(piv, mult, rhs) -> list[float]:
     return xs
 
 
-def _factor(diag, off, cyclic: bool):
-    """(piv, mult, border), or None when the symmetric tridiagonal H given
-    by the lists diag and off is not positive definite.  With cyclic,
-    off[-1] couples the last site with the first, H = [[T, u], [u^T, c]],
-    (piv, mult) are the `_ldl` factors of T, and H is positive definite
-    iff T is and s = c - u^T T^-1 u > 0; border is (u, T^-1 u, s).  Else
-    they factor H and border is None, as for q = 1, where H is the number
-    diag[0] + 2 off[0].  For q = 2 both wrap-around bonds fall on u."""
+def _factor(diag, cyclic: bool):
+    """(piv, mult, border), or None when the symmetric tridiagonal H with
+    the list diag on its diagonal and -1 off it is not positive definite.
+    With cyclic, a -1 also couples the last site with the first,
+    H = [[T, u], [u^T, c]], (piv, mult) are the `_ldl` factors of T, and H
+    is positive definite iff T is and s = c - u^T T^-1 u > 0; border is
+    (u, T^-1 u, s).  Else they factor H and border is None, as for q = 1,
+    where H is the number diag[0] - 2.  For q = 2 both wrap-around bonds
+    fall on u."""
     if cyclic and len(diag) == 1:
-        diag, cyclic = [diag[0] + 2.0 * off[0]], False
+        diag, cyclic = [diag[0] - 2.0], False
     if cyclic:
         c, diag = diag[-1], diag[:-1]
         u = [0.0] * len(diag)
-        u[0] += off[-1]
-        u[-1] += off[-2]
-    piv, mult = _ldl(diag, off)
+        u[0] -= 1.0
+        u[-1] -= 1.0
+    piv, mult = _ldl(diag)
     if piv[-1] <= 0.0:
         return None
     if not cyclic:
@@ -326,9 +292,9 @@ def _factor(diag, off, cyclic: bool):
     return None if schur <= 0.0 else (piv, mult, (u, z, schur))
 
 
-def _positive_solve(diag, off, rhs, cyclic: bool):
+def _positive_solve(diag, rhs, cyclic: bool):
     """H^-1 rhs as an array (rhs a list, H as in `_factor`); None if H is not positive definite."""
-    factors = _factor(diag, off, cyclic)
+    factors = _factor(diag, cyclic)
     if factors is None:
         return None
     piv, mult, border = factors
@@ -364,7 +330,6 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
         return (e, *_evaluate(gf, e, cyclic))
 
     e, f, g, diag, noise = evaluate(np.array(x0, dtype=float))
-    off = gf.d12(e[1:-1], e[2:]).tolist()   # constant in x
     tau, max_tau, reach = 0.0, 0.0, math.inf
     steps = refused = uphill = 0
     for _ in range(max_iter):
@@ -372,7 +337,7 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
         gg = float(np.dot(g, g))
         for _ in range(1 if np.max(np.abs(g)) <= TOL else 40):
             max_tau = max(max_tau, tau)
-            step = _positive_solve((diag + tau).tolist(), off, rhs, cyclic)
+            step = _positive_solve((diag + tau).tolist(), rhs, cyclic)
             if step is None:
                 refused += 1
             else:
@@ -402,8 +367,7 @@ def _clearly_indefinite(gf, e, shift, cyclic) -> bool:
     """Whether the Hessian H at the padded array e has an eigenvalue at or
     below -shift, i.e. H + shift I is refused too; with cyclic, H is that
     of a periodic configuration."""
-    diag, off = _hessian(gf, e)
-    return _factor((diag + shift).tolist(), off.tolist(), cyclic) is None
+    return _factor((_evaluate(gf, e, cyclic)[2] + shift).tolist(), cyclic) is None
 
 
 def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
@@ -467,8 +431,8 @@ def _approach_rate(tr: float, q: int) -> float:
 
 
 def _core_bonds(rate: float, q: int, n: int) -> int:
-    """Bonds C of the central core that a kink over n bonds descends
-    first: ceil(2 ln(2^53) / rate), so that an approach at `rate` per site
+    """Bonds C of the central core that a kink over n bonds descends:
+    ceil(2 ln(2^53) / rate), so that an approach at `rate` per site
     decays by 2^53, the float64 rounding unit, from the middle to either
     clamp; at least 50 q and at most n, and rounded up to n's parity, so
     that the core sits centred in the window.  A rate of 0 gives n."""
@@ -487,13 +451,12 @@ def heteroclinic_minimizer(
     orbit to the right one over `window` bonds; TailNotSettled when its
     ends stray more than TAIL_TOL from the orbits they connect.  Each kink
     centering starts from a sigmoid blend of slope STEEPNESS centred on
-    the window's middle plus an offset, 0.5 and then 0.  The sites run
-    from -(L//2) to L - L//2, so for an even window offset 0 centres the
-    kink on the middle site and 0.5 on the bond (0,1), half a site off the
-    middle; for an odd window, on the middle bond (0,1) and on site 1.  The
-    potential is even, so a descent from a symmetric start stays symmetric
-    up to the clamped ends: for (0,1) the bond-centred start reaches the
-    minimizer and the site-centred one the Peierls-Nabarro saddle.
+    the bond (0,1) and then on site 0 (offsets 0.5 and 0); the sites run
+    from -(L//2) to L - L//2, so that bond is the middle one of an odd
+    window and that site the middle one of an even window.  The potential
+    is even, so a descent from a symmetric start stays symmetric up to the
+    clamped ends: for (0,1) the bond-centred start reaches the minimizer
+    and the site-centred one the Peierls-Nabarro saddle.
 
     A centering passes when its residual is within TOL and its Hessian has
     no eigenvalue at or below -SADDLE_CURVATURE; it has settled when its
@@ -511,33 +474,19 @@ def heteroclinic_minimizer(
     from the kink (Aubry & Le Daeron, Physica D 8, 1983; Bangert, Dynamics
     Reported 1, 1988), by lam^(1/q) per site, where lam + 1/lam is the
     trace of DF^q along the left orbit: 2 + K for (0,1), so lam is about
-    2.26 at K = 0.7.  So each centering first descends a central core of
-    C bonds, clamped to the same orbit values, where C is the width over
+    2.26 at K = 0.7.  So each centering descends only a central core of C
+    bonds, clamped to the same orbit values, where C is the width over
     which that approach decays by 2^53, the float64 rounding unit, from
     the middle to either clamp (`_core_bonds`): C = ceil(2 ln(2^53) q /
     ln lam), at least 50 q and at most the window, rounded up to the
     window's parity so that the core stays centred.  For (0,1) that is 91,
     79 and 71 bonds at K = 0.7, 0.95 and 1.2 before the rounding.  A trace
     of at most 2 (K = 0, no saddle) makes C the window, and one whose DF^q
-    overflows gives 50 q.  Beyond its clamps the core minimizer's sites
-    then sit on their orbits to round-off, so the core, padded with the
-    orbit values, is the full window's critical point: when its
-    full-window residual is within TOL it is returned as it is, with the
-    core's reach, and no full-window descent runs.  Only a padded core
-    above TOL starts a descent of the full window, which has only the
-    tails to settle; when C is the window, the one descent is the full one.
-
-    A core saddle is not extended: the Hessian's diagonal is
-    2 - K cos 2 pi x_i and its off-diagonal -1, so the core's Hessian is a
-    principal submatrix of the full window's at the extended start, which
-    by Cauchy interlacing is indefinite too.  A core minimizer whose ends
-    stray more than TAIL_TOL from the orbits has a kink too wide for the
-    core (below K = 0.32 for (0,1) when the core has 50 bonds): the clamps,
-    not the lattice, then decide where it sits, and between K = 0.1 and
-    0.14 every centering's core converges to the site-centred kink, a
-    saddle of the full window.  Such a centering descends the full window
-    from its blend instead.  The residual, saddle and tail tests read the
-    full window.
+    overflows gives 50 q.  The core, padded with the orbit values, is then
+    judged once on the full window, with the core's reach: a kink too wide
+    for its core leaves it above TOL at the clamps, and since the core's
+    Hessian is a principal submatrix of the window's, Cauchy interlacing
+    makes every core saddle a saddle of the window.
 
     The right endpoint must be a neighbouring translate of the left periodic
     configuration, x_{i+a} + b with a p + b q = +-1 within 1e-12 (see
@@ -545,13 +494,11 @@ def heteroclinic_minimizer(
     window an integer from 50 q to WINDOW_CAP, else InvalidArgument.  A
     DEBUG record gives the core size C, the approach rate ln lam / q per
     site, the offset returned, the centerings descended, how many ended on
-    a saddle and how many of those on the core, how many cores were too
-    narrow for their kink, how many full-window descents ran after a core,
-    the reach returned and the edge residual.  It is written also when no
-    centering passes, with offset None and reach and edge nan, before
-    NoConvergence, which carries the smallest residual any descent
-    reached; its message says so when every centering converged, each to
-    a saddle."""
+    a saddle, the reach returned and the edge residual.  It is written
+    also when no centering passes, with offset None and reach and edge
+    nan, before NoConvergence, which carries the smallest full-window
+    residual any centering reached; its message says so when every
+    centering converged, each to a saddle."""
     p, q = left.p, left.q
     if not (left.kind == right.kind == "periodic" and (p, q) == (right.p, right.q) and q >= 1
             and math.gcd(abs(p), q) == 1 and np.shape(left.x) == np.shape(right.x) == (q,)
@@ -567,62 +514,42 @@ def heteroclinic_minimizer(
     n = len(idx) - 1            # bonds of the padded array
     rate = _approach_rate(_monodromy(TwistMapF(gf.K), left.x)[0], q)
     C = _core_bonds(rate, q, n)
-    lo = (n - C) // 2
-    # (first, last) sites of each descent's padded array: core, then full
-    spans = [(lo, lo + C), (0, n)] if C < n else [(0, n)]
+    a, b = (n - C) // 2, (n + C) // 2       # first and last sites of the core's padded array
 
-    def clamped(a, b):
-        return lambda xi: np.concatenate([[base_l[a]], xi, [base_r[b]]])
-
-    m = q + 1
-
-    def edge(e, a, b):
-        """Largest drift of the first and last q+1 sites of the padded
-        array e of sites a..b from the orbits they connect."""
-        return max(np.max(np.abs(e[:m] - base_l[a:a + m])),
-                   np.max(np.abs(e[-m:] - base_r[b + 1 - m:b + 1])))
+    def core(xi):
+        return np.concatenate([[base_l[a]], xi, [base_r[b]]])
 
     best = None     # (reach, sites, offset) of the passing centering with the shortest reach
     best_res = math.inf
-    saddles = core_saddles = core_skipped = full = 0
+    saddles = 0
     for centerings, offset in enumerate((0.5, 0.0), 1):
         with np.errstate(over="ignore"):   # from 1780 bonds on; 1 / (1 + inf) = 0 is the limit
-            blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - idx.mean() - offset)))
+            blend = 1.0 / (1.0 + np.exp(-STEEPNESS * (idx - offset)))
         x = base_l + (base_r - base_l) * blend
-        for a, b in spans:
-            core = b - a < n
-            if core or np.max(np.abs(_gradient(gf, x))) > TOL:
-                e, _, res, _, _, reach = _newton_minimize(gf, clamped(a, b), x[a + 1:b], 400,
-                                                          cyclic=False)
-                best_res = min(best_res, res)
-                full += not core and C < n
-                if res > TOL:
-                    break
-            else:
-                e = x       # the padded core is critical over the full window
-            if _clearly_indefinite(gf, e, SADDLE_CURVATURE, cyclic=False):
-                saddles += 1
-                core_saddles += core
-                break
-            if core and edge(e, a, b) > TAIL_TOL:
-                core_skipped += 1
-                continue    # the kink does not fit the core: the window starts from the blend
-            x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
-        else:
-            if best is None or reach < best[0]:
-                best = (reach, x, offset)
-            if reach <= TAIL_TOL:
-                break       # settled
+        e, *_, reach = _newton_minimize(gf, core, x[a + 1:b], 400, cyclic=False)
+        x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
+        res = criticality_residual(gf, Configuration(x, "segment"))
+        best_res = min(best_res, res)
+        if res > TOL:
+            continue
+        if _clearly_indefinite(gf, x, SADDLE_CURVATURE, cyclic=False):
+            saddles += 1
+            continue
+        if best is None or reach < best[0]:
+            best = (reach, x, offset)
+        if reach <= TAIL_TOL:
+            break       # settled
     reach, x, offset = best or (math.nan, None, None)
-    tail = math.nan if x is None else edge(x, 0, n)
+    m = q + 1       # the first and last q+1 sites, against the orbits they connect
+    tail = math.nan if x is None else max(np.max(np.abs(x[:m] - base_l[:m])),
+                                          np.max(np.abs(x[-m:] - base_r[-m:])))
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("heteroclinic_minimizer window=%(window)d core=%(core)d rate=%(rate).3e "
                    "offset=%(offset)s centerings=%(centerings)d saddles=%(saddles)d "
-                   "core_saddles=%(core_saddles)d core_skipped=%(core_skipped)d full=%(full)d "
                    "reach=%(reach).3e edge=%(edge).3e",
                    {"window": window, "core": C, "rate": rate, "offset": offset,
-                    "centerings": centerings, "saddles": saddles, "core_saddles": core_saddles,
-                    "core_skipped": core_skipped, "full": full, "reach": reach, "edge": tail})
+                    "centerings": centerings, "saddles": saddles, "reach": reach,
+                    "edge": tail})
     if best is None:
         raise NoConvergence("every kink centering converged to a saddle" if saddles == centerings
                             else "heteroclinic segment did not converge", residual=best_res)
@@ -636,9 +563,10 @@ def heteroclinic_minimizer(
 # ---------------------------------------------------------------------------
 
 def config_orbit(gf: GeneratingFunction, cfg: Configuration) -> np.ndarray:
-    """Cover orbit points (x_i, y_i) with y_i = -d1 h(x_i, x_{i+1})."""
+    """Cover orbit points (x_i, y_i) with y_i = -d1 h(x_i, x_{i+1}),
+    that is (x_{i+1} - x_i) + g(x_i) with g as in `TwistMapF`."""
     x, xp = _bonds(cfg.padded(), cfg.kind == "periodic")
-    return np.column_stack([x, -gf.d1(x, xp)])
+    return np.column_stack([x, (xp - x) + TwistMapF(gf.K)._g(x)])
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +730,18 @@ def _circle_dist(a, b):
 
 def _lipschitz_constant(points: np.ndarray) -> float:
     """Largest |dy| / dx over the pairs of points more than 1e-12 apart in
-    the circle metric of x; 0 when there is no such pair."""
+    the circle metric of x; 0 when there is no such pair.  The rows of
+    the m x m table of pairs come in blocks of max(1, 2^20 // m) points,
+    so a block holds about 2^20 pairs at any m."""
     x, y = points[:, 0], points[:, 1]
-    dx = _circle_dist(x, x[:, None])
-    dy = np.abs(y - y[:, None])
-    return float(np.max(np.divide(dy, dx, out=np.zeros_like(dy), where=dx > 1e-12),
-                        initial=0.0))
+    rows = max(1, 2 ** 20 // max(len(x), 1))
+    worst = 0.0
+    for a in range(0, len(x), rows):
+        dx = _circle_dist(x, x[a:a + rows, None])
+        dy = np.abs(y - y[a:a + rows, None])
+        worst = max(worst, float(np.max(np.divide(dy, dx, out=np.zeros_like(dy),
+                                                  where=dx > 1e-12), initial=0.0)))
+    return worst
 
 
 def hausdorff_points(a: np.ndarray, b: np.ndarray) -> float:

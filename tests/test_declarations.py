@@ -40,7 +40,6 @@ KEPT = {
     "overlaps": "whether two rotation classes can hold the same rotation number",
     "continuity_probe": "the paper's continuity in rotation number, a planned benchmark scenario",
     "action": "the action sum that the minimizers lower, which the descent oracles compare",
-    "criticality_residual": "how far a configuration is from an orbit",
     "is_saddle": "the verdict of a hyperbolicity report",
 }
 

@@ -58,32 +58,47 @@ def crossed_translates(x):
     return found
 
 
+def h(K, x, xp):
+    """The generating function of the standard family, written out."""
+    return 0.5 * (xp - x) ** 2 + K / (4 * math.pi ** 2) * np.cos(2 * math.pi * x)
+
+
 def pivots(gf, x):
-    """LDL^T pivots of the Hessian of the segment x, up to and including
-    the first nonpositive one."""
-    return tw._ldl(*(a.tolist() for a in tw._hessian(gf, np.asarray(x, dtype=float))))[0]
+    """LDL^T pivots of the Hessian of the segment x, 2 - K cos 2 pi x_i on
+    the diagonal, up to and including the first nonpositive one."""
+    return tw._ldl((2.0 - gf.K * np.cos(2 * np.pi * np.asarray(x, dtype=float)[1:-1])).tolist())[0]
 
 
 class TestStandardFamily:
     def test_gradients_match_finite_differences(self, family):
+        # `_evaluate` at (a, x, b): the action of the two bonds, the
+        # gradient in x and the Hessian diagonal, against central
+        # differences of the written-out h
         gf, _ = family
         rng = np.random.default_rng(7)
-        eps = 1e-6
         for _ in range(1000):
-            x, xp = rng.uniform(-2, 2, 2)
-            d1_fd = (gf.h(x + eps, xp) - gf.h(x - eps, xp)) / (2 * eps)
-            d2_fd = (gf.h(x, xp + eps) - gf.h(x, xp - eps)) / (2 * eps)
-            assert abs(gf.d1(x, xp) - d1_fd) <= 1e-6 * max(1, abs(d1_fd))
-            assert abs(gf.d2(x, xp) - d2_fd) <= 1e-6 * max(1, abs(d2_fd))
+            a, x, b = e = rng.uniform(-2, 2, 3)
+
+            def f(x, a=a, b=b):
+                return h(gf.K, a, x) + h(gf.K, x, b)
+
+            act, (g,), (diag,), _ = tw._evaluate(gf, e, False)
+            g_fd = (f(x + 1e-6) - f(x - 1e-6)) / 2e-6
+            diag_fd = (f(x + 1e-4) - 2 * f(x) + f(x - 1e-4)) / 1e-8
+            assert act == pytest.approx(f(x), abs=1e-14)
+            assert abs(g - g_fd) <= 1e-6 * max(1, abs(g_fd))
+            assert abs(diag - diag_fd) <= 1e-5 * max(1, abs(diag_fd))
 
     def test_twist_condition(self, family):
-        gf, _ = family
+        # d12 h = -1 < 0: the image x' = x + y - g(x) grows with y
+        _, tm = family
         xs = np.linspace(-1, 2, 100)
-        assert np.all(gf.d12(xs, xs) < 0)
+        assert np.all(tm.jacobian(xs)[:, 0, 1] > 0)
 
     def test_periodicity(self, family):
         gf, _ = family
-        assert gf.h(0.3, 0.7) == pytest.approx(gf.h(1.3, 1.7), abs=1e-14)
+        assert tw._evaluate(gf, np.array([0.3, 0.7]), False)[0] == pytest.approx(
+            tw._evaluate(gf, np.array([1.3, 1.7]), False)[0], abs=1e-14)
 
     def test_det_one(self, family):
         _, tm = family
@@ -125,7 +140,7 @@ class TestMinimizePeriodic:
         # brute-force grid minimization of h(x, x)
         gf, _ = family
         xs = np.linspace(0, 1, 20001)
-        vals = gf.h(xs, xs)
+        vals = h(gf.K, xs, xs)
         assert xs[np.argmin(vals)] == pytest.approx(0.5, abs=1e-4)
 
     def test_minimal_among_random(self, family):
@@ -197,7 +212,7 @@ class TestMinimizePeriodic:
         gf, _ = family
         grid = np.linspace(0, 1, 201)
         best = min(
-            (float(gf.h(a, b) + gf.h(b, a + 1)), a, b)
+            (float(h(gf.K, a, b) + h(gf.K, b, a + 1)), a, b)
             for a in grid for b in grid
         )
         cfg = tw.minimize_periodic(gf, 1, 2)
@@ -252,7 +267,7 @@ class TestHeteroclinic:
         gf, _ = family
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
-        base = float(gf.h(0.5, 0.5))
+        base = float(h(gf.K, 0.5, 0.5))
         # the action less one baseline bond per bond converges as the window grows
         a1, a2 = (tw.action(gf, tw.heteroclinic_minimizer(gf, left, right, w)) - w * base
                   for w in (60, 120))
@@ -310,7 +325,7 @@ class TestHeteroclinic:
                 tw.heteroclinic_minimizer(gf, left, right, 60)
         (_, run), (name, f) = records(caplog)[-2:]
         assert name == "heteroclinic_minimizer" and run["sites"] == 59
-        assert (f["core"], f["full"], f["centerings"]) == (60, 0, 1)
+        assert (f["core"], f["centerings"]) == (60, 1)
 
 
 class TestHyperbolicity:
@@ -529,20 +544,19 @@ class TestRecords:
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
         # at K = 1 the saddle's multiplier has lam + 1/lam = 3, and the core
         # of 2 ln(2^53) / ln lam = 76.3 bonds rounds up to 78 over an even
-        # window: over 200 bonds its 77 sites are the only descent, since
-        # the padded core is within TOL over the full window, and over 60
-        # the core is the window
+        # window: over 200 bonds its 77 sites are the only descent, and the
+        # padded core is within TOL over the full window; over 60 the core
+        # is the window
         for window, core in ((60, 60), (200, 78)):
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
                 seg = tw.heteroclinic_minimizer(gf, left, right, window)
             (n, run), (name, f) = records(caplog)
             assert name == "heteroclinic_minimizer" and f["window"] == window
-            assert (f["core"], f"{f['rate']:.3e}", f["full"]) == (core, f"{math.acosh(1.5):.3e}", 0)
+            assert (f["core"], f"{f['rate']:.3e}") == (core, f"{math.acosh(1.5):.3e}")
             assert n == "newton" and run["sites"] == core - 1 and run["cyclic"] == 0
             # the first centering, offset 0.5, settles, so it is the only one
             assert (f["centerings"], f["offset"], f["saddles"]) == (1, 0.5, 0)
-            assert (f["core_saddles"], f["core_skipped"]) == (0, 0)
             assert f["reach"] <= tw.TAIL_TOL and f["reach"] == run["reach"]
             assert tw.criticality_residual(gf, seg) <= tw.TOL
             idx = np.arange(-(window // 2), window - window // 2 + 1)
@@ -598,26 +612,51 @@ class TestRecords:
                    - np.eye(499, k=1) - np.eye(499, k=-1))
         assert 0 < np.linalg.eigvalsh(hessian)[0] < 1e-6
 
-    @pytest.mark.parametrize("window", [60, 1000])
+    @pytest.mark.parametrize("window", [60, 61, 201, 1000, 1001])
     @pytest.mark.parametrize("K", [0.7, 1.0, 2.0])
     def test_first_centering_settles_a_period_one_kink(self, K, window, caplog):
-        # over an even window offset 0.5 centres the (0,1) kink on a bond,
-        # where the minimizer sits; it settles, so offset 0 is not descended.
-        # The core, sized from lam + 1/lam = 2 + K, has 92, 78 and 56 bonds
-        # (at most the window), and padded with the orbit values its
-        # minimizer is within TOL over the full window: no descent follows
-        core = min(window, {0.7: 92, 1.0: 78, 2.0: 56}[K])
+        # at either window parity offset 0.5 centres the (0,1) kink on the
+        # bond (0,1), where the minimizer sits; it settles, so offset 0
+        # (site 0, the Peierls-Nabarro saddle) is not descended.  The core,
+        # sized from lam + 1/lam = 2 + K, has 92, 78 and 56 bonds over an
+        # even window and 91, 77 and 57 over an odd one (at most the
+        # window), and its one descent is the only one.  Over an odd window
+        # the sites pair up as i and 1 - i, and the kink is symmetric about
+        # the middle bond: x_i + x_{1-i} = 2
+        core = min(window, {0.7: (92, 91), 1.0: (78, 77), 2.0: (56, 57)}[K][window % 2])
         gf, _ = tw.standard_family(K)
         left = tw.minimize_periodic(gf, 0, 1)
         right = tw.Configuration(left.x + 1, "periodic", 0, 1)
         with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
-            tw.heteroclinic_minimizer(gf, left, right, window)
+            seg = tw.heteroclinic_minimizer(gf, left, right, window)
         *runs, (name, f) = records(caplog)
         assert name == "heteroclinic_minimizer"
         assert [g["sites"] for _, g in runs] == [core - 1]
-        assert (f["core"], f["full"]) == (core, 0)
+        assert f["core"] == core
         assert (f["centerings"], f["offset"], f["saddles"]) == (1, 0.5, 0)
         assert f["reach"] <= tw.TAIL_TOL and f["reach"] == runs[-1][1]["reach"]
+        if window % 2:
+            assert np.max(np.abs(seg.x + seg.x[::-1] - 2.0)) <= 1e-12
+
+    @pytest.mark.parametrize("K, p, q, s, window, outcome", [(0.7, 2, 5, 1, 1000, (0.5, 2, 1)),
+                                                             (0.5, 1, 3, -1, 600, (None, 2, 2))])
+    def test_padded_core_saddle_is_refused(self, K, p, q, s, window, outcome, caplog):
+        # cores (C < n) that descend to a saddle, refused on the full
+        # window once padded with the orbit values: for (2,5) plus offset 0,
+        # after offset 0.5 passed unsettled; for (1,3) minus both, so that
+        # no centering passes and NoConvergence says why
+        gf, _ = tw.standard_family(K)
+        left = tw.minimize_periodic(gf, p, q)
+        right = tw.Configuration(tw._neighbour(left, s), "periodic", p, q)
+        with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+            try:
+                tw.heteroclinic_minimizer(gf, left, right, window)
+            except NoConvergence as err:
+                assert str(err) == "every kink centering converged to a saddle"
+        *_, (_, half), (_, zero), (name, f) = records(caplog)
+        assert name == "heteroclinic_minimizer" and f["core"] < window
+        assert half["sites"] == zero["sites"] == f["core"] - 1
+        assert (f["offset"], f["centerings"], f["saddles"]) == outcome
 
     def test_shortest_reach_wins_when_no_centering_settles(self, caplog):
         # the plus connection at (2,7), K = 0.75, over 350 bonds (the core
@@ -646,7 +685,7 @@ class TestRecords:
                 tw.assemble_am_set(gf, 2, 9, "minus")
         *_, (_, half), (_, zero), (name, f) = records(caplog)
         assert name == "heteroclinic_minimizer" and half["sites"] == zero["sites"] == 449
-        assert (f["window"], f["core"], f["full"], f["offset"]) == (450, 450, 0, None)
+        assert (f["window"], f["core"], f["offset"]) == (450, 450, None)
         assert (f["centerings"], f["saddles"]) == (2, 2)
         assert math.isnan(f["reach"]) and math.isnan(f["edge"])
         assert err.value.residual == min(half["residual"], zero["residual"]) <= tw.TOL
