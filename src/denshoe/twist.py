@@ -11,12 +11,18 @@ rotation-number-zero scenarios need no parameter hunting.  Orbits are
 critical configurations of the action sum.  Their Hessians are
 tridiagonal (cyclic for periodic configurations), with diagonal
 2 - K cos(2 pi x_i) and -1 off it; `_evaluate` writes the action, the
-gradient and that diagonal out once, for every reader.  One LDL^T
-factorization, `_ldl`, serves every use of the Hessian: a single pass
-keeps the pivots d_i and the multipliers l_i = -1 / d_i and stops at the
-first nonpositive pivot.  That pivot refuses a damped Newton step and
-fails the saddle test; otherwise both substitutions read the stored
-multipliers, so a solve divides by each pivot once.  Minimizers are
+gradient and that diagonal out once, for every reader, from one array of
+bond differences.  The Hessian is factored LDL^T, with pivots d_i and
+multipliers l_i = -1 / d_i, and a first nonpositive pivot refuses a
+damped Newton step and fails the saddle test.  A step, `_positive_solve`,
+is one pass down that computes the pivots together with the forward
+substitution and stops at such a pivot, then one pass up; a cyclic
+Hessian carries its wrap-around border through the same two passes.
+`_ldl` is the same recurrence without a right-hand side: the saddle test
+of a segment reads the pivots only, and at 1000 sites a solve would cost
+it more than twice as much.  Whether H + tau I is accepted is monotone in the
+shift tau, so the first shift that a descent's climb from 0 accepts is
+searched for by bisection (`_climb`).  Minimizers are
 found by damped Newton descent on the action from symmetric starts (the
 potential is even): two ramps for periodic orbits and two kink
 centerings for heteroclinic segments, the first that passes returned, a
@@ -39,6 +45,7 @@ configuration stores its padded array as it is.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import numbers
@@ -171,11 +178,11 @@ def _evaluate(gf, e, cyclic):
     d22 h + d11 h = 1 + (1 - K cos 2 pi x) to the diagonal."""
     t = TWO_PI * e[:-1]
     cos, sin = np.cos(t), np.sin(t[1:])
-    x, xp = _bonds(e, cyclic)
-    h = 0.5 * (xp - x) ** 2 + gf.K / (4 * math.pi ** 2) * cos[cyclic:]
-    g = (e[1:-1] - e[:-2]) + (-(e[2:] - e[1:-1]) - gf.K / TWO_PI * sin)
-    noise = (h.size - 1).bit_length() * 2.0 ** -53 * float(np.sum(np.abs(h)))
-    return float(np.sum(h)), g, 1.0 + (1.0 - gf.K * cos[1:]), noise
+    dx = e[1:] - e[:-1]     # x' - x over every bond of e
+    h = 0.5 * dx[cyclic:] ** 2 + gf.K / (4 * math.pi ** 2) * cos[cyclic:]
+    g = dx[:-1] + (-dx[1:] - gf.K / TWO_PI * sin)
+    noise = (h.size - 1).bit_length() * 2.0 ** -53 * float(np.abs(h).sum())
+    return float(h.sum()), g, 1.0 + (1.0 - gf.K * cos[1:]), noise
 
 
 def action(gf: GeneratingFunction, cfg: Configuration) -> float:
@@ -199,7 +206,8 @@ def check_well_ordered(cfg: Configuration) -> bool:
     smallest such b on and lo + b < -1e-12 up to the largest such b, so
     the row crosses for some b in range iff the second holds at the first
     b in range where the first does.  The row a = 0 is exactly 0, so the
-    configuration itself never crosses.  The rows come in blocks of
+    configuration itself never crosses, and for q = 1, where it is the
+    only row, no translate does.  The rows come in blocks of
     max(1, 2^20 // q) shifts, so a table holds about 2^20 entries at any
     q (one block for q <= 1024), and the first block with a crossing ends
     the scan.
@@ -212,6 +220,8 @@ def check_well_ordered(cfg: Configuration) -> bool:
     one that touches the configuration at the margin, where rounding
     decides either way."""
     q, p = cfg.q, cfg.p
+    if q == 1:
+        return True
     ext = cfg.extended(np.arange(2 * q))
     top = float(abs(p) + B_EXTRA)
     rows = max(1, 2 ** 20 // q)
@@ -234,76 +244,161 @@ def _ldl(diag) -> tuple[list[float], list[float]]:
     (a list, len(diag) >= 1) and every off-diagonal entry -1, up to and
     including the first nonpositive pivot.  By Sylvester's law of inertia
     the matrix is positive definite iff all len(diag) pivots come out
-    positive."""
+    positive.  d_{i+1} = a_{i+1} + l_i is a_{i+1} - 1 / d_i bit for bit."""
     d = diag[0]
     piv, mult = [d], []
     if d <= 0.0:
         return piv, mult
     for a in diag[1:]:
-        mult.append(-1.0 / d)
-        d = a - 1.0 / d
+        l = -1.0 / d
+        mult.append(l)
+        d = a + l
         piv.append(d)
         if d <= 0.0:
             break
     return piv, mult
 
 
-def _substitute(piv, mult, rhs) -> list[float]:
-    """Solve L D L^T x = rhs, given the factors from _ldl."""
-    rs = iter(rhs)
-    y = next(rs)
-    ys = [y]
-    for r, l in zip(rs, mult):      # L y = rhs, top down
-        y = r - l * y
-        ys.append(y)
-    ys, ds = reversed(ys), reversed(piv)
-    x = next(ys) / next(ds)
-    xs = [x]
-    for a, d, l in zip(ys, ds, reversed(mult)):     # L^T x = D^-1 y, bottom up
-        x = a / d - l * x
-        xs.append(x)
-    xs.reverse()
-    return xs
-
-
-def _factor(diag, cyclic: bool):
-    """(piv, mult, border), or None when the symmetric tridiagonal H with
-    the list diag on its diagonal and -1 off it is not positive definite.
-    With cyclic, a -1 also couples the last site with the first,
-    H = [[T, u], [u^T, c]], (piv, mult) are the `_ldl` factors of T, and H
-    is positive definite iff T is and s = c - u^T T^-1 u > 0; border is
-    (u, T^-1 u, s).  Else they factor H and border is None, as for q = 1,
-    where H is the number diag[0] - 2.  For q = 2 both wrap-around bonds
-    fall on u."""
-    if cyclic and len(diag) == 1:
-        diag, cyclic = [diag[0] - 2.0], False
-    if cyclic:
-        c, diag = diag[-1], diag[:-1]
-        u = [0.0] * len(diag)
-        u[0] -= 1.0
-        u[-1] -= 1.0
-    piv, mult = _ldl(diag)
-    if piv[-1] <= 0.0:
-        return None
-    if not cyclic:
-        return piv, mult, None
-    z = _substitute(piv, mult, u)
-    schur = c - sum(a * b for a, b in zip(u, z))
-    return None if schur <= 0.0 else (piv, mult, (u, z, schur))
-
-
 def _positive_solve(diag, rhs, cyclic: bool):
-    """H^-1 rhs as an array (rhs a list, H as in `_factor`); None if H is not positive definite."""
-    factors = _factor(diag, cyclic)
-    if factors is None:
+    """H^-1 rhs as an array, or None when H is not positive definite.  H is
+    the symmetric tridiagonal matrix with the list diag on its diagonal and
+    -1 off it; with cyclic, a -1 also couples the last site with the first.
+    Then H = [[T, u], [u^T, c]], and H is positive definite iff T is and
+    s = c - u^T T^-1 u > 0; for q = 2 both wrap-around bonds fall on u, and
+    for q = 1 H is the number diag[0] - 2.
+
+    One pass down T computes the `_ldl` pivots and multipliers, stops at
+    the first nonpositive pivot, and carries the forward substitutions
+    L y = rhs (and with cyclic L w = u) along, keeping y_i / d_i; one pass
+    up then solves L^T x = D^-1 y (and L^T z = D^-1 w).  Every float is
+    the one that the factor-then-substitute sequence forms, so the result
+    is the same bit for bit."""
+    if cyclic and len(diag) == 1:
+        h = diag[0] - 2.0
+        return None if h <= 0.0 else np.array([rhs[0] / h])
+    if not cyclic:
+        d, y = diag[0], rhs[0]
+        scaled, mult = [], []       # y_i / d_i and l_i = -1 / d_i, i < n - 1
+        for a, r in zip(diag[1:], rhs[1:]):
+            if d <= 0.0:
+                return None
+            l = -1.0 / d
+            scaled.append(y / d)
+            mult.append(l)
+            d = a + l
+            y = r - l * y
+        if d <= 0.0:
+            return None
+        x = y / d
+        xs = [x]
+        for b, l in zip(reversed(scaled), reversed(mult)):
+            x = b - l * x
+            xs.append(x)
+        xs.reverse()
+        return np.array(xs)
+    c, n = diag[-1], len(diag) - 1
+    u = [0.0] * n
+    u[0] -= 1.0
+    u[-1] -= 1.0
+    d, y, w = diag[0], rhs[0], u[0]
+    scaled, mult = [], []       # (y_i / d_i, w_i / d_i) and l_i, i < n - 1
+    for a, r, v in zip(diag[1:n], rhs[1:n], u[1:]):
+        if d <= 0.0:
+            return None
+        l = -1.0 / d
+        scaled.append((y / d, w / d))
+        mult.append(l)
+        d = a + l
+        y = r - l * y
+        w = v - l * w
+    if d <= 0.0:
         return None
-    piv, mult, border = factors
-    y = _substitute(piv, mult, rhs)     # reads rhs[:len(piv)]
-    if border is None:
-        return np.array(y)
-    u, z, schur = border
-    t = (rhs[-1] - sum(a * b for a, b in zip(u, y))) / schur
-    return np.array([a - b * t for a, b in zip(y, z)] + [t])
+    x, z = y / d, w / d
+    xs, zs = [x], [z]
+    for (b, bw), l in zip(reversed(scaled), reversed(mult)):
+        x = b - l * x
+        z = bw - l * z
+        xs.append(x)
+        zs.append(z)
+    # u^T v as the sum over u_i v_i from 0 forms it: its zero terms add nothing
+    if n == 1:
+        uz, uy = 0.0 - 2.0 * z, 0.0 - 2.0 * x
+    else:
+        uz, uy = (0.0 - z) - zs[0], (0.0 - x) - xs[0]
+    schur = c - uz
+    if schur <= 0.0:
+        return None
+    t = (rhs[n] - uy) / schur
+    xs.reverse()
+    zs.reverse()
+    return np.array([a - b * t for a, b in zip(xs, zs)] + [t])
+
+
+def _refused(diag, cyclic: bool) -> bool:
+    """Whether `_positive_solve` refuses H with the array diag on its
+    diagonal; for a segment the pivots alone decide, and `_ldl` forms no
+    substitution."""
+    if cyclic:
+        return _positive_solve(diag.tolist(), [0.0] * len(diag), True) is None
+    return _ldl(diag.tolist())[0][-1] <= 0.0
+
+
+# the shifts tau that one iteration of `_newton_minimize` tries from tau = 0
+_LADDER = [0.0]
+while len(_LADDER) < 40:
+    _LADDER.append(max(10.0 * _LADDER[-1], 1e-8))
+
+
+def _climb(diag, rhs, cyclic):
+    """(k, step): the first rung tau = _LADDER[k] at which `_positive_solve`
+    accepts H + tau I (H with the array diag on its diagonal), and its
+    step (H + tau I)^-1 rhs; (len(_LADDER), None) when it accepts none.
+
+    Acceptance is monotone in tau, so the rung is searched for instead of
+    climbed to.  fl(a + tau) is nondecreasing in tau and, for d > 0,
+    fl(a - fl(1 / d)) in d, so every pivot of H + tau I is nondecreasing
+    in tau, and one that is positive stays positive.  With cyclic the
+    border u = -(e_0 + e_{n-1}) gives w = L^-1 u and z = T^-1 u negative
+    entries, each a correctly rounded sum, product or quotient of terms of
+    one sign whose size does not grow with tau, so the Schur complement
+    s = c + |z_0| + |z_{n-1}| is nondecreasing too.  The first probe is
+    the lowest rung above the Gershgorin bound 2 - min(diag), where
+    H + tau I is positive definite and is refused only if rounding puts it
+    on the boundary; after it is accepted, the second probe is the rung
+    below it, and then the probes bisect."""
+    def solve(k):
+        return _positive_solve((diag + _LADDER[k]).tolist(), rhs, cyclic)
+
+    first = min(bisect.bisect_right(_LADDER, 2.0 - float(diag.min())), len(_LADDER) - 1)
+    lo, hi, step = 0, len(_LADDER), None    # rungs below lo are refused, rung hi is accepted
+    probe = first
+    while lo < hi:
+        found = solve(probe)
+        if found is None:
+            lo = probe + 1
+        else:
+            hi, step = probe, found
+        probe = hi - 1 if probe == first else (lo + hi) // 2
+    return hi, step
+
+
+def _shifted_steps(diag, rhs, cyclic, tau, tries):
+    """The tries of one `_newton_minimize` iteration: (tau, step) for tau
+    from tau up the ladder tau -> max(10 tau, 1e-8), step the solution of
+    (H + tau I) step = rhs, or None where H + tau I is refused.  From
+    tau = 0 the rungs below the first accepted one come without a
+    factorization (see `_climb`)."""
+    if tau == 0.0 and tries > 1:
+        k, step = _climb(diag, rhs, cyclic)
+        for rung in _LADDER[:min(k, tries)]:
+            yield rung, None
+        if k >= tries:
+            return
+        yield _LADDER[k], step
+        tau, tries = max(10.0 * _LADDER[k], 1e-8), tries - k - 1
+    for _ in range(tries):
+        yield tau, _positive_solve((diag + tau).tolist(), rhs, cyclic)
+        tau = max(10.0 * tau, 1e-8)
 
 
 def _newton_minimize(gf, pad, x0, max_iter, cyclic):
@@ -311,7 +406,11 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     over the unknown sites x.  Each step solves (H + tau I) s = -g,
     raising tau until H + tau I is positive definite and the step is
     accepted; tau shrinks after each accepted step, so the iteration turns
-    into full Newton near a minimizer.  A step is accepted when it lowers
+    into full Newton near a minimizer.  tau climbs the ladder 0, 1e-8,
+    1e-7, ... (times 10, at most 40 tries per iteration) and shrinks by
+    0.25 after a step.  From tau = 0 the climb is searched (`_climb`): a
+    few factorizations instead of one per rung, and the same rung, step
+    and counts as the climb.  A step is accepted when it lowers
     the action by more than the rounding bounds of the two action sums
     (see `_evaluate`) together.  A change within those bounds is rounding
     noise, and the step is accepted only if it lowers |g|^2 (the
@@ -322,9 +421,10 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     the descent stops at the first one refused; this takes the residual
     to round-off, which keeps exponentially small heteroclinic tails
     clean.  Returns the padded array of the last point, its action, its
-    residual, the descent steps accepted, the factorizations refused and
-    the reach max|s| of the last step s solved for (inf if none).  A DEBUG
-    record also gives the steps rejected as uphill and the largest tau."""
+    residual, the descent steps accepted, the factorizations refused (the
+    rungs below the accepted one count, searched or not) and the reach
+    max|s| of the last step s solved for (inf if none).  A DEBUG record
+    also gives the steps rejected as uphill and the largest tau."""
     def evaluate(x):
         e = pad(x)
         return (e, *_evaluate(gf, e, cyclic))
@@ -334,26 +434,25 @@ def _newton_minimize(gf, pad, x0, max_iter, cyclic):
     steps = refused = uphill = 0
     for _ in range(max_iter):
         rhs = (-g).tolist()
-        gg = float(np.dot(g, g))
-        for _ in range(1 if np.max(np.abs(g)) <= TOL else 40):
+        gg = float(g.dot(g))
+        tries = 1 if np.abs(g).max() <= TOL else len(_LADDER)
+        for tau, step in _shifted_steps(diag, rhs, cyclic, tau, tries):
             max_tau = max(max_tau, tau)
-            step = _positive_solve((diag + tau).tolist(), rhs, cyclic)
             if step is None:
                 refused += 1
-            else:
-                reach = float(np.max(np.abs(step)))
-                e_new, f_new, g_new, diag_new, noise_new = evaluate(e[1:-1] + step)
-                rise, band = f_new - f, noise + noise_new
-                if rise < -band or (rise <= band and float(np.dot(g_new, g_new)) < gg):
-                    break
-                uphill += 1
-            tau = max(10.0 * tau, 1e-8)
+                continue
+            reach = float(np.abs(step).max())
+            e_new, f_new, g_new, diag_new, noise_new = evaluate(e[1:-1] + step)
+            rise, band = f_new - f, noise + noise_new
+            if rise < -band or (rise <= band and float(g_new.dot(g_new)) < gg):
+                break
+            uphill += 1
         else:
             break
         e, f, g, diag, noise = e_new, f_new, g_new, diag_new, noise_new
         steps += 1
         tau *= 0.25
-    res = float(np.max(np.abs(g)))
+    res = float(np.abs(g).max())
     if _log.isEnabledFor(logging.DEBUG):
         _log.debug("newton sites=%(sites)d cyclic=%(cyclic)d steps=%(steps)d "
                    "refused=%(refused)d uphill=%(uphill)d max_tau=%(max_tau).3e "
@@ -367,7 +466,7 @@ def _clearly_indefinite(gf, e, shift, cyclic) -> bool:
     """Whether the Hessian H at the padded array e has an eigenvalue at or
     below -shift, i.e. H + shift I is refused too; with cyclic, H is that
     of a periodic configuration."""
-    return _factor((_evaluate(gf, e, cyclic)[2] + shift).tolist(), cyclic) is None
+    return _refused(_evaluate(gf, e, cyclic)[2] + shift, cyclic)
 
 
 def minimize_periodic(gf: GeneratingFunction, p: int, q: int) -> Configuration:
@@ -528,11 +627,12 @@ def heteroclinic_minimizer(
         x = base_l + (base_r - base_l) * blend
         e, *_, reach = _newton_minimize(gf, core, x[a + 1:b], 400, cyclic=False)
         x = np.concatenate([base_l[:a], e, base_r[b + 1:]])
-        res = criticality_residual(gf, Configuration(x, "segment"))
+        _, g, diag, _ = _evaluate(gf, x, False)     # the residual and the saddle test
+        res = float(np.abs(g).max())
         best_res = min(best_res, res)
         if res > TOL:
             continue
-        if _clearly_indefinite(gf, x, SADDLE_CURVATURE, cyclic=False):
+        if _refused(diag + SADDLE_CURVATURE, False):
             saddles += 1
             continue
         if best is None or reach < best[0]:
@@ -730,15 +830,40 @@ def _circle_dist(a, b):
 
 def _lipschitz_constant(points: np.ndarray) -> float:
     """Largest |dy| / dx over the pairs of points more than 1e-12 apart in
-    the circle metric of x; 0 when there is no such pair.  The rows of
-    the m x m table of pairs come in blocks of max(1, 2^20 // m) points,
-    so a block holds about 2^20 pairs at any m."""
+    the circle metric of x; 0 when there is no such pair.
+
+    Only circle neighbours need a look.  Walk from each point i forward
+    around the circle, in the order of x mod 1 (the wrap from the last
+    point to the first included), and let k be the first point more than
+    1e-12 ahead of it.  A pair (i, j) farther ahead, on an arc of at most
+    1/2, has dx = dx(i, k) + dx(k, j), so its slope is at most the larger
+    of theirs, unless (k, j) falls under the cut, within 1e-12.  So the
+    pairs are i with each point from i + 1 to the last within 1e-12 after
+    k, widened by a few ulps against the rounding of x mod 1: one or two
+    per point, more only in clusters of near-coincident x, where a pair
+    skipped by the cut must not hide the chord across it.  Each pair's dx
+    and dy are formed as for the whole table of pairs, so the result is
+    one of its entries: O(m log m) time and O(m) memory.  Rounding can
+    make a pair that a third point splits steeper than both halves, by
+    about 2^-52 (1 + max|x|) / dx relative, and then the table's maximum
+    lies above this one by as much; where the differences are exact, as on
+    dyadic sites, the two are equal."""
+    m = len(points)
+    if m < 2:
+        return 0.0
     x, y = points[:, 0], points[:, 1]
-    rows = max(1, 2 ** 20 // max(len(x), 1))
+    order = np.argsort(x % 1.0, kind="stable")
+    u = (x % 1.0)[order]
+    u = np.concatenate([u, u + 1.0])        # twice around the circle
+    cut = 1e-12 + 16 * 2.0 ** -52 * max(1.0, float(np.abs(x).max()))
+    i = np.arange(m)
+    k = np.minimum(np.searchsorted(u, u[:m] + cut, "right"), 2 * m - 1)
+    end = np.minimum(np.searchsorted(u, u[k] + cut, "right"), i + m)
     worst = 0.0
-    for a in range(0, len(x), rows):
-        dx = _circle_dist(x, x[a:a + rows, None])
-        dy = np.abs(y - y[a:a + rows, None])
+    for s in range(1, int((end - i).max())):
+        ahead = i + s < end
+        a, b = order[i[ahead]], order[(i[ahead] + s) % m]
+        dx, dy = _circle_dist(x[a], x[b]), np.abs(y[a] - y[b])
         worst = max(worst, float(np.max(np.divide(dy, dx, out=np.zeros_like(dy),
                                                   where=dx > 1e-12), initial=0.0)))
     return worst

@@ -40,6 +40,8 @@ KEPT = {
     "overlaps": "whether two rotation classes can hold the same rotation number",
     "continuity_probe": "the paper's continuity in rotation number, a planned benchmark scenario",
     "action": "the action sum that the minimizers lower, which the descent oracles compare",
+    "criticality_residual": "max|grad| of the action at a configuration, the verdict that a "
+                            "returned orbit or connection is critical",
     "is_saddle": "the verdict of a hyperbolicity report",
 }
 

@@ -55,5 +55,6 @@ def test_digest_outputs_runs_a_coding_round():
                           "--rounds", "1"], capture_output=True, text=True, check=True,
                          timeout=600).stdout.splitlines()
     assert len(out) == 2
-    assert re.fullmatch(r"coding +6 tasks  [0-9a-f]{64} +[0-9.]+ ms", out[0])
+    # the outputs' digest, then the DEBUG records' digest
+    assert re.fullmatch(r"coding +6 tasks  [0-9a-f]{64}  [0-9a-f]{64} +[0-9.]+ ms", out[0])
     assert re.fullmatch(r"total +6 tasks +[0-9.]+ ms", out[1])

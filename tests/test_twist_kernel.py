@@ -7,13 +7,14 @@ LDL^T solve that recomputed each multiplier off[i] / piv[i] where it was
 used, the xi recursion of the discrete Jacobi test, the growth loop of
 `hyperbolicity_report` that rebuilt Df^m from scratch for every m, the
 translate-by-translate loop of `check_well_ordered`, the point-by-point
-loop of `_lipschitz_constant`, the per-point eigenvectors of the cycled
-Jacobian product that `_orbit_frames` formed at every orbit point, the
-`heteroclinic_minimizer` that descended every kink centering over its
-full window, and the one that descended a 50 q core and then the full
-window.  A grid of 16 q kink offsets is the oracle of the two
-symmetric ones.  The gradient is checked against central differences of
-`action`.  The oracles that descend share `_newton_minimize`, and all
+loop and the table of pairs of `_lipschitz_constant`, the shift climb of
+`_newton_minimize` that factored every rung, the per-point eigenvectors
+of the cycled Jacobian product that `_orbit_frames` formed at every
+orbit point, the `heteroclinic_minimizer` that descended every kink
+centering over its full window, and the one that descended a 50 q core
+and then the full window.  A grid of 16 q kink offsets is the oracle of
+the two symmetric ones.  The gradient is checked against central
+differences of `action`.  The oracles that descend share `_newton_minimize`, and all
 write the Hessian out: diagonal 2 - K cos 2 pi x_i, off-diagonal -1.
 """
 
@@ -27,7 +28,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denshoe import twist as tw
@@ -209,6 +210,55 @@ def test_jacobi_check_matches_xi_recursion(K, xs):
     assert ((True, None) if piv[-1] > 0.0 else (False, len(piv) + 1)) == xi_recursion(gf, x)
 
 
+@PROPERTY
+@given(large_tridiagonals())
+def test_acceptance_is_monotone_along_the_ladder(matrix):
+    # random and twist-shaped diagonals, segments and cyclic matrices, q = 1
+    # and 2 among them: once a rung is accepted every rung above it is, so
+    # the searched climb lands on the rung that the climb reaches, with its step
+    diag, _, rhs, cyclic = matrix
+    steps = [tw._positive_solve((diag + tau).tolist(), rhs.tolist(), cyclic)
+             for tau in tw._LADDER]
+    accepted = [s is not None for s in steps]
+    assert accepted == sorted(accepted)
+    k, step = tw._climb(diag, rhs.tolist(), cyclic)
+    assert k == accepted.count(False)
+    assert step is None if k == len(steps) else np.array_equal(step, steps[k])
+
+
+@pytest.mark.parametrize("descend", ["periodic", "kink"])
+def test_opening_climb_takes_three_factorizations(descend, monkeypatch, caplog):
+    # the (21,34) orbit and the (0,1) kink over 200 bonds at K = 0.9 each
+    # refuse the rungs 0 to 0.1 and accept tau = 1: the climb factored ten
+    # times, the search at most three, and the record still reads refused=9
+    gf, _ = tw.standard_family(0.9)
+    calls, climbs = [0], []
+    solve, climb = tw._positive_solve, tw._climb
+
+    def counted_solve(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    def counted_climb(*args):
+        before = calls[0]
+        out = climb(*args)
+        climbs.append(calls[0] - before)
+        return out
+
+    per = tw.minimize_periodic(gf, 0, 1)
+    monkeypatch.setattr(tw, "_positive_solve", counted_solve)
+    monkeypatch.setattr(tw, "_climb", counted_climb)
+    with caplog.at_level(logging.DEBUG, logger="denshoe.twist"):
+        if descend == "periodic":
+            tw.minimize_periodic(gf, 21, 34)
+        else:
+            tw.heteroclinic_minimizer(gf, per, tw.Configuration(per.x + 1, "periodic", 0, 1), 200)
+    first = caplog.records[0]
+    assert first.msg.split()[0] == "newton"
+    assert (first.args["refused"], first.args["max_tau"]) == (9, 1.0)
+    assert climbs[0] <= 3
+
+
 def loop_well_ordered(cfg):
     """Every translate (a, b) tested on its own."""
     q, p = cfg.q, cfg.p
@@ -229,6 +279,8 @@ def loop_well_ordered(cfg):
 @PROPERTY
 @given(st.integers(1, 40), st.integers(-40, 40),
        st.sampled_from((0.0, 1e-13, 1e-6, 1e-3, 0.1, 1.0)), st.integers(0, 2 ** 32))
+@example(1, 0, 0.0, 0)
+@example(1, -7, 1.0, 1)
 def test_well_ordered_matches_translate_loop(q, p, noise, seed):
     rng = np.random.default_rng(seed)
     x = np.arange(q) * (p / q) + rng.uniform(0, 1) + noise * rng.normal(size=q)
@@ -352,6 +404,64 @@ def test_lipschitz_constant_memory_does_not_grow_as_m_squared():
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
     assert got == loop_lipschitz_constant(points)
+
+
+def old_lipschitz_constant(points):
+    """The whole table of pairs, in blocks of max(1, 2^20 // m) rows, as
+    `_lipschitz_constant` computed it before it took circle neighbours."""
+    x, y = points[:, 0], points[:, 1]
+    rows = max(1, 2 ** 20 // max(len(x), 1))
+    worst = 0.0
+    for a in range(0, len(x), rows):
+        dx = tw._circle_dist(x, x[a:a + rows, None])
+        dy = np.abs(y - y[a:a + rows, None])
+        worst = max(worst, float(np.max(np.divide(dy, dx, out=np.zeros_like(dy),
+                                                  where=dx > 1e-12), initial=0.0)))
+    return worst
+
+
+# sites on a 2^-20 grid, moved by 2^-41 or 2^-40 (under the 1e-12 cut) or
+# 2^-39 (over it) and by whole turns; every difference of these sites and
+# of the dyadic y is exact, so a pair split by a third point is, after
+# rounding too, no steeper than the steeper half
+NEAR = (0.0, 2.0 ** -41, -2.0 ** -41, 2.0 ** -40, -2.0 ** -40, 2.0 ** -39, -2.0 ** -39)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(0, 2 ** 20), st.sampled_from(NEAR), st.integers(-2, 1),
+                          st.integers(-2 ** 10, 2 ** 10)), max_size=12),
+       st.lists(st.sampled_from(NEAR), max_size=4))
+@example([], [])
+@example([(0, 0.0, 0, 5)], [])
+@example([(0, 0.0, 0, 5), (2 ** 19, 0.0, 1, -5)], [])
+@example([(1, 0.0, 0, 0), (2 ** 20 - 1, 0.0, 0, 2 ** 10)], [])     # the wrap pair
+def test_lipschitz_constant_matches_old_pairs(sites, copies):
+    # m = 0, 1 and 2 among them; the copies repeat the first site near
+    # itself, so coincident and near-coincident x sit next to each other,
+    # and a pair skipped by the cut must not hide the chord across it
+    pts = [((i * 2.0 ** -20 + near) + turn, j * 2.0 ** -8) for i, near, turn, j in sites]
+    pts += [(pts[0][0] + near, pts[0][1] + 0.25 * (c + 1)) for c, near in enumerate(copies)
+            if pts]
+    points = np.array(pts, dtype=float).reshape(-1, 2)
+    assert tw._lipschitz_constant(points) == old_lipschitz_constant(points)
+
+
+def test_lipschitz_constant_of_the_wrap_pair():
+    # x = 0.05 and 0.95 are 0.1 apart across the wrap, the steepest pair
+    points = np.array([[0.05, 0.0], [0.5, 0.1], [0.95, 1.0]])
+    assert tw._lipschitz_constant(points) == old_lipschitz_constant(points) == (
+        1.0 / tw._circle_dist(0.05, 0.95))
+
+
+def test_lipschitz_constant_memory_is_linear_at_a_hundred_thousand_points():
+    points = np.random.default_rng(10 ** 5).uniform(-1.0, 1.0, (10 ** 5, 2))
+    tracemalloc.start()
+    try:
+        tw._lipschitz_constant(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 GOLDEN_CONVERGENTS = ((0, 1), (1, 2), (2, 3), (3, 5), (5, 8), (8, 13), (13, 21),
