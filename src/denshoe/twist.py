@@ -170,15 +170,17 @@ def _bonds(e, cyclic):
 def _evaluate(gf, e, cyclic):
     """Action, gradient and Hessian diagonal in the unknown sites of the
     padded array e (with cyclic, of a periodic configuration), from one
-    cos pass over the bonds' left ends and one sin pass over the unknown
-    sites; then a bound on the rounding error of the action's pairwise sum
-    over its n bond terms h_i, ceil(log2 n) 2^-53 sum |h_i|.  Each bond
+    cos pass over the bonds' left ends, one sin pass over the unknown
+    sites and one array of the bonds' differences x' - x, which h and
+    the gradient share; then a bound on the rounding error of the
+    action's pairwise sum over its n bond terms h_i,
+    ceil(log2 n) 2^-53 sum |h_i|.  Each bond
     (x, x') adds d2 h = x' - x to the gradient in x',
     d1 h = -(x' - x) - (K / 2 pi) sin 2 pi x to that in x, and
     d22 h + d11 h = 1 + (1 - K cos 2 pi x) to the diagonal."""
     t = TWO_PI * e[:-1]
     cos, sin = np.cos(t), np.sin(t[1:])
-    dx = e[1:] - e[:-1]     # x' - x over every bond of e
+    dx = e[1:] - e[:-1]
     h = 0.5 * dx[cyclic:] ** 2 + gf.K / (4 * math.pi ** 2) * cos[cyclic:]
     g = dx[:-1] + (-dx[1:] - gf.K / TWO_PI * sin)
     noise = (h.size - 1).bit_length() * 2.0 ** -53 * float(np.abs(h).sum())
