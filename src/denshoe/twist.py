@@ -322,7 +322,7 @@ def _positive_solve(diag, rhs, cyclic: bool):
         z = bw - l * z
         xs.append(x)
         zs.append(z)
-    # u^T v as the sum over u_i v_i from 0 forms it: its zero terms add nothing
+    # u^T z and u^T x, rounded as the sum of u_i v_i from 0 rounds them: zero terms add nothing
     if n == 1:
         uz, uy = 0.0 - 2.0 * z, 0.0 - 2.0 * x
     else:
@@ -857,7 +857,7 @@ def _lipschitz_constant(points: np.ndarray) -> float:
     order = np.argsort(x % 1.0, kind="stable")
     u = (x % 1.0)[order]
     u = np.concatenate([u, u + 1.0])        # twice around the circle
-    cut = 1e-12 + 16 * 2.0 ** -52 * max(1.0, float(np.abs(x).max()))
+    cut = 1e-12 + 16 * 2.0 ** -52 * max(1.0, float(np.abs(x).max()))    # a few ulps wider
     i = np.arange(m)
     k = np.minimum(np.searchsorted(u, u[:m] + cut, "right"), 2 * m - 1)
     end = np.minimum(np.searchsorted(u, u[k] + cut, "right"), i + m)
